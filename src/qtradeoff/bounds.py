@@ -28,30 +28,15 @@ from .constants import (
     SDP_GAP_TOL,
     SDP_MAX_ITER,
 )
-from .model import BlochVector, ModelPoint, model_point
+from .model import (  # noqa: F401  (NORMALIZATIONS re-exported)
+    NORMALIZATIONS,
+    BlochVector,
+    ModelPoint,
+    _check_normalization,
+    convert_normalization,
+    model_point,
+)
 from .povm import Povm, WeightSpec, single_copy_optimal, two_copy_optimal
-
-NORMALIZATIONS = ("per_measurement", "per_qubit")
-
-
-def _check_normalization(normalization: str) -> None:
-    if normalization not in NORMALIZATIONS:
-        raise ValueError(
-            f"unknown normalization '{normalization}', expected one of {NORMALIZATIONS}"
-        )
-
-
-def convert_normalization(value: float, copies: int, src: str, dst: str) -> float:
-    """Convert a bound between per-measurement and per-qubit conventions.
-
-    A collective measurement on `copies` qubits consumes `copies` qubits per
-    shot, so per_qubit = copies * per_measurement.
-    """
-    _check_normalization(src)
-    _check_normalization(dst)
-    if src == dst:
-        return value
-    return value * copies if dst == "per_qubit" else value / copies
 
 
 def as_bloch(theta) -> BlochVector:
@@ -422,8 +407,7 @@ def nh_optimal_certificate_origin(weights, copies: int = 1) -> NhCertificate:
         lifted[i * d:(i + 1) * d, 3 * d:] = xs[i]
         lifted[3 * d:, i * d:(i + 1) * d] = xs[i].conj().T
 
-    vals, _ = linalg.eig_hermitian(lifted)
-    min_eig = float(vals[-1])
+    min_eig = float(np.linalg.eigvalsh(lifted)[0])
 
     resid = 0.0
     for i in range(3):

@@ -7,13 +7,6 @@ and library code agree on one set of values.
 # Hermiticity validation: max |A - A^dag| entry, relative to matrix scale.
 HERMITICITY_TOL = 1e-12
 
-# Jacobi eigensolver: stop when off-diagonal Frobenius norm <= JACOBI_TOL * ||A||_F.
-JACOBI_TOL = 1e-13
-JACOBI_MAX_SWEEPS = 100
-
-# Eigendecomposition contract: residual ||A v - lambda v|| <= EIG_RESIDUAL_TOL * ||A||.
-EIG_RESIDUAL_TOL = 1e-10
-
 # PSD check: min eigenvalue >= -PSD_TOL.
 PSD_TOL = 1e-9
 

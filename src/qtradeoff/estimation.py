@@ -22,8 +22,13 @@ from .constants import (
     PROB_NEGATIVE_TOL,
     PROB_SUM_TOL,
 )
-from .model import BlochVector, equal_component_eigensystem, model_point
-from .povm import Povm, WeightSpec, outcome_probabilities
+from .model import BlochVector, convert_normalization, equal_component_eigensystem
+from .povm import (
+    Povm,
+    WeightSpec,
+    _model_probabilities,
+    quadratic_probability_model,
+)
 from .tradeoff import MsePoint
 
 REPEAT_STREAM = 0
@@ -219,48 +224,6 @@ def _sample_mixed(values, rows, shots, rng):
     return counts
 
 
-def quadratic_probability_model(povm, copies):
-    """Exact outcome-probability model p_j = q0_j + G_j . theta + theta' Q_j theta.
-
-    The one- and two-copy states are polynomial in the Bloch vector, so
-    the outcome probabilities are affine (one copy) or quadratic (two
-    copies) in theta with coefficients given by Pauli traces of the POVM
-    elements. Returns (q0, G, Q) with Q zero for one copy.
-    """
-    from .model import PAULIS
-
-    if copies not in (1, 2):
-        raise ValueError("copies must be 1 or 2")
-    dim = 2 ** copies
-    if povm.dim != dim:
-        raise ValueError("POVM dimension does not match copies")
-    n = povm.n_outcomes
-    q0 = np.array([np.trace(e).real / dim for e in povm.elements])
-    G = np.empty((n, 3))
-    Q = np.zeros((n, 3, 3))
-    eye = np.eye(2)
-    for j, element in enumerate(povm.elements):
-        for i, sigma in enumerate(PAULIS):
-            if copies == 1:
-                G[j, i] = np.trace(element @ sigma).real / 2
-            else:
-                op = np.kron(sigma, eye) + np.kron(eye, sigma)
-                G[j, i] = np.trace(element @ op).real / 4
-        if copies == 2:
-            for i, si in enumerate(PAULIS):
-                for k, sk in enumerate(PAULIS):
-                    Q[j, i, k] = np.trace(element @ np.kron(si, sk)).real / 4
-    return q0, G, Q
-
-
-def _model_probabilities(q0, G, Q, theta):
-    return q0 + G @ theta + np.einsum("jik,i,k->j", Q, theta, theta)
-
-
-def _model_jacobian(G, Q, theta):
-    return G + np.einsum("jik,k->ji", Q + np.transpose(Q, (0, 2, 1)), theta)
-
-
 def linear_estimator_matrix(povm, copies):
     """Coefficient matrix of the best linear unbiased estimator at the origin.
 
@@ -271,6 +234,11 @@ def linear_estimator_matrix(povm, copies):
     the familiar difference-of-counts form.
     """
     q0, G, _ = quadratic_probability_model(povm, copies)
+    return _linear_design(q0, G)
+
+
+def _linear_design(q0, G):
+    """linear_estimator_matrix from precomputed model coefficients q0 and G."""
     mask = q0 > FISHER_PROB_CUTOFF
     scaled = np.zeros_like(G)
     scaled[mask] = G[mask] / q0[mask, None]
@@ -284,52 +252,11 @@ def linear_estimator_matrix(povm, copies):
     return inv @ scaled.T
 
 
-def linear_estimator_origin(counts, povm_weights, shots, copies=2):
-    """Closed-form linear estimate for the weight-adapted optimal POVMs.
-
-    Expects counts ordered (+x, -x, +y, -y, +z, -z[, extra]) as produced
-    by the optimal-POVM constructors. For two copies the axis-i outcome
-    pair enters with gain 2 c_i where c_i = sqrt(w_i / D_i) / 2 and D_i
-    collects the pairwise root-weight products; for one copy the gain is
-    the element weight a_i^2 = sqrt(w_i) / sum sqrt(w).
-    """
-    w = as_weights(povm_weights)
-    w.require_positive()
-    if copies not in (1, 2):
-        raise ValueError("copies must be 1 or 2")
-    counts = np.asarray(counts, dtype=float)
-    if counts.shape[0] < 6:
-        raise ValueError("need the six axis outcomes")
-    if shots <= 0:
-        raise ValueError("shots must be positive")
-    root = np.sqrt(w.array)
-    theta = np.empty(3)
-    for i in range(3):
-        diff = counts[2 * i] - counts[2 * i + 1]
-        if copies == 1:
-            gain = root[i] / root.sum()
-        else:
-            j, k = [a for a in range(3) if a != i]
-            d_i = (root[i] + root[j]) * (root[i] + root[k])
-            gain = np.sqrt(w.array[i] / d_i)
-        if gain <= 0:
-            raise ValueError("degenerate estimator gain")
-        theta[i] = diff / (shots * gain)
-    return theta
-
-
 def _project_ball(theta, radius=MLE_BALL_RADIUS):
     norm = np.linalg.norm(theta)
     if norm > radius:
         return theta * (radius / norm)
     return theta
-
-
-def _negative_log_likelihood(freqs, probs):
-    active = freqs > 0
-    if probs[active].min() <= 0:
-        return np.inf
-    return -float(freqs[active] @ np.log(probs[active]))
 
 
 def mle_estimator(
@@ -503,16 +430,15 @@ def run_experiment(plan, weights, estimator="linear", resamples=BOOTSTRAP_RESAMP
     if estimator not in ("linear", "mle"):
         raise ValueError("estimator must be 'linear' or 'mle'")
     theta_true = plan.theta_true.array
-    point = model_point(plan.theta_true, copies=plan.copies)
-    probs = outcome_probabilities(point, plan.povm)
+    model = quadratic_probability_model(plan.povm, plan.copies)
+    probs = _model_probabilities(*model, theta_true)
     # completeness rounding of published measurements leaks into sum(probs)
     prob_budget = max(PROB_SUM_TOL, plan.povm.dim * plan.povm.completeness_tol)
     mixed = plan.copies == 2 and _equal_components(plan.theta_true)
     if mixed:
         values, rows = _eigenstate_probabilities(theta_true[0], plan.povm)
-    model = quadratic_probability_model(plan.povm, plan.copies)
     if estimator == "linear":
-        design = linear_estimator_matrix(plan.povm, plan.copies)
+        design = _linear_design(model[0], model[1])
 
     estimates = np.empty((plan.repeats, 3))
     squared = np.empty((plan.repeats, 3))
@@ -536,7 +462,11 @@ def run_experiment(plan, weights, estimator="linear", resamples=BOOTSTRAP_RESAMP
         estimates[r] = estimate
         squared[r] = (estimate - theta_true) ** 2
 
-    scale = plan.copies * plan.shots_per_repeat
+    # shots * MSE is the per-measurement error; qubits consumed per repeat
+    # turn it into the per-qubit one
+    scale = convert_normalization(
+        plan.shots_per_repeat, plan.copies, "per_measurement", "per_qubit"
+    )
     per_axis = scale * squared.mean(axis=0)
     mse = MsePoint(per_axis[0], per_axis[1], per_axis[2])
     weighted_trace = float(w.array @ per_axis)

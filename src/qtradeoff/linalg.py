@@ -1,21 +1,15 @@
-"""Small dense complex linear algebra kernel.
+"""Small dense complex linear algebra helpers.
 
-Matrices are plain complex numpy arrays. The Hermitian eigensolver is a
-cyclic Jacobi iteration, which is simple and extremely robust for the
-dimensions used here (d <= 16).
+Matrices are plain complex numpy arrays; eigendecompositions come from
+numpy.linalg. This module adds the input validation and the real embedding
+that the package's SDP needs.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .constants import (
-    EIG_RESIDUAL_TOL,
-    HERMITICITY_TOL,
-    JACOBI_MAX_SWEEPS,
-    JACOBI_TOL,
-    PSD_TOL,
-)
+from .constants import HERMITICITY_TOL, PSD_TOL
 
 
 class ConvergenceError(RuntimeError):
@@ -37,89 +31,10 @@ def require_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray
     return a
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
-def frobenius(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a))
-
-
-def eig_hermitian(a: np.ndarray, tol: float = JACOBI_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
-
-    Returns (eigenvalues, eigenvectors) with eigenvalues sorted in descending
-    order and eigenvectors as columns. Convergence: off-diagonal Frobenius
-    norm <= tol * ||A||_F.
-    """
-    a = require_hermitian(a)
-    n = a.shape[0]
-    if n == 0:
-        return np.array([]), np.zeros((0, 0), dtype=complex)
-    A = a.astype(complex).copy()
-    V = np.eye(n, dtype=complex)
-    norm = np.linalg.norm(A)
-    if n == 1 or norm == 0.0:
-        vals = np.real(np.diag(A))
-        order = np.argsort(-vals, kind="stable")
-        return vals[order], V[:, order]
-    target = tol * norm
-    # tiny pivots cannot move the off-diagonal norm past the target
-    skip = target / (n * n)
-
-    for _ in range(JACOBI_MAX_SWEEPS):
-        off = np.linalg.norm(A - np.diag(np.diag(A)))
-        if off <= target:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                m = abs(apq)
-                if m <= skip:
-                    continue
-                phase = apq / m
-                tau = (A[q, q].real - A[p, p].real) / (2.0 * m)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                # U2 = D @ R with D = diag(1, conj(phase)), R the real rotation
-                u = np.array([[c, s], [-s * np.conj(phase), c * np.conj(phase)]])
-                A[:, [p, q]] = A[:, [p, q]] @ u
-                A[[p, q], :] = u.conj().T @ A[[p, q], :]
-                V[:, [p, q]] = V[:, [p, q]] @ u
-                # symmetrize the pivot pair against roundoff
-                A[p, q] = (A[p, q] + np.conj(A[q, p])) / 2.0
-                A[q, p] = np.conj(A[p, q])
-    else:
-        raise ConvergenceError("Jacobi eigensolver did not converge")
-
-    vals = np.real(np.diag(A))
-    order = np.argsort(-vals, kind="stable")
-    return vals[order], V[:, order]
-
-
-def eig_residual(a: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> float:
-    """Max residual ||A v_k - lambda_k v_k|| over eigenpairs."""
-    r = a @ vecs - vecs * vals[np.newaxis, :]
-    return float(np.max(np.linalg.norm(r, axis=0))) if vals.size else 0.0
-
-
 def is_psd(a: np.ndarray, tol: float = PSD_TOL) -> bool:
     """Whether the Hermitian matrix `a` has min eigenvalue >= -tol."""
-    vals, _ = eig_hermitian(a)
-    return bool(vals.size == 0 or vals[-1] >= -tol)
-
-
-def inverse(a: np.ndarray) -> np.ndarray:
-    """Matrix inverse of a small square matrix."""
-    a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    return np.linalg.inv(a)
+    vals = np.linalg.eigvalsh(require_hermitian(a))
+    return bool(vals.size == 0 or vals[0] >= -tol)
 
 
 def real_embedding(a: np.ndarray) -> np.ndarray:
@@ -132,13 +47,3 @@ def real_embedding(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     re, im = a.real, a.imag
     return np.block([[re, -im], [im, re]])
-
-
-def check_eig_contract(a: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> None:
-    """Assert the documented eigendecomposition contract (used by tests)."""
-    norm = max(np.linalg.norm(a), 1e-300)
-    if eig_residual(a, vals, vecs) > EIG_RESIDUAL_TOL * norm:
-        raise AssertionError("eigendecomposition residual above contract")
-    gram = vecs.conj().T @ vecs
-    if np.abs(gram - np.eye(len(vals))).max() > EIG_RESIDUAL_TOL:
-        raise AssertionError("eigenvector matrix is not unitary to contract")

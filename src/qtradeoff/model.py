@@ -12,7 +12,6 @@ from typing import Iterable
 
 import numpy as np
 
-from . import linalg
 from .constants import BLOCH_NORM_SLACK, INTERIOR_MARGIN, SLD_RESIDUAL_TOL
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -22,6 +21,29 @@ PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 IDENTITY_2 = np.eye(2, dtype=complex)
 
 AXIS_LABELS = ("x", "y", "z")
+
+NORMALIZATIONS = ("per_measurement", "per_qubit")
+
+
+def _check_normalization(normalization: str) -> None:
+    if normalization not in NORMALIZATIONS:
+        raise ValueError(
+            f"unknown normalization '{normalization}', expected one of {NORMALIZATIONS}"
+        )
+
+
+def convert_normalization(value, copies: int, src: str, dst: str):
+    """Convert an error quantity between per-measurement and per-qubit conventions.
+
+    A collective measurement on `copies` qubits consumes `copies` qubits per
+    shot, so per_qubit = copies * per_measurement. `value` may be a scalar
+    bound or an MSE matrix.
+    """
+    _check_normalization(src)
+    _check_normalization(dst)
+    if src == dst:
+        return value
+    return value * copies if dst == "per_qubit" else value / copies
 
 
 @dataclass(frozen=True)
@@ -143,10 +165,8 @@ def model_point(theta: BlochVector, copies: int = 1) -> ModelPoint:
     if copies == 1:
         drho = tuple(0.5 * p for p in PAULIS)
         return ModelPoint(theta=theta, copies=1, rho=rho, drho=drho)
-    rho2 = linalg.kron(rho, rho)
-    drho = tuple(
-        0.5 * (linalg.kron(p, rho) + linalg.kron(rho, p)) for p in PAULIS
-    )
+    rho2 = np.kron(rho, rho)
+    drho = tuple(0.5 * (np.kron(p, rho) + np.kron(rho, p)) for p in PAULIS)
     return ModelPoint(theta=theta, copies=2, rho=rho2, drho=drho)
 
 
@@ -174,8 +194,8 @@ def equal_component_eigensystem(t: float) -> list[tuple[float, np.ndarray]]:
     if not 0.0 <= t <= 1.0 / np.sqrt(3.0) + BLOCH_NORM_SLACK:
         raise ValueError("equal-component magnitude must satisfy 0 <= t <= 1/sqrt(3)")
     direction = (SIGMA_X + SIGMA_Y + SIGMA_Z) / np.sqrt(3.0)
-    vals, vecs = linalg.eig_hermitian(direction)
-    vp, vm = vecs[:, 0], vecs[:, 1]  # eigenvalues sorted descending: +1 first
+    _, vecs = np.linalg.eigh(direction)
+    vp, vm = vecs[:, 1], vecs[:, 0]  # eigenvalues sorted ascending: -1 first
 
     def fix_phase(v: np.ndarray) -> np.ndarray:
         k = int(np.argmax(np.abs(v)))

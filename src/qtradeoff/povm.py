@@ -22,7 +22,7 @@ from .constants import (
     PSD_TOL,
     REFERENCE_COMPLETENESS_TOL,
 )
-from .model import AXIS_LABELS, ModelPoint, model_qfi
+from .model import AXIS_LABELS, PAULIS, ModelPoint, convert_normalization, model_qfi
 
 
 class SingularFisherError(RuntimeError):
@@ -300,11 +300,54 @@ def reference_povm(copies: int) -> Povm:
     raise ValueError(f"copies must be 1 or 2, got {copies}")
 
 
+def quadratic_probability_model(povm: Povm, copies: int):
+    """Exact outcome-probability model p_j = q0_j + G_j . theta + theta' Q_j theta.
+
+    The one- and two-copy states are polynomial in the Bloch vector, so
+    the outcome probabilities are affine (one copy) or quadratic (two
+    copies) in theta with coefficients given by Pauli traces of the POVM
+    elements. Returns (q0, G, Q) with Q zero for one copy.
+    """
+    if copies not in (1, 2):
+        raise ValueError("copies must be 1 or 2")
+    dim = 2 ** copies
+    if povm.dim != dim:
+        raise ValueError("POVM dimension does not match copies")
+    n = povm.n_outcomes
+    q0 = np.array([np.trace(e).real / dim for e in povm.elements])
+    G = np.empty((n, 3))
+    Q = np.zeros((n, 3, 3))
+    eye = np.eye(2)
+    if copies == 1:
+        linear, scale = PAULIS, 2
+    else:
+        linear, scale = [np.kron(s, eye) + np.kron(eye, s) for s in PAULIS], 4
+    quadratic = [[np.kron(si, sk) for sk in PAULIS] for si in PAULIS]
+    for j, element in enumerate(povm.elements):
+        for i, op in enumerate(linear):
+            G[j, i] = np.trace(element @ op).real / scale
+        if copies == 2:
+            for i in range(3):
+                for k in range(3):
+                    Q[j, i, k] = np.trace(element @ quadratic[i][k]).real / 4
+    return q0, G, Q
+
+
+def _model_probabilities(q0, G, Q, theta):
+    return q0 + G @ theta + np.einsum("jik,i,k->j", Q, theta, theta)
+
+
+def _model_jacobian(G, Q, theta):
+    return G + np.einsum("jik,k->ji", Q + np.transpose(Q, (0, 2, 1)), theta)
+
+
 def outcome_probabilities(point: ModelPoint, povm: Povm) -> np.ndarray:
-    """Born probabilities Tr[rho Pi_j], clipped of sub-tolerance negatives."""
+    """Born probabilities Tr[rho Pi_j] from the quadratic model, clipped of
+    sub-tolerance negatives."""
     if povm.dim != point.dim:
         raise ValueError(f"POVM dimension {povm.dim} != model dimension {point.dim}")
-    p = np.array([np.trace(point.rho @ el).real for el in povm.elements])
+    p = _model_probabilities(*quadratic_probability_model(povm, point.copies),
+                             point.theta.array)
     if p.min() < -PROB_NEGATIVE_TOL:
         raise ValueError(f"negative outcome probability {p.min():.3e}")
     p = np.clip(p, 0.0, 1.0)
@@ -316,9 +359,8 @@ def outcome_probabilities(point: ModelPoint, povm: Povm) -> np.ndarray:
 
 def probability_derivatives(point: ModelPoint, povm: Povm) -> np.ndarray:
     """d p_j / d theta_i as an (n_outcomes, 3) array."""
-    return np.array(
-        [[np.trace(d @ el).real for d in point.drho] for el in povm.elements]
-    )
+    _, G, Q = quadratic_probability_model(povm, point.copies)
+    return _model_jacobian(G, Q, point.theta.array)
 
 
 @dataclass(frozen=True)
@@ -330,7 +372,7 @@ class FisherMatrix:
 
     def inverse(self) -> np.ndarray:
         try:
-            return linalg.inverse(self.matrix)
+            return np.linalg.inv(self.matrix)
         except np.linalg.LinAlgError:
             raise SingularFisherError(
                 "Fisher information matrix is singular"
@@ -340,11 +382,7 @@ class FisherMatrix:
                                normalization: str = "per_measurement") -> float:
         """Tr[W F^-1], optionally rescaled to the per-qubit convention."""
         val = float(np.trace(weights.matrix @ self.inverse()).real)
-        if normalization == "per_qubit":
-            return self.copies * val
-        if normalization != "per_measurement":
-            raise ValueError(f"unknown normalization '{normalization}'")
-        return val
+        return convert_normalization(val, self.copies, "per_measurement", normalization)
 
 
 def classical_fisher(point: ModelPoint, povm: Povm) -> FisherMatrix:
@@ -374,18 +412,3 @@ def classical_fisher(point: ModelPoint, povm: Povm) -> FisherMatrix:
                 f"quantum limit beyond tolerance {tol:.1e}"
             )
     return FisherMatrix(matrix=F, copies=point.copies)
-
-
-def mse_matrix_from_fisher(fisher: FisherMatrix,
-                           normalization: str = "per_measurement") -> np.ndarray:
-    """Cramer-Rao MSE matrix F^-1 in the requested normalization.
-
-    per_measurement is the MSE per application of the POVM; per_qubit
-    multiplies by the copies consumed per application.
-    """
-    inv = fisher.inverse()
-    if normalization == "per_qubit":
-        return fisher.copies * inv
-    if normalization != "per_measurement":
-        raise ValueError(f"unknown normalization '{normalization}'")
-    return inv

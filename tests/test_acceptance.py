@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from qtradeoff.bounds import (
+    convert_normalization,
     holevo_origin,
     nhcrb_analytic_origin,
     nhcrb_sdp,
@@ -37,7 +38,6 @@ from qtradeoff.model import (
 from qtradeoff.povm import (
     WeightSpec,
     classical_fisher,
-    mse_matrix_from_fisher,
     reference_povm,
     single_copy_optimal,
     two_copy_optimal,
@@ -126,14 +126,16 @@ def test_criterion_05_tangency_sweep():
     for _ in range(100):
         w = random_weights(rng)
         f1 = classical_fisher(origin, single_copy_optimal(w))
-        v1 = np.diag(mse_matrix_from_fisher(f1, "per_qubit")).real
+        mse1 = convert_normalization(f1.inverse(), f1.copies, "per_measurement", "per_qubit")
+        v1 = np.diag(mse1).real
         assert abs(single_copy_surface_residual(MsePoint(*v1))) <= 1e-9
         wt1 = f1.weighted_trace_inverse(w, "per_measurement")
         c1 = nhcrb_analytic_origin(w, 1, "per_measurement").value
         assert abs(wt1 - c1) <= 1e-10
 
         f2 = classical_fisher(origin2, two_copy_optimal(w))
-        v2 = np.diag(mse_matrix_from_fisher(f2, "per_qubit")).real
+        mse2 = convert_normalization(f2.inverse(), f2.copies, "per_measurement", "per_qubit")
+        v2 = np.diag(mse2).real
         assert abs(two_copy_surface_residual(MsePoint(*v2))) <= 1e-9
         wt2 = f2.weighted_trace_inverse(w, "per_measurement")
         c2 = nhcrb_analytic_origin(w, 2, "per_measurement").value

@@ -10,19 +10,19 @@ from qtradeoff.estimation import (
     _eigenstate_probabilities,
     largest_remainder_allocation,
     linear_estimator_matrix,
-    linear_estimator_origin,
     mixed_sampling_plan,
     mle_estimator,
-    quadratic_probability_model,
     run_experiment,
     sample_counts,
 )
-from qtradeoff.estimation import _model_jacobian, _model_probabilities
 from qtradeoff.model import BlochVector, model_point
 from qtradeoff.povm import (
+    Povm,
     WeightSpec,
+    _model_jacobian,
+    _model_probabilities,
     outcome_probabilities,
-    probability_derivatives,
+    quadratic_probability_model,
     sic_two_copy,
     single_copy_optimal,
     two_copy_optimal,
@@ -113,8 +113,10 @@ def test_quadratic_model_is_exact():
             t = rng.normal(size=3)
             t *= rng.uniform(0, 0.8) / np.linalg.norm(t)
             point = model_point(BlochVector(*t), copies=copies)
-            assert np.abs(_model_probabilities(q0, G, Q, t) - outcome_probabilities(point, povm)).max() < 1e-12
-            assert np.abs(_model_jacobian(G, Q, t) - probability_derivatives(point, povm)).max() < 1e-12
+            born = [np.trace(point.rho @ el).real for el in povm.elements]
+            born_jac = [[np.trace(d @ el).real for d in point.drho] for el in povm.elements]
+            assert np.abs(_model_probabilities(q0, G, Q, t) - born).max() < 1e-12
+            assert np.abs(_model_jacobian(G, Q, t) - born_jac).max() < 1e-12
 
 
 def test_linear_estimator_unbiased_to_first_order():
@@ -131,13 +133,26 @@ def test_linear_estimator_unbiased_to_first_order():
 
 
 def test_linear_estimator_closed_form_agrees():
+    # closed form for the weight-adapted optimal POVMs, counts ordered
+    # (+x, -x, +y, -y, +z, -z[, singlet]): the axis-i count difference over
+    # shots, divided by the element weight sqrt(w_i) / sum sqrt(w) for one
+    # copy, or by sqrt(w_i / D_i) with D_i = (r_i + r_j)(r_i + r_k), r = sqrt(w),
+    # for two copies
     rng = np.random.default_rng(3)
     w = WeightSpec.from_integers((1, 2, 3))
+    root = np.sqrt(w.array)
     for copies, povm in ((1, single_copy_optimal(w)), (2, two_copy_optimal(w))):
         D = linear_estimator_matrix(povm, copies)
         probs = outcome_probabilities(model_point(BlochVector(0.1, 0.05, -0.1), copies=copies), povm)
         counts = sample_counts(probs, 500, rng)
-        direct = linear_estimator_origin(counts, w, 500, copies=copies)
+        direct = np.empty(3)
+        for i in range(3):
+            if copies == 1:
+                gain = root[i] / root.sum()
+            else:
+                j, k = [a for a in range(3) if a != i]
+                gain = np.sqrt(w.array[i] / ((root[i] + root[j]) * (root[i] + root[k])))
+            direct[i] = (counts[2 * i] - counts[2 * i + 1]) / (500 * gain)
         via_design = D @ (counts / 500)
         assert np.abs(direct - via_design).max() < 1e-12
 
@@ -145,11 +160,16 @@ def test_linear_estimator_closed_form_agrees():
 def test_linear_estimator_origin_validation():
     w = WeightSpec(1, 1, 1)
     with pytest.raises(ValueError):
-        linear_estimator_origin(np.ones(4), w, 100)
+        linear_estimator_matrix(two_copy_optimal(w), 1)
     with pytest.raises(ValueError):
-        linear_estimator_origin(np.ones(7), w, 0)
-    with pytest.raises(ValueError):
-        linear_estimator_origin(np.ones(7), w, 100, copies=3)
+        linear_estimator_matrix(two_copy_optimal(w), 3)
+    # z-basis outcomes carry no information on x and y
+    z_basis = Povm(
+        (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)),
+        name="z_basis", labels=("+z", "-z"),
+    )
+    with pytest.raises(ValueError, match="informationally complete"):
+        linear_estimator_matrix(z_basis, 1)
 
 
 def test_run_experiment_deterministic():

@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 
 from qtradeoff import linalg
-from qtradeoff.bounds import nhcrb_analytic_origin
+from qtradeoff.bounds import convert_normalization, nhcrb_analytic_origin
 from qtradeoff.model import BlochVector, model_point, model_qfi
 from qtradeoff.povm import (
     Povm,
     SingularFisherError,
     WeightSpec,
     classical_fisher,
-    mse_matrix_from_fisher,
     outcome_probabilities,
     probability_derivatives,
     reference_povm,
@@ -155,8 +154,10 @@ def test_fisher_normalizations():
     assert abs(pq - 2.0 * pm) < 1e-12
     with pytest.raises(ValueError):
         f2.weighted_trace_inverse(w, "per_shot")
-    mse = mse_matrix_from_fisher(f2, "per_qubit")
-    assert np.abs(mse - 2.0 * linalg.inverse(f2.matrix)).max() < 1e-12
+    inv = f2.inverse()
+    assert np.abs(inv @ f2.matrix - np.eye(3)).max() < 1e-12
+    mse = convert_normalization(inv, f2.copies, "per_measurement", "per_qubit")
+    assert np.abs(mse - 2.0 * np.linalg.inv(f2.matrix)).max() < 1e-12
 
 
 def test_fisher_never_exceeds_quantum_limit():
