@@ -34,10 +34,10 @@ SDP_BLOCH_LIMIT = 1 - 1e-6       # reject states closer to the Bloch sphere than
 
 # Maximum-likelihood estimation.
 MLE_KKT_TOL = 1e-7
-MLE_MAX_ITER = 2000
+MLE_MAX_ITER = 100              # Newton iterations per repetition
 MLE_ARMIJO = 1e-4
 MLE_BALL_RADIUS = 1 - 1e-6
-MLE_POLISH_ITER = 500
+MLE_EIG_FLOOR = 1e-8            # Hessian eigenvalues floored to this fraction of the largest
 
 # Trade-off surface scans.
 SURFACE_FEAS_TOL = 1e-6

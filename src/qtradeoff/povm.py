@@ -341,13 +341,15 @@ def _model_jacobian(G, Q, theta):
     return G + np.einsum("jik,k->ji", Q + np.transpose(Q, (0, 2, 1)), theta)
 
 
-def outcome_probabilities(point: ModelPoint, povm: Povm) -> np.ndarray:
+def outcome_probabilities(point: ModelPoint, povm: Povm, model=None) -> np.ndarray:
     """Born probabilities Tr[rho Pi_j] from the quadratic model, clipped of
-    sub-tolerance negatives."""
+    sub-tolerance negatives. Pass a precomputed quadratic_probability_model
+    as model to evaluate it instead of rebuilding it."""
     if povm.dim != point.dim:
         raise ValueError(f"POVM dimension {povm.dim} != model dimension {point.dim}")
-    p = _model_probabilities(*quadratic_probability_model(povm, point.copies),
-                             point.theta.array)
+    if model is None:
+        model = quadratic_probability_model(povm, point.copies)
+    p = _model_probabilities(*model, point.theta.array)
     if p.min() < -PROB_NEGATIVE_TOL:
         raise ValueError(f"negative outcome probability {p.min():.3e}")
     p = np.clip(p, 0.0, 1.0)
@@ -393,8 +395,9 @@ def classical_fisher(point: ModelPoint, povm: Povm) -> FisherMatrix:
     The result is checked against the quantum information: F <= copies * J
     in the PSD order, with slack scaled to the POVM's completeness budget.
     """
-    p = outcome_probabilities(point, povm)
-    dp = probability_derivatives(point, povm)
+    model = quadratic_probability_model(povm, point.copies)
+    p = outcome_probabilities(point, povm, model)
+    dp = _model_jacobian(model[1], model[2], point.theta.array)
     F = np.zeros((3, 3))
     for j in range(len(p)):
         if p[j] > FISHER_PROB_CUTOFF:

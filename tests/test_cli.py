@@ -136,7 +136,21 @@ def test_simulate_artifact(tmp_path, schema):
     assert doc["normalization"] == "per_qubit"
     assert doc["metadata"]["plan"]["repeats"] == 30
     assert doc["metadata"]["estimator"] == "linear"
+    assert "mle" not in doc["metadata"]
     assert doc["weighted_trace"] > 0
+
+
+def test_simulate_reports_mle_statistics(tmp_path, schema):
+    doc = run_json(tmp_path, [
+        "simulate", "--povm", "opt2", "--copies", "2", "--estimator", "mle",
+        "--theta", "0.55,0.55,0.55", "--shots", "131", "--repeats", "30", "--seed", "9",
+    ])
+    jsonschema.validate(doc, schema)
+    stats = doc["metadata"]["mle"]
+    assert set(stats) == {"iterations_max", "kkt_norm_max", "on_boundary"}
+    assert stats["iterations_max"] >= 1
+    assert 0 <= stats["kkt_norm_max"] <= 1e-7
+    assert 0 <= stats["on_boundary"] <= 30
 
 
 def test_simulate_reference_povm_smoke(tmp_path, schema):

@@ -216,27 +216,88 @@ def test_mle_self_consistency_on_expected_counts():
         assert np.abs(mle_estimator(origin_counts, copies, povm)).max() < 1e-6
 
 
+BALL = 1 - 1e-6
+
+
+def _projected_gradient_norm(counts, est, model):
+    """|est - P(est - grad)| for the shot-normalized negative log likelihood."""
+    q0, G, Q = model
+    p = _model_probabilities(q0, G, Q, est)
+    jac = _model_jacobian(G, Q, est)
+    freqs = counts / counts.sum()
+    active = freqs > 0
+    grad = -(freqs[active] / p[active]) @ jac[active]
+    stepped = est - grad
+    norm = np.linalg.norm(stepped)
+    if norm > BALL:
+        stepped = stepped * (BALL / norm)
+    return np.linalg.norm(est - stepped)
+
+
+def _log_likelihood(counts, theta, model):
+    p = _model_probabilities(*model, theta)
+    active = counts > 0
+    return counts[active] @ np.log(p[active])
+
+
 def test_mle_satisfies_first_order_optimality():
     rng = np.random.default_rng(4)
     povm = two_copy_optimal(EQUAL)
-    q0, G, Q = quadratic_probability_model(povm, 2)
+    model = quadratic_probability_model(povm, 2)
     point = model_point(BlochVector(0.3, 0.3, 0.3), copies=2)
     probs = outcome_probabilities(point, povm)
     for _ in range(20):
         counts = sample_counts(probs, 196, rng)
         est = mle_estimator(counts, 2, povm)
         assert np.linalg.norm(est) <= 1.0
-        p = _model_probabilities(q0, G, Q, est)
-        jac = _model_jacobian(G, Q, est)
-        freqs = counts / counts.sum()
-        active = freqs > 0
-        grad = -(freqs[active] / p[active]) @ jac[active]
-        ball = 1 - 1e-6
-        stepped = est - grad
-        norm = np.linalg.norm(stepped)
-        if norm > ball:
-            stepped = stepped * (ball / norm)
-        assert np.linalg.norm(est - stepped) < 1e-6
+        assert _projected_gradient_norm(counts, est, model) < 1e-6
+
+
+def _near_sphere_batch():
+    # |theta| = 0.95: the singlet outcome has probability 0.024, so some of
+    # the 131-shot repeats never see it and their maximum sits on the ball
+    povm = two_copy_optimal(EQUAL)
+    theta = 0.95 * np.array([1.0, -2.0, 2.0]) / 3.0
+    probs = outcome_probabilities(model_point(BlochVector(*theta), copies=2), povm)
+    rng = np.random.default_rng(4)
+    counts = np.array([sample_counts(probs, 131, rng) for _ in range(40)])
+    return povm, theta, counts
+
+
+def test_mle_near_sphere_batch_is_optimal():
+    povm, _, counts = _near_sphere_batch()
+    model = quadratic_probability_model(povm, 2)
+    stats = {}
+    est = mle_estimator(counts, 2, povm, model=model, stats=stats)
+    assert est.shape == (40, 3)
+    on_ball = np.abs(np.linalg.norm(est, axis=1) - BALL) < 1e-12
+    assert on_ball.sum() >= 1
+    assert stats["on_boundary"] == on_ball.sum()
+    assert stats["kkt_norm_max"] <= 1e-7
+    for c, e in zip(counts, est):
+        assert np.linalg.norm(e) <= BALL + 1e-15
+        assert _projected_gradient_norm(c, e, model) < 1e-6
+
+
+def test_mle_rows_do_not_depend_on_their_batch():
+    povm, _, counts = _near_sphere_batch()
+    mixed = np.vstack([counts, np.round(counts[::-1] * 1.5)])
+    batched = mle_estimator(mixed, 2, povm)
+    for c, e in zip(mixed, batched):
+        assert np.abs(mle_estimator(c, 2, povm) - e).max() <= 1e-12
+
+
+def test_mle_likelihood_beats_the_truth():
+    povm, theta, counts = _near_sphere_batch()
+    model = quadratic_probability_model(povm, 2)
+    cases = [(counts, theta)]
+    probs = outcome_probabilities(model_point(BlochVector(0.3, 0.3, 0.3), copies=2), povm)
+    rng = np.random.default_rng(5)
+    cases.append((np.array([sample_counts(probs, 196, rng) for _ in range(40)]),
+                  np.array([0.3, 0.3, 0.3])))
+    for batch, truth in cases:
+        for c, e in zip(batch, mle_estimator(batch, 2, povm, model=model)):
+            assert _log_likelihood(c, e, model) >= _log_likelihood(c, truth, model)
 
 
 def test_mle_failure_carries_state():
