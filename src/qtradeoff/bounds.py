@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg, sdp
+from . import sdp
 from .constants import (
     SDP_BLOCH_LIMIT,
     SDP_FEAS_TOL,
@@ -131,41 +131,35 @@ def nhcrb_analytic_origin(weights, copies: int = 1,
                       method="analytic", copies=copies)
 
 
-def _hermitian_basis(d: int) -> list[np.ndarray]:
-    """Real-linear basis of d x d Hermitian matrices, diagonal units first."""
-    basis = []
-    for a in range(d):
-        e = np.zeros((d, d), dtype=complex)
-        e[a, a] = 1.0
-        basis.append(e)
-    for a in range(d):
-        for b in range(a + 1, d):
-            e = np.zeros((d, d), dtype=complex)
-            e[a, b] = 1.0
-            e[b, a] = 1.0
-            basis.append(e)
-            e = np.zeros((d, d), dtype=complex)
-            e[a, b] = 1.0j
-            e[b, a] = -1.0j
-            basis.append(e)
+def _hermitian_basis(d: int) -> np.ndarray:
+    """Real-linear basis of d x d Hermitian matrices, diagonal units first.
+
+    Off-diagonal pairs a < b follow in row order, each as the real unit
+    e_ab + e_ba and then the imaginary unit i e_ab - i e_ba.
+    """
+    basis = np.zeros((d * d, d, d), dtype=complex)
+    diag = np.arange(d)
+    basis[diag, diag, diag] = 1.0
+    a, b = np.triu_indices(d, 1)
+    re = d + 2 * np.arange(a.size)
+    basis[re, a, b] = basis[re, b, a] = 1.0
+    basis[re + 1, a, b] = 1.0j
+    basis[re + 1, b, a] = -1.0j
     return basis
-
-
-def _place(dim: int, r: int, c: int, h: np.ndarray, d: int) -> np.ndarray:
-    big = np.zeros((dim, dim), dtype=complex)
-    big[r * d:(r + 1) * d, c * d:(c + 1) * d] = h
-    return big
 
 
 @dataclass
 class NhSdpProblem:
     """Assembled SDP data for the collective bound at one model point.
 
-    Variables y stack the L-block coefficients (index tag ("L", j, k, s) for
-    block j <= k in Hermitian basis element s) and the free estimator
-    coefficients (tag ("X", i, t) over the unbiasedness nullspace). All
-    constraint matrices are real embeddings, so objective values and gaps
-    computed by the solver are twice the complex-space ones.
+    The constraint matrices are complex Hermitian 4d x 4d: the lift after the
+    congruence blockdiag(R, R, R, I_d) with R = rho^1/2. Variables y stack
+    the coefficients of the scaled blocks L'_jk = R L_jk R (index tag
+    ("L", j, k, s) for block j <= k in Hermitian basis element s) and the
+    free estimator coefficients (tag ("X", i, t) over the unbiasedness
+    nullspace). The objective is sum_i w_i Tr[L'_ii] = Tr[(W x rho) L], so
+    objective values and gaps are those of the bound per measurement.
+    `unscale` is R^-1.
     """
 
     point: ModelPoint
@@ -176,9 +170,10 @@ class NhSdpProblem:
     y0: np.ndarray
     Z0: np.ndarray
     index: tuple
-    basis: list
-    x_part: list
-    x_null: list
+    basis: np.ndarray
+    x_part: np.ndarray
+    x_null: np.ndarray
+    unscale: np.ndarray
 
 
 def nh_problem(point: ModelPoint, weights: WeightSpec) -> NhSdpProblem:
@@ -186,7 +181,11 @@ def nh_problem(point: ModelPoint, weights: WeightSpec) -> NhSdpProblem:
 
     The lift is the (3d + d) x (3d + d) block matrix [[L, X], [X^dag, I_d]]
     required PSD, with the estimator observables centered, Tr[rho X_i] = 0,
-    and locally unbiased, Tr[d_j rho X_i] = delta_ij.
+    and locally unbiased, Tr[d_j rho X_i] = delta_ij. The congruence by
+    blockdiag(R, R, R, I_d), R = rho^1/2, keeps the blocks L'_jk = R L_jk R
+    Hermitian with L'_kj = L'_jk, and turns the dual start
+    blockdiag(w_i rho, t I_d) into blockdiag(w_i I_d, t I_d), however close
+    rho is to a pure state.
     """
     d = point.dim
     dim = 4 * d
@@ -195,79 +194,63 @@ def nh_problem(point: ModelPoint, weights: WeightSpec) -> NhSdpProblem:
 
     # centered unbiasedness constraints as a real linear system on Hermitian
     # coefficients; rows: Tr[rho H_s], Tr[d_j rho H_s]
-    A = np.empty((4, nb))
-    for s, h in enumerate(basis):
-        A[0, s] = np.trace(point.rho @ h).real
-        for j in range(3):
-            A[1 + j, s] = np.trace(point.drho[j] @ h).real
+    ops = np.array([point.rho, *point.drho])
+    A = np.tensordot(ops, basis, axes=([1, 2], [2, 1])).real
     _, sv, vt = np.linalg.svd(A, full_matrices=True)
     rank = int(np.sum(sv > 1e-12 * sv[0]))
     if rank != 4:
         raise ValueError("unbiasedness constraints are rank deficient at this point")
-    x_part_coeff = [np.linalg.lstsq(A, np.eye(4)[1 + i], rcond=None)[0] for i in range(3)]
-    null_coeff = vt[rank:]
+    x_part_coeff = np.linalg.lstsq(A, np.eye(4)[:, 1:], rcond=None)[0]
+    x_part = np.tensordot(x_part_coeff.T, basis, axes=1)
+    x_null = np.tensordot(vt[rank:], basis, axes=1)
+    nn = len(x_null)
 
-    def from_coeff(vec):
-        h = np.zeros((d, d), dtype=complex)
-        for s, v in enumerate(vec):
-            if v != 0.0:
-                h = h + v * basis[s]
-        return h
+    vals, vecs = np.linalg.eigh(point.rho)
+    root = np.sqrt(vals)
+    rho_half = (vecs * root) @ vecs.conj().T
+    unscale = (vecs / root) @ vecs.conj().T
 
-    x_part = [from_coeff(v) for v in x_part_coeff]
-    x_null = [from_coeff(v) for v in null_coeff]
-
-    index = []
-    mats = []
-    for j in range(3):
-        for k in range(j, 3):
-            for s, h in enumerate(basis):
-                f = _place(dim, j, k, h, d)
-                if k != j:
-                    f = f + _place(dim, k, j, h, d)
-                index.append(("L", j, k, s))
-                mats.append(f)
+    blocks = [(j, k) for j in range(3) for k in range(j, 3)]
+    nl = len(blocks) * nb
+    Fs = np.zeros((nl + 3 * nn, dim, dim), dtype=complex)
+    for pos, (j, k) in enumerate(blocks):
+        rows = slice(pos * nb, (pos + 1) * nb)
+        Fs[rows, j * d:(j + 1) * d, k * d:(k + 1) * d] = basis
+        Fs[rows, k * d:(k + 1) * d, j * d:(j + 1) * d] = basis
+    # X'_i = R X_i at block (i, 3) and its adjoint at (3, i)
+    x_null_s = rho_half @ x_null
+    F0 = np.zeros((dim, dim), dtype=complex)
+    F0[3 * d:, 3 * d:] = np.eye(d)
+    F0[:3 * d, 3 * d:] = np.vstack(rho_half @ x_part)
+    F0[3 * d:, :3 * d] = F0[:3 * d, 3 * d:].conj().T
     for i in range(3):
-        for t, b in enumerate(x_null):
-            f = _place(dim, i, 3, b, d) + _place(dim, 3, i, b, d)
-            index.append(("X", i, t))
-            mats.append(f)
+        rows = slice(nl + i * nn, nl + (i + 1) * nn)
+        Fs[rows, i * d:(i + 1) * d, 3 * d:] = x_null_s
+        Fs[rows, 3 * d:, i * d:(i + 1) * d] = x_null_s.conj().transpose(0, 2, 1)
+    index = [("L", j, k, s) for j, k in blocks for s in range(nb)]
+    index += [("X", i, t) for i in range(3) for t in range(nn)]
 
-    F0_c = _place(dim, 3, 3, np.eye(d, dtype=complex), d)
-    for i in range(3):
-        F0_c = F0_c + _place(dim, i, 3, x_part[i], d) + _place(dim, 3, i, x_part[i], d)
-
-    Fs = np.array([linalg.real_embedding(f) for f in mats])
-    F0 = linalg.real_embedding(F0_c)
-
-    # objective Tr[(W x rho) L] = Tr[C M] with C = blockdiag(w_i rho, 0);
-    # computed against the embedded matrices, doubling all values
+    # objective sum_i w_i Tr[L'_ii]: the diagonal units of the diagonal blocks
     w = weights.array
-    C_c = np.zeros((dim, dim), dtype=complex)
-    for i in range(3):
-        C_c += _place(dim, i, i, w[i] * point.rho, d)
-    C_e = linalg.real_embedding(C_c)
-    m = len(mats)
-    c = Fs.reshape(m, -1) @ C_e.ravel()
+    c = np.zeros(len(Fs))
+    diag_units = np.zeros(len(Fs), dtype=bool)
+    for pos, (j, k) in enumerate(blocks):
+        if j == k:
+            c[pos * nb:pos * nb + d] = w[j]
+            diag_units[pos * nb:pos * nb + d] = True
 
-    # strictly feasible primal start: L = tau I dominating the Schur
+    # strictly feasible primal start: L' = tau I dominating the Schur
     # complement of the particular estimator block
-    xhat = np.vstack(x_part)
+    xhat = F0[:3 * d, 3 * d:]
     tau = 2.0 * float(np.linalg.eigvalsh(xhat @ xhat.conj().T)[-1]) + 1.0
-    y0 = np.zeros(m)
-    for pos, tag in enumerate(index):
-        if tag[0] == "L" and tag[1] == tag[2] and tag[3] < d:
-            y0[pos] = tau
+    y0 = np.where(diag_units, tau, 0.0)
 
-    # exactly dual-feasible start: Z = blockdiag(w_i rho, t I_d)
-    Z0_c = _place(dim, 3, 3, float(np.mean(w)) * np.eye(d, dtype=complex), d)
-    for i in range(3):
-        Z0_c += _place(dim, i, i, w[i] * point.rho, d)
-    Z0 = linalg.real_embedding(Z0_c)
+    # exactly dual-feasible start: Z = blockdiag(w_i I_d, t I_d)
+    Z0 = np.diag(np.append(np.repeat(w, d), np.full(d, np.mean(w)))).astype(complex)
 
     return NhSdpProblem(point=point, weights=weights, c=c, F0=F0, Fs=Fs,
-                     y0=y0, Z0=Z0, index=tuple(index), basis=basis,
-                     x_part=x_part, x_null=x_null)
+                        y0=y0, Z0=Z0, index=tuple(index), basis=basis,
+                        x_part=x_part, x_null=x_null, unscale=unscale)
 
 
 def nh_solution(problem: NhSdpProblem, y: np.ndarray, centered: bool = False):
@@ -279,11 +262,12 @@ def nh_solution(problem: NhSdpProblem, y: np.ndarray, centered: bool = False):
     d = problem.point.dim
     L = np.zeros((3 * d, 3 * d), dtype=complex)
     xs = [h.copy() for h in problem.x_part]
+    R = problem.unscale
     for pos, tag in enumerate(problem.index):
         v = y[pos]
         if tag[0] == "L":
             _, j, k, s = tag
-            h = v * problem.basis[s]
+            h = R @ (v * problem.basis[s]) @ R
             L[j * d:(j + 1) * d, k * d:(k + 1) * d] += h
             if k != j:
                 L[k * d:(k + 1) * d, j * d:(j + 1) * d] += h
@@ -301,9 +285,10 @@ def nhcrb_sdp(point: ModelPoint, weights, normalization: str = "per_qubit",
               max_iter: int = SDP_MAX_ITER) -> BoundValue:
     """Collective bound at an arbitrary interior point, by interior-point SDP.
 
-    Needs strictly positive weights (the exactly-feasible dual start is built
-    from them). The reported gap is the absolute duality gap in complex-space
-    units; it certifies the value to within gap on either side.
+    Needs strictly positive weights (the dual start blockdiag(w_i I, t I) is
+    built from them). The reported gap is the absolute duality gap, in the
+    requested normalization; it certifies the value to within gap on either
+    side.
     """
     _check_normalization(normalization)
     w = as_weights(weights).require_positive()
@@ -316,10 +301,10 @@ def nhcrb_sdp(point: ModelPoint, weights, normalization: str = "per_qubit",
                            problem.Z0, gap_tol=gap_tol, feas_tol=feas_tol,
                            max_iter=max_iter)
     copies = point.copies
-    pm = 0.5 * result.primal
-    gap = 0.5 * abs(result.gap)
-    value = convert_normalization(pm, copies, "per_measurement", normalization)
-    gap = convert_normalization(gap, copies, "per_measurement", normalization)
+    value = convert_normalization(result.primal, copies, "per_measurement",
+                                  normalization)
+    gap = convert_normalization(abs(result.gap), copies, "per_measurement",
+                                normalization)
     return BoundValue(value=value, normalization=normalization, method="sdp",
                       copies=copies, gap=gap, iterations=result.iterations)
 

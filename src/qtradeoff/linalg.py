@@ -1,8 +1,7 @@
 """Small dense complex linear algebra helpers.
 
 Matrices are plain complex numpy arrays; eigendecompositions come from
-numpy.linalg. This module adds the input validation and the real embedding
-that the package's SDP needs.
+numpy.linalg. This module adds the input validation on top.
 """
 
 from __future__ import annotations
@@ -35,15 +34,3 @@ def is_psd(a: np.ndarray, tol: float = PSD_TOL) -> bool:
     """Whether the Hermitian matrix `a` has min eigenvalue >= -tol."""
     vals = np.linalg.eigvalsh(require_hermitian(a))
     return bool(vals.size == 0 or vals[0] >= -tol)
-
-
-def real_embedding(a: np.ndarray) -> np.ndarray:
-    """Real symmetric image [[Re, -Im], [Im, Re]] of a Hermitian matrix.
-
-    The map preserves eigenvalues (each doubled in multiplicity) and
-    positive semidefiniteness, and doubles traces: for Hermitian A, B,
-    Tr[embed(A) embed(B)] = 2 Re Tr[A B].
-    """
-    a = np.asarray(a, dtype=complex)
-    re, im = a.real, a.imag
-    return np.block([[re, -im], [im, re]])

@@ -193,16 +193,14 @@ def equal_component_eigensystem(t: float) -> list[tuple[float, np.ndarray]]:
     t = float(t)
     if not 0.0 <= t <= 1.0 / np.sqrt(3.0) + BLOCH_NORM_SLACK:
         raise ValueError("equal-component magnitude must satisfy 0 <= t <= 1/sqrt(3)")
-    direction = (SIGMA_X + SIGMA_Y + SIGMA_Z) / np.sqrt(3.0)
-    _, vecs = np.linalg.eigh(direction)
-    vp, vm = vecs[:, 1], vecs[:, 0]  # eigenvalues sorted ascending: -1 first
-
-    def fix_phase(v: np.ndarray) -> np.ndarray:
-        k = int(np.argmax(np.abs(v)))
-        ph = v[k] / abs(v[k])
-        return v / ph
-
-    vp, vm = fix_phase(vp), fix_phase(vm)
+    # eigenvectors of (sigma_x + sigma_y + sigma_z)/sqrt(3) in closed form: polar
+    # angle beta with cos(beta) = 1/sqrt(3), azimuth pi/4; the larger
+    # component of each is real and positive
+    cos_half = np.sqrt((1.0 + 1.0 / np.sqrt(3.0)) / 2.0)
+    sin_half = np.sqrt((1.0 - 1.0 / np.sqrt(3.0)) / 2.0)
+    phase = (1.0 + 1.0j) / np.sqrt(2.0)
+    vp = np.array([cos_half, phase * sin_half])
+    vm = np.array([-phase.conjugate() * sin_half, cos_half])
     lp = (1.0 + t * np.sqrt(3.0)) / 2.0
     lm = (1.0 - t * np.sqrt(3.0)) / 2.0
     sym = (np.kron(vp, vm) + np.kron(vm, vp)) / np.sqrt(2.0)

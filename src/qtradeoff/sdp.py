@@ -1,20 +1,27 @@
-"""Feasible-start interior-point solver for linear matrix inequalities.
+"""Feasible-start interior-point solver for Hermitian linear matrix inequalities.
 
 Solves
 
     minimize    c . y
     subject to  S(y) = F0 + sum_j y_j F_j  >=  0   (positive semidefinite)
 
-given strictly feasible primal and dual starting points, using Mehrotra
-predictor-corrector steps in the Nesterov-Todd scaling. The Lagrangian dual is
+over real y, for complex Hermitian F0 and F_j (real symmetric data is the
+special case with zero imaginary part), given strictly feasible primal and
+dual starting points. The Lagrangian dual is
 
-    maximize   -Tr[F0 Z]
-    subject to  Tr[F_j Z] = c_j,   Z >= 0,
+    maximize   -Re Tr[F0 Z]
+    subject to  Re Tr[F_j Z] = c_j,   Z >= 0 Hermitian,
 
-and the duality gap of a feasible pair is Tr[Z S(y)] >= 0.
+and the duality gap of a feasible pair is Re Tr[Z S(y)] >= 0.
 
-All data is real symmetric; callers with complex Hermitian constraints pass
-the real embedding [[Re, -Im], [Im, Re]] and halve the resulting values.
+Each iteration takes a Mehrotra predictor-corrector step in the
+Nesterov-Todd scaling. The scaling comes from the Cholesky factors of S and Z
+and one SVD (Todd, Toh and Tutuncu, SIAM J. Optim. 8, 1998), so the scaled
+iterate lam is diagonal: its Lyapunov equations and step-length tests are
+elementwise. The scaled constraints F~_j = G^-1 F_j G^-H come from two
+matrix products over the whole stack, and the Schur complement
+M_ij = Re Tr[F~_i F~_j] is the real Gram matrix of their stacked real and
+imaginary parts.
 """
 
 from __future__ import annotations
@@ -48,58 +55,55 @@ class SdpResult:
     dual_residual: float
 
 
-def _sym(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.T)
+def _herm(a: np.ndarray) -> np.ndarray:
+    return 0.5 * (a + a.conj().T)
 
 
-def _spd_sqrt_pair(a: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """Return (a^{1/2}, a^{-1/2}) for symmetric positive definite a."""
-    vals, vecs = np.linalg.eigh(a)
-    if vals[0] <= 0.0:
-        raise ConvergenceError(f"{what} lost positive definiteness")
-    root = np.sqrt(vals)
-    return (vecs * root) @ vecs.T, (vecs / root) @ vecs.T
+def _inner(a: np.ndarray, b: np.ndarray) -> float:
+    """Re Tr[a b] for Hermitian a, b."""
+    return float(np.vdot(a, b).real)
+
+
+def _cholesky(a: np.ndarray, what: str) -> np.ndarray:
+    try:
+        return np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        raise ConvergenceError(f"{what} lost positive definiteness") from None
 
 
 def _nt_scaling(S: np.ndarray, Z: np.ndarray):
-    """Nesterov-Todd scaling point: T with T Z T = T^-1 S T^-1 = lam."""
-    zhalf, zihalf = _spd_sqrt_pair(Z, "dual iterate")
-    inner = _sym(zhalf @ S @ zhalf)
-    ivals, ivecs = np.linalg.eigh(inner)
-    if ivals[0] <= 0.0:
-        raise ConvergenceError("primal iterate lost positive definiteness")
-    inner_half = (ivecs * np.sqrt(ivals)) @ ivecs.T
-    W = _sym(zihalf @ inner_half @ zihalf)
-    T, Tinv = _spd_sqrt_pair(W, "scaling point")
-    lam = _sym(T @ Z @ T)
-    return T, Tinv, lam
+    """Nesterov-Todd scaling G, as (G^-1, lam): G^H Z G = G^-1 S G^-H = diag(lam).
+
+    With S = Ls Ls^H, Z = Lz Lz^H and Lz^H Ls = U diag(lam) V^H, the scaling
+    is G = Ls V lam^-1/2 and its inverse lam^-1/2 U^H Lz^H.
+    """
+    Ls = _cholesky(S, "primal iterate")
+    Lz = _cholesky(Z, "dual iterate")
+    U, lam, _ = np.linalg.svd(Lz.conj().T @ Ls)
+    if not lam[-1] > 0.0:
+        raise ConvergenceError("scaled iterate lost positive definiteness")
+    return (U.conj().T @ Lz.conj().T) / np.sqrt(lam)[:, None], lam
 
 
-def _lyap_solve(levals: np.ndarray, levecs: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """Solve (lam V + V lam)/2 = G for V, in the eigenbasis of lam."""
-    Gt = levecs.T @ G @ levecs
-    denom = 0.5 * (levals[:, None] + levals[None, :])
-    return levecs @ (Gt / denom) @ levecs.T
+def _max_steps(lam: np.ndarray, dlamS: np.ndarray, dlamZ: np.ndarray):
+    """Largest alphas with diag(lam) + alpha dlam >= 0, for dlamS and dlamZ."""
+    root = np.sqrt(lam)
+    scaled = np.stack([dlamS, dlamZ]) / np.outer(root, root)
+    beta = np.linalg.eigvalsh(scaled)[:, 0]
+    with np.errstate(divide="ignore"):
+        return np.where(beta < -1e-14, -1.0 / beta, np.inf)
 
 
-def _max_step(lam_ihalf: np.ndarray, dlam: np.ndarray) -> float:
-    """Largest alpha with lam + alpha dlam >= 0."""
-    B = _sym(lam_ihalf @ dlam @ lam_ihalf)
-    beta = np.linalg.eigvalsh(B)[0]
-    if beta >= -1e-14:
-        return np.inf
-    return -1.0 / beta
-
-
-def _solve_gram(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def _solve_gram(M: np.ndarray, rhs: np.ndarray, iteration: int) -> np.ndarray:
     try:
         sol = np.linalg.solve(M, rhs)
-        if np.all(np.isfinite(sol)):
-            return sol
     except np.linalg.LinAlgError:
-        pass
-    jitter = 1e-12 * (np.trace(M) / M.shape[0] + 1.0)
-    return np.linalg.solve(M + jitter * np.eye(M.shape[0]), rhs)
+        sol = None
+    if sol is None or not np.all(np.isfinite(sol)):
+        raise ConvergenceError(
+            f"singular Schur complement at iteration {iteration}"
+        )
+    return sol
 
 
 def solve_lmi(
@@ -115,38 +119,47 @@ def solve_lmi(
 ) -> SdpResult:
     """Minimize c . y subject to F0 + sum_j y_j F_j being PSD.
 
-    y0 must give a strictly positive definite S(y0) and Z0 must be strictly
-    positive definite and (near-)feasible for the dual equality constraints;
-    small dual infeasibility is folded into the Newton right-hand side and
-    decays with the step length. Raises ConvergenceError if the relative gap
-    and residuals fail to reach tolerance within max_iter iterations.
+    F0, the stack Fs and Z0 are Hermitian, complex or real. y0 must give a
+    strictly positive definite S(y0) and Z0 must be strictly positive
+    definite and (near-)feasible for the dual equality constraints; small
+    dual infeasibility is folded into the Newton right-hand side and decays
+    with the step length. Raises ConvergenceError if an iterate loses
+    positive definiteness, the Schur complement is singular, or the relative
+    gap and residuals fail to reach tolerance within max_iter iterations.
     """
     c = np.asarray(c, dtype=float)
-    Fs = np.asarray(Fs, dtype=float)
+    F0, Fs, Z0 = np.asarray(F0), np.asarray(Fs), np.asarray(Z0)
+    dtype = np.result_type(F0, Fs, Z0, float)
+    F0 = F0.astype(dtype, copy=False)
+    Fs = Fs.astype(dtype, copy=False)
     m = c.size
     n = F0.shape[0]
     if Fs.shape != (m, n, n):
         raise ValueError(f"constraint stack shape {Fs.shape} != ({m}, {n}, {n})")
 
     y = np.asarray(y0, dtype=float).copy()
-    S = _sym(F0 + np.tensordot(y, Fs, axes=(0, 0)))
-    Z = _sym(np.asarray(Z0, dtype=float))
+    A = Fs.reshape(m, n * n)
+    # Re Tr[F_j X] for all j is one real matrix-vector product
+    Ar = A.view(float)
+    S = _herm(F0 + (y @ A).reshape(n, n))
+    Z = _herm(Z0.astype(dtype, copy=False))
     if np.linalg.eigvalsh(S)[0] <= 0.0:
         raise ValueError("primal start is not strictly feasible")
     if np.linalg.eigvalsh(Z)[0] <= 0.0:
         raise ValueError("dual start is not positive definite")
 
-    A = Fs.reshape(m, n * n)
+    # the stack with its column index outermost, so that G^-1 F_j for every
+    # j is one matrix product
+    Fcols = np.ascontiguousarray(Fs.transpose(1, 0, 2)).reshape(n, m * n)
     cscale = 1.0 + np.abs(c).max()
-    eye = np.eye(n)
 
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        rp = _sym(F0 + np.tensordot(y, Fs, axes=(0, 0)) - S)
-        rd = c - A @ Z.ravel()
-        gap = float(np.sum(Z * S))
+        rp = _herm(F0 + (y @ A).reshape(n, n) - S)
+        rd = c - Ar @ Z.view(float).ravel()
+        gap = _inner(Z, S)
         primal = float(c @ y)
-        dual = float(-np.sum(F0 * Z))
+        dual = -_inner(F0, Z)
         rel_gap = abs(gap) / (1.0 + abs(primal) + abs(dual))
         rp_inf = float(np.abs(rp).max())
         rd_inf = float(np.abs(rd).max()) / cscale
@@ -157,56 +170,56 @@ def solve_lmi(
                 primal_residual=rp_inf, dual_residual=rd_inf,
             )
 
-        T, Tinv, lam = _nt_scaling(S, Z)
-        levals, levecs = np.linalg.eigh(lam)
-        if levals[0] <= 0.0:
-            raise ConvergenceError("scaled iterate lost positive definiteness")
-        lam_ihalf = (levecs / np.sqrt(levals)) @ levecs.T
-        mu = float(np.sum(levals * levals)) / n
-        if mu <= 0.0:
-            break
+        Ginv, lam = _nt_scaling(S, Z)
+        GinvH = Ginv.conj().T
+        mu = float(lam @ lam) / n
 
-        Ft = np.einsum("ab,jbc,cd->jad", Tinv, Fs, Tinv, optimize=True)
-        Rpt = _sym(Tinv @ rp @ Tinv)
-        At = Ft.reshape(m, n * n)
-        M = At @ At.T
+        # scaled constraints G^-1 F_j G^-H, rows of At in the layout of A
+        Ft = ((Ginv @ Fcols).reshape(n * m, n) @ GinvH).reshape(n, m, n)
+        At = np.ascontiguousarray(Ft.transpose(1, 0, 2)).reshape(m, n * n)
+        Atr = At.view(float)
+        M = Atr @ Atr.T
+        Rpt = _herm(Ginv @ rp @ GinvH)
 
-        # predictor: target ZS -> 0; the Lyapunov solution for G = -lam^2
-        # is V = -lam, no solve needed
-        V = -lam
-        rhs = At @ (V - Rpt).ravel() - rd
-        dy_aff = _solve_gram(M, rhs)
-        dlamS_aff = _sym(np.tensordot(dy_aff, Ft, axes=(0, 0)) + Rpt)
-        dlamZ_aff = _sym(V - dlamS_aff)
-        ap_aff = min(1.0, _max_step(lam_ihalf, dlamS_aff))
-        ad_aff = min(1.0, _max_step(lam_ihalf, dlamZ_aff))
-        lam_s = lam + ap_aff * dlamS_aff
-        lam_z = lam + ad_aff * dlamZ_aff
-        mu_aff = float(np.sum(lam_z * lam_s)) / n
+        def direction(V):
+            rhs = Atr @ (V - Rpt).view(float).ravel() - rd
+            dy = _solve_gram(M, rhs, iterations)
+            dlamS = _herm((dy @ At).reshape(n, n) + Rpt)
+            return dy, dlamS, V - dlamS
+
+        # predictor: target ZS -> 0; the Lyapunov solution for -lam^2 is
+        # V = -lam, no solve needed
+        _, dlamS_aff, dlamZ_aff = direction(np.diag(-lam).astype(dtype))
+        ap_aff, ad_aff = np.minimum(1.0, _max_steps(lam, dlamS_aff, dlamZ_aff))
+        lam_s = np.diag(lam) + ap_aff * dlamS_aff
+        lam_z = np.diag(lam) + ad_aff * dlamZ_aff
+        mu_aff = _inner(lam_z, lam_s) / n
         sigma = min(1.0, max(0.0, (mu_aff / mu) ** 3))
 
-        # corrector with Mehrotra second-order term
-        G = _sym(
-            sigma * mu * eye
-            - lam @ lam
-            - 0.5 * (dlamS_aff @ dlamZ_aff + dlamZ_aff @ dlamS_aff)
-        )
-        V = _lyap_solve(levals, levecs, G)
-        rhs = At @ (V - Rpt).ravel() - rd
-        dy = _solve_gram(M, rhs)
-        dlamS = _sym(np.tensordot(dy, Ft, axes=(0, 0)) + Rpt)
-        dlamZ = _sym(V - dlamS)
-        ap = min(1.0, step_fraction * _max_step(lam_ihalf, dlamS))
-        ad = min(1.0, step_fraction * _max_step(lam_ihalf, dlamZ))
+        # corrector with Mehrotra second-order term; lam is diagonal, so the
+        # Lyapunov equation (lam V + V lam)/2 = rhs is solved elementwise
+        denom = 0.5 * (lam[:, None] + lam[None, :])
+        centering = np.diag(sigma * mu - lam * lam)
+        cross = _herm(dlamS_aff @ dlamZ_aff)
+        dy, dlamS, dlamZ = direction((centering - cross) / denom)
+        ap, ad = np.minimum(1.0, step_fraction * _max_steps(lam, dlamS, dlamZ))
+        if min(ap, ad) < 0.5 * min(ap_aff, ad_aff):
+            # the second-order term shortened the step: on degenerate faces,
+            # where the Schur complement is nearly singular, it amplifies
+            # the error of the predictor; take the plain centering step
+            dy, dlamS, dlamZ = direction(centering / denom)
+            ap, ad = np.minimum(1.0, step_fraction * _max_steps(lam, dlamS, dlamZ))
         if ap < 1e-13 and ad < 1e-13:
             raise ConvergenceError(
                 f"step lengths collapsed at iteration {iterations}, "
                 f"relative gap {rel_gap:.3e}"
             )
 
+        # S moves by the unscaled direction, so that it tracks S(y) to
+        # rounding even when G and G^-1 are only approximately inverse
         y = y + ap * dy
-        S = _sym(S + ap * (T @ dlamS @ T))
-        Z = _sym(Z + ad * (Tinv @ dlamZ @ Tinv))
+        S = _herm(S + ap * ((dy @ A).reshape(n, n) + rp))
+        Z = _herm(Z + ad * (GinvH @ dlamZ @ Ginv))
 
     raise ConvergenceError(
         f"no convergence in {iterations} iterations: primal {primal:.12g}, "

@@ -102,6 +102,63 @@ def test_sdp_matches_analytic_at_origin():
             assert abs(got.value - want) / want < 1e-5
 
 
+def _gill_massar(theta, weights):
+    """Single-copy bound per qubit, (Tr sqrt(J^-1/2 W J^-1/2))^2."""
+    t = np.asarray(theta, dtype=float)
+    vals, vecs = np.linalg.eigh(np.eye(3) - np.outer(t, t))
+    root = (vecs * np.sqrt(vals)) @ vecs.T
+    inner = root @ np.diag(weights) @ root
+    return float(np.sqrt(np.clip(np.linalg.eigvalsh(inner), 0.0, None)).sum() ** 2)
+
+
+def test_single_copy_sdp_matches_gill_massar():
+    # solver-independent oracle: the single-copy bound has a closed form
+    rng = np.random.default_rng(40)
+    for _ in range(40):
+        v = rng.normal(size=3)
+        theta = rng.uniform(0.0, 0.95) * v / np.linalg.norm(v)
+        w = 10.0 ** rng.uniform(0.0, 6.0, size=3)
+        w /= w.sum()
+        got = nhcrb_sdp(model_point(BlochVector(*theta), copies=1), WeightSpec(*w))
+        want = _gill_massar(theta, w)
+        assert abs(got.value - want) / want < 1e-7
+
+
+# Two-copy inputs on which the interior-point solver used to stop with "lost
+# positive definiteness": six interior points, two of them at the origin with
+# one dominant weight, and a point at |theta| = 0.999 with a 1e-6 weight.
+_AXIS = 1.0 / np.sqrt(3.0)
+HARD_TWO_COPY = [
+    ((-0.02141671339944108, 0.12205221691722412, 0.016886875291735177),
+     (0.8176444287622038, 0.18212724390317878, 0.00022832733461752985)),
+    ((0.45818702495775865, -0.4035589905560469, -0.7245244621032304),
+     (0.33278369705141464, 0.326210561485985, 0.3410057414626003)),
+    ((0.0698952878797295, 0.0021910788616002494, -0.054460820725617996),
+     (0.46852001821591044, 0.299295815539016, 0.23218416624507365)),
+    ((0.0, 0.0, 0.0),
+     (2.341816333302039e-05, 1.3391890542685399e-05, 0.9999631899461243)),
+    ((0.0, 0.0, 0.0),
+     (1.4067185055771392e-05, 2.45088660005989e-05, 0.9999614239489436)),
+    ((0.9350374218746726, -0.27683428225290974, -0.09482183463381409),
+     (0.010570743002505696, 0.22127705578979975, 0.7681522012076946)),
+    ((0.999 * _AXIS,) * 3, (1e-6, 1.0, 1.0)),
+]
+
+
+@pytest.mark.parametrize("theta,weights", HARD_TWO_COPY)
+def test_two_copy_sdp_converges_on_hard_inputs(theta, weights):
+    point = model_point(BlochVector(*theta), copies=2)
+    w = WeightSpec(*weights)
+    got = nhcrb_sdp(point, w)
+    lower = qcrb(point, w).value
+    upper = _gill_massar(theta, np.asarray(weights))
+    assert lower <= got.value + got.gap
+    assert got.value <= upper + got.gap
+    if not any(theta):
+        want = nhcrb_analytic_origin(w, copies=2).value
+        assert abs(got.value - want) / want < 1e-6
+
+
 def test_sdp_scale_covariance():
     theta = BlochVector(0.3, 0.3, 0.3)
     w = np.array([1.0, 4.0, 9.0])

@@ -4,11 +4,6 @@ import pytest
 from qtradeoff import linalg
 
 
-def random_hermitian(n, rng, scale=1.0):
-    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    return scale * (a + a.conj().T) / 2
-
-
 def test_require_hermitian_accepts_and_rejects():
     a = np.array([[1.0, 2.0 + 1j], [2.0 - 1j, 3.0]])
     linalg.require_hermitian(a)
@@ -31,24 +26,3 @@ def test_is_psd():
     # rejected before it is diagonalized rather than read as the identity
     with pytest.raises(ValueError):
         linalg.is_psd(np.array([[1.0, 5.0], [0.0, 1.0]]))
-
-
-def test_real_embedding_structure():
-    rng = np.random.default_rng(4)
-    a = random_hermitian(3, rng)
-    e = linalg.real_embedding(a)
-    assert e.shape == (6, 6)
-    assert np.abs(e - e.T).max() < 1e-14
-    # eigenvalues doubled in multiplicity
-    ea = np.sort(np.linalg.eigvalsh(a))
-    ee = np.sort(np.linalg.eigvalsh(e))
-    assert np.allclose(ee, np.repeat(ea, 2), atol=1e-12)
-
-
-def test_real_embedding_trace_identity():
-    rng = np.random.default_rng(5)
-    a = random_hermitian(3, rng)
-    b = random_hermitian(3, rng)
-    lhs = np.trace(linalg.real_embedding(a) @ linalg.real_embedding(b))
-    rhs = 2.0 * np.trace(a @ b).real
-    assert abs(lhs - rhs) < 1e-12

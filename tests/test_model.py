@@ -187,6 +187,21 @@ def test_equal_component_eigensystem_against_numpy():
             assert np.abs(rho2 @ state - value * state).max() < 1e-12
 
 
+def test_equal_component_eigenvectors_match_eigh_up_to_phase():
+    # the closed-form v+/- equal numpy's eigenvectors of (sx + sy + sz)/sqrt(3)
+    # up to a phase; every returned pair state then matches its eigh-built one
+    direction = sum(PAULIS) / np.sqrt(3.0)
+    _, vecs = np.linalg.eigh(direction)
+    vm, vp = vecs[:, 0], vecs[:, 1]
+    sym = (np.kron(vp, vm) + np.kron(vm, vp)) / np.sqrt(2.0)
+    anti = (np.kron(vp, vm) - np.kron(vm, vp)) / np.sqrt(2.0)
+    reference = [np.kron(vm, vm), sym, anti, np.kron(vp, vp)]
+    for (_, state), ref in zip(equal_component_eigensystem(0.2), reference):
+        phase = np.vdot(ref, state)
+        assert abs(abs(phase) - 1.0) < 1e-15
+        assert np.abs(state - phase * ref).max() < 1e-15
+
+
 def test_equal_component_eigensystem_rejects_bad_t():
     with pytest.raises(ValueError):
         equal_component_eigensystem(0.6)

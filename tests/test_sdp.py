@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qtradeoff.linalg import ConvergenceError
 from qtradeoff.sdp import solve_lmi
 
 
@@ -31,6 +32,13 @@ def test_lambda_max_random():
         a = (m + m.T) / 2
         res = solve_lambda_max(a)
         assert abs(res.y[0] - np.linalg.eigvalsh(a).max()) < 1e-6
+    # complex Hermitian data goes through the same LMI, without embedding
+    for _ in range(5):
+        m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        a = (m + m.conj().T) / 2
+        res = solve_lambda_max(a)
+        assert abs(res.y[0] - np.linalg.eigvalsh(a).max()) < 1e-6
+        assert res.S.dtype == complex and res.Z.dtype == complex
 
 
 def test_two_by_two_geometric_mean():
@@ -69,6 +77,15 @@ def test_weak_duality_and_agreement():
         res = solve_lmi(c, F0, Fs, y0, Z0)
         assert res.primal >= res.dual - 1e-7
         assert res.gap < 1e-6
+
+
+def test_singular_schur_complement_raises():
+    # two identical constraint matrices make the Schur complement singular
+    c = np.array([0.5, 0.5])
+    F0 = -np.diag([1.0, 2.0])
+    Fs = np.array([np.eye(2), np.eye(2)])
+    with pytest.raises(ConvergenceError, match="iteration 1"):
+        solve_lmi(c, F0, Fs, np.array([3.0, 3.0]), np.eye(2) / 2)
 
 
 def test_rejects_infeasible_start():
