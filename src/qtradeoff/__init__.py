@@ -12,7 +12,7 @@ from .bounds import (
     BoundValue,
     convert_normalization,
     holevo_origin,
-    nhcrb_analytic_origin,
+    nhcrb_analytic,
     nhcrb_sdp,
     qcrb,
 )
@@ -29,7 +29,7 @@ __all__ = [
     "density_matrix",
     "holevo_origin",
     "model_point",
-    "nhcrb_analytic_origin",
+    "nhcrb_analytic",
     "nhcrb_sdp",
     "outcome_probabilities",
     "qcrb",

@@ -6,7 +6,8 @@ The central object is the collective bound
 
 over operator-valued covariance surrogates L and locally unbiased estimator
 observables X, subject to a positive semidefiniteness lift. Solved here as a
-self-contained primal-dual SDP; closed forms are available at the origin.
+self-contained primal-dual SDP; closed forms exist for one copy at every
+point and for two copies at the origin.
 
 Normalization conventions ("per_measurement" vs "per_qubit") differ by the
 number of copies a single measurement consumes; see convert_normalization.
@@ -22,12 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sdp
-from .constants import (
-    SDP_BLOCH_LIMIT,
-    SDP_FEAS_TOL,
-    SDP_GAP_TOL,
-    SDP_MAX_ITER,
-)
+from .constants import SDP_BLOCH_LIMIT
 from .model import (  # noqa: F401  (NORMALIZATIONS re-exported)
     NORMALIZATIONS,
     BlochVector,
@@ -36,7 +32,7 @@ from .model import (  # noqa: F401  (NORMALIZATIONS re-exported)
     convert_normalization,
     model_point,
 )
-from .povm import Povm, WeightSpec, single_copy_optimal, two_copy_optimal
+from .povm import WeightSpec, linear_estimator_matrix, single_copy_optimal, two_copy_optimal
 
 
 def as_bloch(theta) -> BlochVector:
@@ -109,23 +105,31 @@ def holevo_origin(weights) -> BoundValue:
                       method="holevo", copies=1)
 
 
-def nhcrb_analytic_origin(weights, copies: int = 1,
-                          normalization: str = "per_qubit") -> BoundValue:
-    """Closed-form collective bound at theta = 0.
+def nhcrb_analytic(point: ModelPoint, weights,
+                   normalization: str = "per_qubit") -> BoundValue | None:
+    """Closed form of the collective bound, where one exists; else None.
 
-    Single copy: (sum_i sqrt(w_i))^2 per measurement. Two copies:
-    (sum_i w_i + sum_{i<j} sqrt(w_i w_j))/2 per measurement.
+    One copy, any theta: the Gill-Massar value (sum_k sqrt(lambda_k))^2 per
+    measurement, with lambda the eigenvalues of W - u u^T, u = W^1/2 theta.
+    That matrix has the spectrum of J^-1/2 W J^-1/2, since
+    J^-1 = I - theta theta^T; at theta = 0 the value is (sum_i sqrt(w_i))^2.
+    Two copies at theta = 0: (sum_i w_i + sum_{i<j} sqrt(w_i w_j))/2 per
+    measurement. Two copies off the origin have no closed form: use
+    nhcrb_sdp.
     """
     _check_normalization(normalization)
     w = as_weights(weights).array
-    rw = np.sqrt(w)
+    copies = point.copies
     if copies == 1:
-        pm = float(rw.sum() ** 2)
-    elif copies == 2:
+        u = np.sqrt(w) * point.theta.array
+        lam = np.linalg.eigvalsh(np.diag(w) - np.outer(u, u))
+        pm = float(np.sqrt(np.clip(lam, 0.0, None)).sum() ** 2)
+    elif point.theta.norm == 0.0:
+        rw = np.sqrt(w)
         cross = rw[0] * rw[1] + rw[0] * rw[2] + rw[1] * rw[2]
         pm = 0.5 * float(w.sum() + cross)
     else:
-        raise ValueError(f"copies must be 1 or 2, got {copies}")
+        return None
     value = convert_normalization(pm, copies, "per_measurement", normalization)
     return BoundValue(value=value, normalization=normalization,
                       method="analytic", copies=copies)
@@ -280,9 +284,7 @@ def nh_solution(problem: NhSdpProblem, y: np.ndarray, centered: bool = False):
     return L, xs
 
 
-def nhcrb_sdp(point: ModelPoint, weights, normalization: str = "per_qubit",
-              gap_tol: float = SDP_GAP_TOL, feas_tol: float = SDP_FEAS_TOL,
-              max_iter: int = SDP_MAX_ITER) -> BoundValue:
+def nhcrb_sdp(point: ModelPoint, weights, normalization: str = "per_qubit") -> BoundValue:
     """Collective bound at an arbitrary interior point, by interior-point SDP.
 
     Needs strictly positive weights (the dual start blockdiag(w_i I, t I) is
@@ -298,8 +300,7 @@ def nhcrb_sdp(point: ModelPoint, weights, normalization: str = "per_qubit",
         )
     problem = nh_problem(point, w)
     result = sdp.solve_lmi(problem.c, problem.F0, problem.Fs, problem.y0,
-                           problem.Z0, gap_tol=gap_tol, feas_tol=feas_tol,
-                           max_iter=max_iter)
+                           problem.Z0)
     copies = point.copies
     value = convert_normalization(result.primal, copies, "per_measurement",
                                   normalization)
@@ -330,37 +331,12 @@ class NhCertificate:
     constraint_residual: float
 
 
-def _certificate_coefficients(weights: WeightSpec, copies: int, p: Povm) -> np.ndarray:
-    w = weights.array
-    rw = np.sqrt(w)
-    coeff = np.zeros((p.n_outcomes, 3))
-    if copies == 1:
-        total = rw.sum()
-        for i in range(3):
-            scale = total / rw[i]
-            coeff[2 * i, i] = scale
-            coeff[2 * i + 1, i] = -scale
-    else:
-        for i in range(3):
-            others = [j for j in range(3) if j != i]
-            D = (
-                w[i]
-                + rw[i] * rw[others[0]]
-                + rw[i] * rw[others[1]]
-                + rw[others[0]] * rw[others[1]]
-            )
-            scale = float(np.sqrt(D / w[i]))
-            coeff[2 * i, i] = scale
-            coeff[2 * i + 1, i] = -scale
-    return coeff
-
-
 def nh_optimal_certificate_origin(weights, copies: int = 1) -> NhCertificate:
     """Primal feasible point attaining the analytic origin bound.
 
     Certifies that the optimal measurement saturates the collective bound:
     the returned lift is PSD, the observables are unbiased at theta = 0, and
-    the objective matches nhcrb_analytic_origin exactly.
+    the objective matches nhcrb_analytic at the origin.
     """
     w = as_weights(weights)
     if copies == 1:
@@ -369,45 +345,30 @@ def nh_optimal_certificate_origin(weights, copies: int = 1) -> NhCertificate:
         p = two_copy_optimal(w)
     else:
         raise ValueError(f"copies must be 1 or 2, got {copies}")
-    coeff = _certificate_coefficients(w, copies, p)
+    # coefficients c_i(m) of the unbiased linear estimator, one row per outcome
+    coeff = linear_estimator_matrix(p, copies).T
     point = model_point(BlochVector(0.0, 0.0, 0.0), copies)
     d = point.dim
 
-    L = np.zeros((3 * d, 3 * d), dtype=complex)
-    xs = [np.zeros((d, d), dtype=complex) for _ in range(3)]
-    for m, el in enumerate(p.elements):
-        for i in range(3):
-            if coeff[m, i] != 0.0:
-                xs[i] = xs[i] + coeff[m, i] * el
-        for j in range(3):
-            for k in range(3):
-                cc = coeff[m, j] * coeff[m, k]
-                if cc != 0.0:
-                    L[j * d:(j + 1) * d, k * d:(k + 1) * d] += cc * el
+    els = np.array(p.elements)
+    xs = np.einsum("mi,mab->iab", coeff, els)
+    L = np.einsum("mj,mk,mab->jakb", coeff, coeff, els).reshape(3 * d, 3 * d)
 
     lifted = np.zeros((4 * d, 4 * d), dtype=complex)
     lifted[: 3 * d, : 3 * d] = L
+    lifted[: 3 * d, 3 * d:] = xs.reshape(3 * d, d)
+    lifted[3 * d:, : 3 * d] = lifted[: 3 * d, 3 * d:].conj().T
     lifted[3 * d:, 3 * d:] = np.eye(d)
-    for i in range(3):
-        lifted[i * d:(i + 1) * d, 3 * d:] = xs[i]
-        lifted[3 * d:, i * d:(i + 1) * d] = xs[i].conj().T
 
     min_eig = float(np.linalg.eigvalsh(lifted)[0])
 
-    resid = 0.0
-    for i in range(3):
-        resid = max(resid, abs(np.trace(point.rho @ xs[i]).real))
-        for j in range(3):
-            want = 1.0 if i == j else 0.0
-            resid = max(resid, abs(np.trace(point.drho[j] @ xs[i]).real - want))
+    # Tr[rho X_i] = 0 and Tr[d_j rho X_i] = delta_ij
+    centering = np.einsum("ab,iba->i", point.rho, xs).real
+    unbiased = np.einsum("jab,iba->ij", np.array(point.drho), xs).real
+    resid = float(max(np.abs(centering).max(), np.abs(unbiased - np.eye(3)).max()))
 
-    warr = w.array
-    value = float(
-        sum(
-            warr[j] * np.trace(point.rho @ L[j * d:(j + 1) * d, j * d:(j + 1) * d]).real
-            for j in range(3)
-        )
-    )
+    # sum_j w_j Tr[rho L_jj]
+    value = float(np.einsum("j,ab,jbja->", w.array, point.rho, L.reshape(3, d, 3, d)).real)
     return NhCertificate(value=value, normalization="per_measurement",
                          copies=copies, L=L, xs=tuple(xs), lifted=lifted,
                          lifted_min_eig=min_eig, constraint_residual=resid)

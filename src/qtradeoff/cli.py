@@ -19,7 +19,7 @@ from .bounds import (
     BoundValue,
     as_weights,
     holevo_origin,
-    nhcrb_analytic_origin,
+    nhcrb_analytic,
     nhcrb_sdp,
     qcrb,
 )
@@ -176,7 +176,8 @@ def cmd_bounds(args) -> int:
         )
         for norm in normalizations:
             records.append(_bound_record("holevo", holevo, norm))
-        analytic = nhcrb_analytic_origin(weights, copies=copies)
+    analytic = nhcrb_analytic(point, weights)
+    if analytic is not None:
         for norm in normalizations:
             records.append(_bound_record("nhcrb_analytic", analytic, norm))
     weights.require_positive()
@@ -374,16 +375,13 @@ def _sweep_rows(grid, repeats, seed):
     rows = []
     for t, shots in zip(DEMO_THETAS, DEMO_SHOTS):
         theta = BlochVector(t, t, t)
-        bounds_cache = {}
         for u, w in grid:
             plan = ShotPlan(theta, 2, two_copy_optimal(w), shots, repeats, seed)
             rep = run_experiment(plan, w, estimator="mle")
-            key = u
-            if key not in bounds_cache:
-                b1 = nhcrb_sdp(model_point(theta, copies=1), w).value
-                b2 = nhcrb_sdp(model_point(theta, copies=2), w).value
-                bounds_cache[key] = (b1, b2)
-            b1, b2 = bounds_cache[key]
+            # the single-copy bound has a closed form at every t; the
+            # two-copy bound off the origin comes from the SDP
+            b1 = nhcrb_analytic(model_point(theta, copies=1), w).value
+            b2 = nhcrb_sdp(model_point(theta, copies=2), w).value
             rows.append([
                 fmt(t), shots,
                 u[0], u[1], u[2],

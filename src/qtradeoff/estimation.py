@@ -10,10 +10,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import as_weights, nhcrb_analytic_origin
+from .bounds import as_weights, nhcrb_analytic
 from .constants import (
     BOOTSTRAP_RESAMPLES,
-    FISHER_PROB_CUTOFF,
     MLE_ARMIJO,
     MLE_BALL_RADIUS,
     MLE_EIG_FLOOR,
@@ -22,11 +21,13 @@ from .constants import (
     PROB_NEGATIVE_TOL,
     PROB_SUM_TOL,
 )
-from .model import BlochVector, convert_normalization, equal_component_eigensystem
-from .povm import (
+from .model import BlochVector, convert_normalization, equal_component_eigensystem, model_point
+from .povm import (  # noqa: F401  (linear_estimator_matrix re-exported)
     Povm,
     WeightSpec,
+    _linear_design,
     _model_probabilities,
+    linear_estimator_matrix,
     quadratic_probability_model,
 )
 from .tradeoff import MsePoint
@@ -224,34 +225,6 @@ def _sample_mixed(values, rows, shots, rng):
         if n > 0:
             counts += rng.multinomial(int(n), rows[k])
     return counts
-
-
-def linear_estimator_matrix(povm, copies):
-    """Coefficient matrix of the best linear unbiased estimator at the origin.
-
-    Returns D with theta_hat = D @ (counts / shots). D inverts the
-    origin Fisher information against the outcome Jacobian, so the
-    estimator is unbiased at theta = 0 for any informationally complete
-    POVM. For the weight-adapted optimal measurements this reduces to
-    the familiar difference-of-counts form.
-    """
-    q0, G, _ = quadratic_probability_model(povm, copies)
-    return _linear_design(q0, G)
-
-
-def _linear_design(q0, G):
-    """linear_estimator_matrix from precomputed model coefficients q0 and G."""
-    mask = q0 > FISHER_PROB_CUTOFF
-    scaled = np.zeros_like(G)
-    scaled[mask] = G[mask] / q0[mask, None]
-    fisher = G[mask].T @ scaled[mask]
-    try:
-        inv = np.linalg.inv(fisher)
-    except np.linalg.LinAlgError:
-        raise ValueError(
-            "POVM is not informationally complete at the origin"
-        ) from None
-    return inv @ scaled.T
 
 
 def _norm(x):
@@ -475,21 +448,21 @@ def mle_estimator(
     return theta if counts.ndim == 2 else theta[0]
 
 
-def _bootstrap_standard_error(squared_errors, weights, scale, seed, resamples):
+def _bootstrap_standard_error(squared_errors, weights, scale, seed):
     """Bootstrap SE of the weighted-trace MSE over repetitions."""
     rng = np.random.Generator(
         np.random.Philox(np.random.SeedSequence([seed, BOOTSTRAP_STREAM]))
     )
     repeats = squared_errors.shape[0]
     per_repeat = scale * (squared_errors @ weights)
-    draws = np.empty(resamples)
-    for b in range(resamples):
+    draws = np.empty(BOOTSTRAP_RESAMPLES)
+    for b in range(BOOTSTRAP_RESAMPLES):
         idx = rng.integers(0, repeats, size=repeats)
         draws[b] = per_repeat[idx].mean()
     return float(draws.std(ddof=1))
 
 
-def run_experiment(plan, weights, estimator="linear", resamples=BOOTSTRAP_RESAMPLES):
+def run_experiment(plan, weights, estimator="linear"):
     """Run the full Monte Carlo experiment described by a ShotPlan.
 
     Per repetition r, counts are drawn with the stream [seed, 0, r]; the
@@ -500,8 +473,11 @@ def run_experiment(plan, weights, estimator="linear", resamples=BOOTSTRAP_RESAMP
     per-repetition stratum allocation drawn from the eigenvalues, which
     composes to the exact mixed-state multinomial law; other states are
     sampled from the outcome distribution directly. Per-axis squared errors are averaged
-    over repetitions and normalized per qubit. The weighted trace is
-    compared against the origin bounds in the metadata.
+    over repetitions and normalized per qubit. For positive weights the
+    metadata carries the closed-form collective bounds at theta_true, per
+    qubit: the single-copy bound everywhere and the two-copy bound at the
+    origin, where its closed form exists; z_vs_single_copy measures the
+    weighted trace against the single-copy one in bootstrap standard errors.
     """
     w = as_weights(weights)
     if estimator not in ("linear", "mle"):
@@ -555,9 +531,7 @@ def run_experiment(plan, weights, estimator="linear", resamples=BOOTSTRAP_RESAMP
     per_axis = scale * squared.mean(axis=0)
     mse = MsePoint(per_axis[0], per_axis[1], per_axis[2])
     weighted_trace = float(w.array @ per_axis)
-    stderr = _bootstrap_standard_error(
-        squared, w.array, scale, plan.seed, resamples
-    )
+    stderr = _bootstrap_standard_error(squared, w.array, scale, plan.seed)
 
     metadata = {"plan": plan.to_json_dict(), "estimator": estimator, "weights": list(w.array)}
     try:
@@ -565,10 +539,11 @@ def run_experiment(plan, weights, estimator="linear", resamples=BOOTSTRAP_RESAMP
     except ValueError:
         pass
     else:
-        c1 = nhcrb_analytic_origin(w, copies=1).value
-        c2 = nhcrb_analytic_origin(w, copies=2).value
+        c1 = nhcrb_analytic(model_point(plan.theta_true, 1), w).value
         metadata["single_copy_bound_per_qubit"] = c1
-        metadata["two_copy_bound_per_qubit"] = c2
+        c2 = nhcrb_analytic(model_point(plan.theta_true, 2), w)
+        if c2 is not None:
+            metadata["two_copy_bound_per_qubit"] = c2.value
         if stderr > 0:
             metadata["z_vs_single_copy"] = (c1 - weighted_trace) / stderr
     if estimator == "mle":

@@ -333,6 +333,34 @@ def quadratic_probability_model(povm: Povm, copies: int):
     return q0, G, Q
 
 
+def linear_estimator_matrix(povm, copies):
+    """Coefficient matrix of the best linear unbiased estimator at the origin.
+
+    Returns D with theta_hat = D @ (counts / shots). D inverts the
+    origin Fisher information against the outcome Jacobian, so the
+    estimator is unbiased at theta = 0 for any informationally complete
+    POVM. For the weight-adapted optimal measurements this reduces to
+    the familiar difference-of-counts form.
+    """
+    q0, G, _ = quadratic_probability_model(povm, copies)
+    return _linear_design(q0, G)
+
+
+def _linear_design(q0, G):
+    """linear_estimator_matrix from precomputed model coefficients q0 and G."""
+    mask = q0 > FISHER_PROB_CUTOFF
+    scaled = np.zeros_like(G)
+    scaled[mask] = G[mask] / q0[mask, None]
+    fisher = G[mask].T @ scaled[mask]
+    try:
+        inv = np.linalg.inv(fisher)
+    except np.linalg.LinAlgError:
+        raise ValueError(
+            "POVM is not informationally complete at the origin"
+        ) from None
+    return inv @ scaled.T
+
+
 def _model_probabilities(q0, G, Q, theta):
     return q0 + G @ theta + np.einsum("jik,i,k->j", Q, theta, theta)
 

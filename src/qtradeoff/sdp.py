@@ -112,10 +112,6 @@ def solve_lmi(
     Fs: np.ndarray,
     y0: np.ndarray,
     Z0: np.ndarray,
-    gap_tol: float = SDP_GAP_TOL,
-    feas_tol: float = SDP_FEAS_TOL,
-    max_iter: int = SDP_MAX_ITER,
-    step_fraction: float = SDP_STEP_FRACTION,
 ) -> SdpResult:
     """Minimize c . y subject to F0 + sum_j y_j F_j being PSD.
 
@@ -125,7 +121,8 @@ def solve_lmi(
     dual infeasibility is folded into the Newton right-hand side and decays
     with the step length. Raises ConvergenceError if an iterate loses
     positive definiteness, the Schur complement is singular, or the relative
-    gap and residuals fail to reach tolerance within max_iter iterations.
+    gap and residuals fail to reach SDP_GAP_TOL and SDP_FEAS_TOL within
+    SDP_MAX_ITER iterations.
     """
     c = np.asarray(c, dtype=float)
     F0, Fs, Z0 = np.asarray(F0), np.asarray(Fs), np.asarray(Z0)
@@ -154,7 +151,7 @@ def solve_lmi(
     cscale = 1.0 + np.abs(c).max()
 
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, SDP_MAX_ITER + 1):
         rp = _herm(F0 + (y @ A).reshape(n, n) - S)
         rd = c - Ar @ Z.view(float).ravel()
         gap = _inner(Z, S)
@@ -163,7 +160,7 @@ def solve_lmi(
         rel_gap = abs(gap) / (1.0 + abs(primal) + abs(dual))
         rp_inf = float(np.abs(rp).max())
         rd_inf = float(np.abs(rd).max()) / cscale
-        if rel_gap < gap_tol and rp_inf < feas_tol and rd_inf < feas_tol:
+        if rel_gap < SDP_GAP_TOL and rp_inf < SDP_FEAS_TOL and rd_inf < SDP_FEAS_TOL:
             return SdpResult(
                 y=y, primal=primal, dual=dual, gap=gap, rel_gap=rel_gap,
                 iterations=iterations - 1, S=S, Z=Z,
@@ -202,13 +199,13 @@ def solve_lmi(
         centering = np.diag(sigma * mu - lam * lam)
         cross = _herm(dlamS_aff @ dlamZ_aff)
         dy, dlamS, dlamZ = direction((centering - cross) / denom)
-        ap, ad = np.minimum(1.0, step_fraction * _max_steps(lam, dlamS, dlamZ))
+        ap, ad = np.minimum(1.0, SDP_STEP_FRACTION * _max_steps(lam, dlamS, dlamZ))
         if min(ap, ad) < 0.5 * min(ap_aff, ad_aff):
             # the second-order term shortened the step: on degenerate faces,
             # where the Schur complement is nearly singular, it amplifies
             # the error of the predictor; take the plain centering step
             dy, dlamS, dlamZ = direction(centering / denom)
-            ap, ad = np.minimum(1.0, step_fraction * _max_steps(lam, dlamS, dlamZ))
+            ap, ad = np.minimum(1.0, SDP_STEP_FRACTION * _max_steps(lam, dlamS, dlamZ))
         if ap < 1e-13 and ad < 1e-13:
             raise ConvergenceError(
                 f"step lengths collapsed at iteration {iterations}, "

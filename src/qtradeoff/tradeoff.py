@@ -204,22 +204,24 @@ def integer_weight_grid(values=(1, 2, 3)) -> tuple:
 
 
 def _plane_bound(theta: BlochVector, copies: int, weights: WeightSpec) -> float:
-    if theta.norm == 0.0:
-        return bounds_mod.nhcrb_analytic_origin(weights, copies, "per_qubit").value
     point = model_point(theta, copies)
-    return bounds_mod.nhcrb_sdp(point, weights, "per_qubit").value
+    bound = bounds_mod.nhcrb_analytic(point, weights)
+    if bound is None:
+        bound = bounds_mod.nhcrb_sdp(point, weights)
+    return bound.value
 
 
-def surface_scan(theta, copies: int, weight_grid,
-                 vertex_box: float = VERTEX_BOX_LIMIT) -> SurfaceScan:
+def surface_scan(theta, copies: int, weight_grid) -> SurfaceScan:
     """Reconstruct the trade-off surface from weighted bounds.
 
     For each weight triple the per-qubit collective bound defines the
-    halfspace w . V >= C(w). Candidate vertices are the intersections of all
-    plane triples with independent normals; those feasible for every plane
-    (within tolerance), above the per-parameter floor 1 - theta_i^2, and
-    inside the bounding box are kept, deduplicated, and returned sorted.
-    Vertices discarded by the box alone are counted in `clipped`.
+    halfspace w . V >= C(w), from its closed form where one exists and from
+    the SDP otherwise. Candidate vertices are the intersections of all plane
+    triples with independent normals, solved together as one batch; those
+    feasible for every plane (within tolerance), above the per-parameter
+    floor 1 - theta_i^2, and inside the bounding box are kept, deduplicated,
+    and returned sorted. Vertices discarded by the box alone are counted in
+    `clipped`.
     """
     theta = bounds_mod.as_bloch(theta)
     grid = [bounds_mod.as_weights(w) for w in weight_grid]
@@ -233,28 +235,24 @@ def surface_scan(theta, copies: int, weight_grid,
     floor = 1.0 - theta.array ** 2
     normals = np.array([p.weights.array for p in planes])
     offsets = np.array([p.offset for p in planes])
-    candidates = []
-    clipped = 0
-    for i, j, k in itertools.combinations(range(len(planes)), 3):
-        n = normals[[i, j, k]]
-        if (
-            np.linalg.norm(np.cross(n[0], n[1])) < PARALLEL_NORMAL_TOL
-            or np.linalg.norm(np.cross(n[0], n[2])) < PARALLEL_NORMAL_TOL
-            or np.linalg.norm(np.cross(n[1], n[2])) < PARALLEL_NORMAL_TOL
-        ):
-            continue
-        det = np.linalg.det(n)
-        if abs(det) < PARALLEL_NORMAL_TOL:
-            continue
-        v = np.linalg.solve(n, offsets[[i, j, k]])
-        if np.any(v < floor - SURFACE_FEAS_TOL):
-            continue
-        if np.any(normals @ v < offsets - SURFACE_FEAS_TOL):
-            continue
-        if np.any(v > vertex_box):
-            clipped += 1
-            continue
-        candidates.append(v)
+    triples = np.array(list(itertools.combinations(range(len(planes)), 3)),
+                       dtype=int).reshape(-1, 3)
+    n = normals[triples]
+    independent = (
+        (np.linalg.norm(np.cross(n[:, 0], n[:, 1]), axis=1) >= PARALLEL_NORMAL_TOL)
+        & (np.linalg.norm(np.cross(n[:, 0], n[:, 2]), axis=1) >= PARALLEL_NORMAL_TOL)
+        & (np.linalg.norm(np.cross(n[:, 1], n[:, 2]), axis=1) >= PARALLEL_NORMAL_TOL)
+        & (np.abs(np.linalg.det(n)) >= PARALLEL_NORMAL_TOL)
+    )
+    triples = triples[independent]
+    points = np.linalg.solve(n[independent], offsets[triples][..., None])[..., 0]
+    feasible = (
+        np.all(points >= floor - SURFACE_FEAS_TOL, axis=1)
+        & np.all(points @ normals.T >= offsets - SURFACE_FEAS_TOL, axis=1)
+    )
+    boxed = np.all(points <= VERTEX_BOX_LIMIT, axis=1)
+    clipped = int(np.sum(feasible & ~boxed))
+    candidates = points[feasible & boxed]
 
     merged = []
     for v in sorted(candidates, key=tuple):

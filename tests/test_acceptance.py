@@ -17,7 +17,7 @@ import pytest
 from qtradeoff.bounds import (
     convert_normalization,
     holevo_origin,
-    nhcrb_analytic_origin,
+    nhcrb_analytic,
     nhcrb_sdp,
 )
 from qtradeoff.estimation import (
@@ -91,16 +91,18 @@ def test_criterion_02_sld_residuals():
 def test_criterion_03_analytic_bounds_and_sdp_origin():
     start = time.perf_counter()
     unit = WeightSpec(1, 1, 1)
-    assert abs(nhcrb_analytic_origin(unit, 1, "per_measurement").value - 9.0) <= 1e-12
-    assert abs(nhcrb_analytic_origin(unit, 2, "per_measurement").value - 3.0) <= 1e-12
-    assert abs(nhcrb_analytic_origin(unit, 2, "per_qubit").value - 6.0) <= 1e-12
     origin = BlochVector(0, 0, 0)
+    one, two = model_point(origin, 1), model_point(origin, 2)
+    assert abs(nhcrb_analytic(one, unit, "per_measurement").value - 9.0) <= 1e-12
+    assert abs(nhcrb_analytic(two, unit, "per_measurement").value - 3.0) <= 1e-12
+    assert abs(nhcrb_analytic(two, unit, "per_qubit").value - 6.0) <= 1e-12
     rng = np.random.default_rng(SEED)
     for _ in range(50):
         w = random_weights(rng)
         for copies in (1, 2):
-            want = nhcrb_analytic_origin(w, copies, "per_measurement").value
-            got = nhcrb_sdp(model_point(origin, copies), w, "per_measurement")
+            point = model_point(origin, copies)
+            want = nhcrb_analytic(point, w, "per_measurement").value
+            got = nhcrb_sdp(point, w, "per_measurement")
             assert abs(got.value - want) / want <= 1e-5
             assert got.gap <= 1e-6
     assert time.perf_counter() - start < 30.0
@@ -130,7 +132,7 @@ def test_criterion_05_tangency_sweep():
         v1 = np.diag(mse1).real
         assert abs(single_copy_surface_residual(MsePoint(*v1))) <= 1e-9
         wt1 = f1.weighted_trace_inverse(w, "per_measurement")
-        c1 = nhcrb_analytic_origin(w, 1, "per_measurement").value
+        c1 = nhcrb_analytic(origin, w, "per_measurement").value
         assert abs(wt1 - c1) <= 1e-10
 
         f2 = classical_fisher(origin2, two_copy_optimal(w))
@@ -138,7 +140,7 @@ def test_criterion_05_tangency_sweep():
         v2 = np.diag(mse2).real
         assert abs(two_copy_surface_residual(MsePoint(*v2))) <= 1e-9
         wt2 = f2.weighted_trace_inverse(w, "per_measurement")
-        c2 = nhcrb_analytic_origin(w, 2, "per_measurement").value
+        c2 = nhcrb_analytic(origin2, w, "per_measurement").value
         assert abs(wt2 - c2) <= 1e-10
 
 

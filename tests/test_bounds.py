@@ -9,7 +9,7 @@ from qtradeoff.bounds import (
     nh_optimal_certificate_origin,
     nh_problem,
     nh_solution,
-    nhcrb_analytic_origin,
+    nhcrb_analytic,
     nhcrb_sdp,
     qcrb,
 )
@@ -24,6 +24,8 @@ FROZEN_SDP = [
     ((0.1, -0.2, 0.4), (1.0, 4.0, 9.0), 32.4749349865, 11.1499581941),
     ((0.2, 0.0, 0.0), (0.2, 0.5, 0.3), 2.8662740046, 0.9643242383),
 ]
+
+ORIGIN = BlochVector(0, 0, 0)
 
 
 def test_qcrb_closed_form():
@@ -57,11 +59,12 @@ def test_holevo_origin_is_weight_trace():
 
 def test_analytic_origin_values():
     w = WeightSpec(1, 1, 1)
-    assert abs(nhcrb_analytic_origin(w, copies=1, normalization="per_measurement").value - 9.0) < 1e-12
-    assert abs(nhcrb_analytic_origin(w, copies=2, normalization="per_measurement").value - 3.0) < 1e-12
-    assert abs(nhcrb_analytic_origin(w, copies=2, normalization="per_qubit").value - 6.0) < 1e-12
+    one, two = model_point(ORIGIN, copies=1), model_point(ORIGIN, copies=2)
+    assert abs(nhcrb_analytic(one, w, normalization="per_measurement").value - 9.0) < 1e-12
+    assert abs(nhcrb_analytic(two, w, normalization="per_measurement").value - 3.0) < 1e-12
+    assert abs(nhcrb_analytic(two, w, normalization="per_qubit").value - 6.0) < 1e-12
     with pytest.raises(ValueError):
-        nhcrb_analytic_origin(w, copies=3)
+        nhcrb_analytic(model_point(ORIGIN, copies=3), w)
 
 
 def test_analytic_origin_general_weights():
@@ -69,9 +72,11 @@ def test_analytic_origin_general_weights():
     for _ in range(10):
         w = rng.uniform(0.05, 1.0, size=3)
         rw = np.sqrt(w)
-        c1 = nhcrb_analytic_origin(WeightSpec(*w), copies=1, normalization="per_measurement")
+        c1 = nhcrb_analytic(model_point(ORIGIN, copies=1), WeightSpec(*w),
+                            normalization="per_measurement")
         assert abs(c1.value - rw.sum() ** 2) < 1e-12
-        c2 = nhcrb_analytic_origin(WeightSpec(*w), copies=2, normalization="per_measurement")
+        c2 = nhcrb_analytic(model_point(ORIGIN, copies=2), WeightSpec(*w),
+                            normalization="per_measurement")
         cross = rw[0] * rw[1] + rw[0] * rw[2] + rw[1] * rw[2]
         assert abs(c2.value - 0.5 * (w.sum() + cross)) < 1e-12
 
@@ -92,13 +97,12 @@ def test_sdp_matches_frozen_oracles():
 
 def test_sdp_matches_analytic_at_origin():
     rng = np.random.default_rng(4)
-    origin = BlochVector(0, 0, 0)
     for _ in range(5):
         w = WeightSpec(*rng.uniform(0.05, 1.0, size=3))
         for copies in (1, 2):
-            want = nhcrb_analytic_origin(w, copies=copies, normalization="per_measurement").value
-            got = nhcrb_sdp(model_point(origin, copies=copies), w,
-                            normalization="per_measurement")
+            point = model_point(ORIGIN, copies=copies)
+            want = nhcrb_analytic(point, w, normalization="per_measurement").value
+            got = nhcrb_sdp(point, w, normalization="per_measurement")
             assert abs(got.value - want) / want < 1e-5
 
 
@@ -111,17 +115,34 @@ def _gill_massar(theta, weights):
     return float(np.sqrt(np.clip(np.linalg.eigvalsh(inner), 0.0, None)).sum() ** 2)
 
 
-def test_single_copy_sdp_matches_gill_massar():
-    # solver-independent oracle: the single-copy bound has a closed form
+def _gill_massar_inputs():
+    """40 seeded interior points, |theta| <= 0.95, with log-uniform weights
+    over six decades."""
     rng = np.random.default_rng(40)
     for _ in range(40):
         v = rng.normal(size=3)
         theta = rng.uniform(0.0, 0.95) * v / np.linalg.norm(v)
         w = 10.0 ** rng.uniform(0.0, 6.0, size=3)
         w /= w.sum()
+        yield theta, w
+
+
+def test_single_copy_sdp_matches_gill_massar():
+    # solver-independent oracle: the single-copy bound has a closed form
+    for theta, w in _gill_massar_inputs():
         got = nhcrb_sdp(model_point(BlochVector(*theta), copies=1), WeightSpec(*w))
         want = _gill_massar(theta, w)
         assert abs(got.value - want) / want < 1e-7
+
+
+def test_analytic_matches_gill_massar():
+    for theta, w in _gill_massar_inputs():
+        got = nhcrb_analytic(model_point(BlochVector(*theta), copies=1), WeightSpec(*w))
+        assert got.method == "analytic" and got.copies == 1
+        want = _gill_massar(theta, w)
+        assert abs(got.value - want) / want < 1e-12
+        # two copies have a closed form at the origin only
+        assert nhcrb_analytic(model_point(BlochVector(*theta), copies=2), WeightSpec(*w)) is None
 
 
 # Two-copy inputs on which the interior-point solver used to stop with "lost
@@ -155,7 +176,7 @@ def test_two_copy_sdp_converges_on_hard_inputs(theta, weights):
     assert lower <= got.value + got.gap
     assert got.value <= upper + got.gap
     if not any(theta):
-        want = nhcrb_analytic_origin(w, copies=2).value
+        want = nhcrb_analytic(point, w).value
         assert abs(got.value - want) / want < 1e-6
 
 
@@ -219,7 +240,7 @@ def test_sdp_recovers_pauli_observables_at_origin():
 def test_certificate_single_copy():
     w = WeightSpec(1.0, 4.0, 9.0)
     cert = nh_optimal_certificate_origin(w, copies=1)
-    want = nhcrb_analytic_origin(w, copies=1, normalization="per_measurement").value
+    want = nhcrb_analytic(model_point(ORIGIN, copies=1), w, normalization="per_measurement").value
     assert abs(cert.value - want) < 1e-12
     assert cert.lifted_min_eig >= -1e-12
     assert cert.constraint_residual < 1e-12
@@ -233,7 +254,8 @@ def test_certificate_two_copy():
         raw = rng.uniform(0.05, 1.0, size=3)
         w = WeightSpec(*raw)
         cert = nh_optimal_certificate_origin(w, copies=2)
-        want = nhcrb_analytic_origin(w, copies=2, normalization="per_measurement").value
+        want = nhcrb_analytic(model_point(ORIGIN, copies=2), w,
+                              normalization="per_measurement").value
         assert abs(cert.value - want) < 1e-10
         assert cert.lifted_min_eig >= -1e-12
         assert cert.constraint_residual < 1e-12

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import qtradeoff.cli as cli
+from qtradeoff import sdp
 from qtradeoff.linalg import ConvergenceError
 
 jsonschema = pytest.importorskip("jsonschema")
@@ -116,6 +117,42 @@ def test_surface_single_plane(tmp_path, schema):
     assert len(doc["planes"]) == 1
     assert "grid" not in doc
     assert abs(doc["planes"][0]["offset"] - 6.0) < 1e-9
+
+
+def _gill_massar(theta, weights):
+    """Single-copy bound per qubit, (Tr sqrt(J^-1/2 W J^-1/2))^2."""
+    t = np.asarray(theta, dtype=float)
+    vals, vecs = np.linalg.eigh(np.eye(3) - np.outer(t, t))
+    root = (vecs * np.sqrt(vals)) @ vecs.T
+    inner = root @ np.diag(weights) @ root
+    return float(np.sqrt(np.clip(np.linalg.eigvalsh(inner), 0.0, None)).sum() ** 2)
+
+
+def test_single_copy_surface_runs_no_sdp(tmp_path, schema, monkeypatch):
+    def explode(*args, **kwargs):
+        raise ConvergenceError("the single-copy scan must not solve an SDP")
+
+    monkeypatch.setattr(sdp, "solve_lmi", explode)
+    doc = run_json(tmp_path, ["surface", "--copies", "1", "--theta", "0.2,0.1,0"])
+    jsonschema.validate(doc, schema)
+    assert len(doc["planes"]) == 25
+    for plane in doc["planes"]:
+        want = _gill_massar((0.2, 0.1, 0.0), plane["weights"])
+        assert abs(plane["offset"] - want) / want < 1e-10
+
+
+def test_bounds_analytic_record_off_origin(tmp_path, schema):
+    argv = ["bounds", "--theta", "0.3,0.3,0.3", "--weights", "1,4,9",
+            "--normalization", "per_qubit"]
+    one = run_json(tmp_path, argv + ["--copies", "1"], "one.json")
+    jsonschema.validate(one, schema)
+    by_name = {r["name"]: r for r in one["records"]}
+    want = _gill_massar((0.3, 0.3, 0.3), (1, 4, 9))
+    assert by_name["nhcrb_analytic"]["method"] == "analytic"
+    assert abs(by_name["nhcrb_analytic"]["value"] - want) / want < 1e-10
+    assert abs(by_name["nhcrb_sdp"]["value"] - want) / want < 1e-7
+    two = run_json(tmp_path, argv + ["--copies", "2"], "two.json")
+    assert {r["name"] for r in two["records"]} == {"qcrb", "nhcrb_sdp"}
 
 
 def test_surface_csv_header(tmp_path):

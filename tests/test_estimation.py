@@ -196,6 +196,23 @@ def test_origin_linear_estimator_statistics():
     assert rep.metadata["z_vs_single_copy"] > 5.0
 
 
+def test_metadata_bounds_at_the_true_state():
+    theta = (0.3, 0.3, 0.3)
+    w = WeightSpec(1, 4, 9)
+    plan = ShotPlan(BlochVector(*theta), 2, two_copy_optimal(w), 196, 20, 3)
+    rep = run_experiment(plan, w)
+    # Gill-Massar: (Tr sqrt(J^-1/2 W J^-1/2))^2 with J^-1 = I - theta theta^T
+    vals, vecs = np.linalg.eigh(np.eye(3) - np.outer(theta, theta))
+    root = (vecs * np.sqrt(vals)) @ vecs.T
+    want = np.sqrt(np.linalg.eigvalsh(root @ np.diag(w.array) @ root)).sum() ** 2
+    c1 = rep.metadata["single_copy_bound_per_qubit"]
+    assert abs(c1 - want) / want < 1e-12
+    # the two-copy bound has a closed form only at the origin
+    assert "two_copy_bound_per_qubit" not in rep.metadata
+    z = (c1 - rep.weighted_trace) / rep.standard_error
+    assert rep.metadata["z_vs_single_copy"] == z
+
+
 def test_per_qubit_mse_independent_of_shots():
     povm = two_copy_optimal(EQUAL)
     r1 = run_experiment(ShotPlan(ORIGIN, 2, povm, 500, 800, 12), EQUAL)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qtradeoff import linalg
-from qtradeoff.bounds import convert_normalization, nhcrb_analytic_origin
+from qtradeoff.bounds import convert_normalization, nhcrb_analytic
 from qtradeoff.model import BlochVector, model_point, model_qfi
 from qtradeoff.povm import (
     Povm,
@@ -140,10 +140,10 @@ def test_optimal_povms_saturate_origin_bounds():
         w = random_weights(rng)
         f1 = classical_fisher(ORIGIN_1, single_copy_optimal(w))
         wt1 = f1.weighted_trace_inverse(w, "per_measurement")
-        assert abs(wt1 - nhcrb_analytic_origin(w, copies=1, normalization="per_measurement").value) < 1e-10
+        assert abs(wt1 - nhcrb_analytic(ORIGIN_1, w, normalization="per_measurement").value) < 1e-10
         f2 = classical_fisher(ORIGIN_2, two_copy_optimal(w))
         wt2 = f2.weighted_trace_inverse(w, "per_measurement")
-        assert abs(wt2 - nhcrb_analytic_origin(w, copies=2, normalization="per_measurement").value) < 1e-10
+        assert abs(wt2 - nhcrb_analytic(ORIGIN_2, w, normalization="per_measurement").value) < 1e-10
 
 
 def test_fisher_normalizations():

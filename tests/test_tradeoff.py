@@ -1,7 +1,16 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from qtradeoff.model import BlochVector
+from qtradeoff.bounds import nhcrb_sdp
+from qtradeoff.constants import (
+    PARALLEL_NORMAL_TOL,
+    SURFACE_FEAS_TOL,
+    VERTEX_BOX_LIMIT,
+    VERTEX_MERGE_TOL,
+)
+from qtradeoff.model import BlochVector, model_point
 from qtradeoff.povm import WeightSpec
 from qtradeoff.tradeoff import (
     MsePoint,
@@ -120,16 +129,72 @@ def test_surface_scan_empty_grid():
 
 
 def test_surface_scan_interior_point():
-    # a small off-origin scan goes through the SDP route
+    # off the origin, one copy takes its planes from the closed form and two
+    # copies from the SDP
     grid = integer_weight_grid(values=(1, 2))
-    scan = surface_scan((0.2, 0.0, 0.0), 1, grid)
-    assert len(scan.planes) == len(grid)
     floor = 1.0 - np.array([0.2, 0.0, 0.0]) ** 2
-    for v in scan.vertices:
-        assert np.all(v.array >= floor - 1e-7)
-    doc = scan.to_json_dict()
-    assert doc["copies"] == 1
-    assert len(doc["planes"]) == len(grid)
+    for copies in (1, 2):
+        scan = surface_scan((0.2, 0.0, 0.0), copies, grid)
+        assert len(scan.planes) == len(grid)
+        for v in scan.vertices:
+            assert np.all(v.array >= floor - 1e-7)
+        doc = scan.to_json_dict()
+        assert doc["copies"] == copies
+        assert len(doc["planes"]) == len(grid)
+    point = model_point(BlochVector(0.2, 0.0, 0.0), copies=2)
+    for plane, w in zip(scan.planes, grid):
+        want = nhcrb_sdp(point, w).value
+        assert abs(plane.offset - want) <= 1e-12 * want
+
+
+def _scan_one_triple_at_a_time(theta, planes):
+    """The scan's vertex search as a loop over plane triples, counting the
+    triples each branch discards."""
+    floor = 1.0 - np.asarray(theta) ** 2
+    normals = np.array([p.weights.array for p in planes])
+    offsets = np.array([p.offset for p in planes])
+    fired = dict(parallel=0, singular=0, floor=0, plane=0, box=0)
+    candidates = []
+    for i, j, k in itertools.combinations(range(len(planes)), 3):
+        n = normals[[i, j, k]]
+        if min(np.linalg.norm(np.cross(n[a], n[b])) for a, b in ((0, 1), (0, 2), (1, 2))) < PARALLEL_NORMAL_TOL:
+            fired["parallel"] += 1
+            continue
+        if abs(np.linalg.det(n)) < PARALLEL_NORMAL_TOL:
+            fired["singular"] += 1
+            continue
+        v = np.linalg.solve(n, offsets[[i, j, k]])
+        if np.any(v < floor - SURFACE_FEAS_TOL):
+            fired["floor"] += 1
+            continue
+        if np.any(normals @ v < offsets - SURFACE_FEAS_TOL):
+            fired["plane"] += 1
+            continue
+        if np.any(v > VERTEX_BOX_LIMIT):
+            fired["box"] += 1
+            continue
+        candidates.append(v)
+    merged = []
+    for v in sorted(candidates, key=tuple):
+        if not any(np.linalg.norm(v - u) < VERTEX_MERGE_TOL for u in merged):
+            merged.append(v)
+    return np.array(merged), fired
+
+
+@pytest.mark.parametrize("theta", [(0.0, 0.0, 0.0), (0.2, 0.1, 0.0)])
+@pytest.mark.parametrize("copies", [1, 2])
+def test_batched_scan_matches_triple_loop(theta, copies):
+    # a repeated triple (parallel normals), three coplanar normals (zero
+    # determinant), a near-degenerate triple, and three nearly flat in V_z
+    # whose common vertex lies beyond the box
+    grid = [WeightSpec(1, 1, 1), WeightSpec(1, 1, 1), WeightSpec(2, 3, 4),
+            WeightSpec(1, 2, 3), WeightSpec(1, 1e-8, 1e-8), WeightSpec(1, 1, 1e-4),
+            WeightSpec(1, 4, 1e-4), WeightSpec(4, 1, 1e-4)]
+    scan = surface_scan(theta, copies, grid)
+    vertices, fired = _scan_one_triple_at_a_time(theta, scan.planes)
+    assert all(fired.values()), fired
+    assert scan.clipped == fired["box"]
+    assert np.array_equal(np.array([v.array for v in scan.vertices]), vertices)
 
 
 def test_mse_point_validation():
