@@ -64,7 +64,8 @@ class ShotPlan:
     povm: measurement applied to each shot.
     shots_per_repeat: measurements per repetition.
     repeats: independent repetitions, each yielding one estimate.
-    seed: root seed; repetition r uses the stream [seed, 0, r].
+    seed: root seed; the experiment draws every repetition's shot count
+        and outcome counts from the one stream [seed, 0].
     poisson_shots: draw each repetition's shot count from a Poisson
         distribution with the nominal mean instead of fixing it.
     """
@@ -133,8 +134,10 @@ class ExperimentReport:
 
 
 def sample_counts(probs, shots, rng, sum_tol=PROB_SUM_TOL):
-    """Draw multinomial outcome counts for one repetition.
+    """Draw multinomial outcome counts for one repetition or a batch.
 
+    shots is one repetition's shot count, giving counts of shape (n,), or
+    an (R,) array of them, giving one row of counts per repetition (R, n).
     sum_tol is the accepted deviation of sum(probs) from 1; measurements
     published to few decimals carry a looser budget than the exact
     constructions. Inside the budget the distribution is renormalized.
@@ -146,7 +149,7 @@ def sample_counts(probs, shots, rng, sum_tol=PROB_SUM_TOL):
         raise ValueError(f"probabilities sum to {p.sum():.12f}, not 1")
     p = np.clip(p, 0.0, None)
     p = p / p.sum()
-    return rng.multinomial(int(shots), p)
+    return rng.multinomial(np.asarray(shots, dtype=np.int64), p)
 
 
 def largest_remainder_allocation(weights, total):
@@ -211,20 +214,17 @@ def _eigenstate_probabilities(t, povm):
 
 
 def _sample_mixed(values, rows, shots, rng):
-    """Sample pooled counts through randomized eigenstate preparation.
+    """Sample pooled counts (R, n) through randomized eigenstate preparation.
 
-    The number of shots spent on each eigenstate is drawn multinomially
-    from the eigenvalues, then outcomes are drawn per eigenstate. The
-    pooled counts follow exactly the multinomial law of the mixed state,
-    matching the physical protocol where arrivals in each preparation
-    are independent and only the total budget is fixed.
+    For each of the (R,) shot counts, the number of shots spent on each
+    eigenstate is drawn multinomially from the eigenvalues, then outcomes
+    are drawn per eigenstate, one batched draw per eigenstate over all
+    repetitions. The pooled counts follow exactly the multinomial law of
+    the mixed state, matching the physical protocol where arrivals in each
+    preparation are independent and only the total budget is fixed.
     """
-    alloc = rng.multinomial(int(shots), values / values.sum())
-    counts = np.zeros(rows.shape[1], dtype=int)
-    for k, n in enumerate(alloc):
-        if n > 0:
-            counts += rng.multinomial(int(n), rows[k])
-    return counts
+    alloc = rng.multinomial(shots, values / values.sum())
+    return sum(rng.multinomial(alloc[:, k], row) for k, row in enumerate(rows))
 
 
 def _norm(x):
@@ -465,19 +465,22 @@ def _bootstrap_standard_error(squared_errors, weights, scale, seed):
 def run_experiment(plan, weights, estimator="linear"):
     """Run the full Monte Carlo experiment described by a ShotPlan.
 
-    Per repetition r, counts are drawn with the stream [seed, 0, r]; the
-    linear estimator then maps each repetition's frequencies, and the MLE
-    solves each repetition's counts, with the solves' convergence
-    statistics in metadata["mle"]. Equal-component two-copy states
-    are sampled through the eigenstate-preparation protocol with the
-    per-repetition stratum allocation drawn from the eigenvalues, which
-    composes to the exact mixed-state multinomial law; other states are
-    sampled from the outcome distribution directly. Per-axis squared errors are averaged
-    over repetitions and normalized per qubit. For positive weights the
-    metadata carries the closed-form collective bounds at theta_true, per
-    qubit: the single-copy bound everywhere and the two-copy bound at the
-    origin, where its closed form exists; z_vs_single_copy measures the
-    weighted trace against the single-copy one in bootstrap standard errors.
+    One generator seeded with the stream [seed, 0] draws, in order, the
+    (R,) shot counts when they are Poisson and then the (R, n) outcome
+    counts of all R repetitions as batched multinomials. Equal-component
+    two-copy states are sampled through the eigenstate-preparation
+    protocol with each repetition's stratum allocation drawn from the
+    eigenvalues, which composes to the exact mixed-state multinomial law;
+    other states are sampled from the outcome distribution directly. The
+    linear estimator maps all repetitions' frequencies in one product; the
+    MLE solves each repetition's counts in its own call, with the solves'
+    convergence statistics in metadata["mle"]. Per-axis squared errors are
+    averaged over repetitions and normalized per qubit. For positive
+    weights the metadata carries the closed-form collective bounds at
+    theta_true, per qubit: the single-copy bound everywhere and the
+    two-copy bound at the origin, where its closed form exists;
+    z_vs_single_copy measures the weighted trace against the single-copy
+    one in bootstrap standard errors.
     """
     w = as_weights(weights)
     if estimator not in ("linear", "mle"):
@@ -493,26 +496,21 @@ def run_experiment(plan, weights, estimator="linear"):
     if estimator == "linear":
         design = _linear_design(model[0], model[1])
 
-    counts = np.empty((plan.repeats, plan.povm.n_outcomes), dtype=int)
-    shots = np.empty(plan.repeats, dtype=int)
-    for r in range(plan.repeats):
-        rng = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence([plan.seed, REPEAT_STREAM, r]))
-        )
-        n = plan.shots_per_repeat
-        if plan.poisson_shots:
-            n = int(rng.poisson(plan.shots_per_repeat))
-            if n <= 0:
-                raise RuntimeError("drew an empty repetition; raise the shot budget")
-        if mixed:
-            counts[r] = _sample_mixed(values, rows, n, rng)
-        else:
-            counts[r] = sample_counts(probs, n, rng, sum_tol=prob_budget)
-        shots[r] = n
+    rng = np.random.Generator(
+        np.random.Philox(np.random.SeedSequence([plan.seed, REPEAT_STREAM]))
+    )
+    if plan.poisson_shots:
+        shots = rng.poisson(plan.shots_per_repeat, size=plan.repeats)
+        if shots.min() <= 0:
+            raise RuntimeError("drew an empty repetition; raise the shot budget")
+    else:
+        shots = np.full(plan.repeats, plan.shots_per_repeat)
+    if mixed:
+        counts = _sample_mixed(values, rows, shots, rng)
+    else:
+        counts = sample_counts(probs, shots, rng, sum_tol=prob_budget)
     if estimator == "linear":
-        # one matrix-vector product per repetition: a matrix product over
-        # the batch may round differently and move the seeded artifacts
-        estimates = np.array([design @ (c / n) for c, n in zip(counts, shots)])
+        estimates = (counts / shots[:, None]) @ design.T
     else:
         # one call per repetition, so mle_estimator stays the per-repetition
         # layer that the benchmark's traced run counts; a row's estimate is
