@@ -7,6 +7,7 @@ comparable to the analytic and SDP bounds.
 """
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -238,6 +239,24 @@ def _project_ball(theta, radius=MLE_BALL_RADIUS):
     return theta * np.minimum(1.0, radius / np.maximum(norm, radius))
 
 
+class _MleModel(NamedTuple):
+    """What _fit_mle needs of a quadratic model: q0 and G, the symmetrized
+    S_j = Q_j + Q_j' and the origin linear design that gives the start."""
+
+    q0: np.ndarray
+    G: np.ndarray
+    S: np.ndarray
+    design: np.ndarray
+
+
+def _mle_model(model):
+    """The _MleModel of a quadratic model (q0, G, Q); one passes through."""
+    if isinstance(model, _MleModel):
+        return model
+    q0, G, Q = model
+    return _MleModel(q0, G, Q + np.transpose(Q, (0, 2, 1)), _linear_design(q0, G))
+
+
 def _likelihood(theta, freqs, q0, G, S):
     """Shot-normalized negative log likelihood of each row, -sum_j f_j log p_j,
     with its exact gradient and Hessian.
@@ -315,7 +334,7 @@ def _ball_newton_step(theta, grad, hess, radius=MLE_BALL_RADIUS):
 def _fit_mle(freqs, model, max_iter, kkt_tol):
     """Batched projected-Newton maximum likelihood over the Bloch ball.
 
-    Each row of freqs (R, n) is solved on its own: it starts at the origin
+    model is an _MleModel. Each row of freqs (R, n) is solved on its own: it starts at the origin
     linear estimate pulled inside the ball, takes ball-constrained Newton
     steps with Armijo backtracking, and is frozen as soon as its unit-step
     projected-gradient norm |theta - P(theta - g)| is at most kkt_tol, or
@@ -325,9 +344,8 @@ def _fit_mle(freqs, model, max_iter, kkt_tol):
     iterations per row, the final projected-gradient norms and whether
     the ball binds (the projection P is active) at each estimate.
     """
-    q0, G, Q = model
-    S = Q + np.transpose(Q, (0, 2, 1))
-    start = (freqs[:, None, :] * _linear_design(q0, G)).sum(axis=-1)
+    q0, G, S, design = model
+    start = (freqs[:, None, :] * design).sum(axis=-1)
     t = _project_ball(start, 0.9 * MLE_BALL_RADIUS)
     f, g, h = _likelihood(t, freqs, q0, G, S)
     while not np.isfinite(f).all():
@@ -411,7 +429,9 @@ def mle_estimator(
     stops on its own once its unit-step projected-gradient norm is at
     most kkt_tol, so no estimate depends on the other rows of its batch.
     Pass a precomputed quadratic_probability_model as model to amortize
-    the Pauli traces. If stats is a dict, the solve folds into it its
+    the Pauli traces; run_experiment passes its _MleModel, which also
+    carries the symmetrized quadratic terms and the start's linear design,
+    so its per-repetition calls build neither. If stats is a dict, the solve folds into it its
     largest Newton iteration count and largest final projected-gradient
     norm (by max) and the number of rows where the ball binds (by sum),
     so one dict passed to several calls describes them all.
@@ -431,7 +451,7 @@ def mle_estimator(
         model = quadratic_probability_model(povm, copies)
     if np.where(batch > 0, model[0], 1.0).min() <= 0:
         raise ValueError("counts on an outcome whose POVM element is zero")
-    theta, iterations, kkt, binds = _fit_mle(batch / total, model, max_iter, kkt_tol)
+    theta, iterations, kkt, binds = _fit_mle(batch / total, _mle_model(model), max_iter, kkt_tol)
     failed = np.flatnonzero(~(kkt <= kkt_tol))
     if failed.size:
         r = failed[0]
@@ -455,10 +475,8 @@ def _bootstrap_standard_error(squared_errors, weights, scale, seed):
     )
     repeats = squared_errors.shape[0]
     per_repeat = scale * (squared_errors @ weights)
-    draws = np.empty(BOOTSTRAP_RESAMPLES)
-    for b in range(BOOTSTRAP_RESAMPLES):
-        idx = rng.integers(0, repeats, size=repeats)
-        draws[b] = per_repeat[idx].mean()
+    # row b holds the indices of resample b, in the order a loop would draw them
+    draws = per_repeat[rng.integers(0, repeats, size=(BOOTSTRAP_RESAMPLES, repeats))].mean(axis=1)
     return float(draws.std(ddof=1))
 
 
@@ -493,8 +511,7 @@ def run_experiment(plan, weights, estimator="linear"):
     mixed = plan.copies == 2 and _equal_components(plan.theta_true)
     if mixed:
         values, rows = _eigenstate_probabilities(theta_true[0], plan.povm)
-    if estimator == "linear":
-        design = _linear_design(model[0], model[1])
+    fit_model = _mle_model(model)
 
     rng = np.random.Generator(
         np.random.Philox(np.random.SeedSequence([plan.seed, REPEAT_STREAM]))
@@ -510,14 +527,14 @@ def run_experiment(plan, weights, estimator="linear"):
     else:
         counts = sample_counts(probs, shots, rng, sum_tol=prob_budget)
     if estimator == "linear":
-        estimates = (counts / shots[:, None]) @ design.T
+        estimates = (counts / shots[:, None]) @ fit_model.design.T
     else:
         # one call per repetition, so mle_estimator stays the per-repetition
         # layer that the benchmark's traced run counts; a row's estimate is
         # the same bits whether it is solved alone or in a batch
         mle_stats = {}
         estimates = np.array([
-            mle_estimator(c, plan.copies, plan.povm, model=model, stats=mle_stats) for c in counts
+            mle_estimator(c, plan.copies, plan.povm, model=fit_model, stats=mle_stats) for c in counts
         ])
     squared = (estimates - theta_true) ** 2
 

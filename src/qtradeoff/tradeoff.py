@@ -217,7 +217,7 @@ def surface_scan(theta, copies: int, weight_grid) -> SurfaceScan:
     For each weight triple the per-qubit collective bound defines the
     halfspace w . V >= C(w), from its closed form where one exists and from
     the SDP otherwise. Candidate vertices are the intersections of all plane
-    triples with independent normals, solved together as one batch; those
+    triples with independent normals, solved as one batch per first plane; those
     feasible for every plane (within tolerance), above the per-parameter
     floor 1 - theta_i^2, and inside the bounding box are kept, deduplicated,
     and returned sorted. Vertices discarded by the box alone are counted in
@@ -235,24 +235,32 @@ def surface_scan(theta, copies: int, weight_grid) -> SurfaceScan:
     floor = 1.0 - theta.array ** 2
     normals = np.array([p.weights.array for p in planes])
     offsets = np.array([p.offset for p in planes])
-    triples = np.array(list(itertools.combinations(range(len(planes)), 3)),
-                       dtype=int).reshape(-1, 3)
-    n = normals[triples]
-    independent = (
-        (np.linalg.norm(np.cross(n[:, 0], n[:, 1]), axis=1) >= PARALLEL_NORMAL_TOL)
-        & (np.linalg.norm(np.cross(n[:, 0], n[:, 2]), axis=1) >= PARALLEL_NORMAL_TOL)
-        & (np.linalg.norm(np.cross(n[:, 1], n[:, 2]), axis=1) >= PARALLEL_NORMAL_TOL)
-        & (np.abs(np.linalg.det(n)) >= PARALLEL_NORMAL_TOL)
-    )
-    triples = triples[independent]
-    points = np.linalg.solve(n[independent], offsets[triples][..., None])[..., 0]
-    feasible = (
-        np.all(points >= floor - SURFACE_FEAS_TOL, axis=1)
-        & np.all(points @ normals.T >= offsets - SURFACE_FEAS_TOL, axis=1)
-    )
-    boxed = np.all(points <= VERTEX_BOX_LIMIT, axis=1)
-    clipped = int(np.sum(feasible & ~boxed))
-    candidates = points[feasible & boxed]
+    # pairs of planes whose normals are not parallel
+    apart = np.linalg.norm(np.cross(normals[:, None], normals[None, :]), axis=-1) >= PARALLEL_NORMAL_TOL
+    # the triples (i, j, k), i < j < k, one first plane i at a time, so
+    # memory grows as the cube of the plane count, not its fourth power
+    pair_j, pair_k = np.triu_indices(len(planes), 1)
+    chunks = []
+    clipped = 0
+    for i in range(len(planes) - 2):
+        # the pairs j < k are in lexicographic order, so those with j > i are a tail
+        start = np.searchsorted(pair_j, i + 1)
+        j, k = pair_j[start:], pair_k[start:]
+        triples = np.column_stack([np.full(len(j), i), j, k])
+        n = normals[triples]
+        independent = apart[i, j] & apart[i, k] & apart[j, k] & (
+            np.abs(np.linalg.det(n)) >= PARALLEL_NORMAL_TOL
+        )
+        triples = triples[independent]
+        points = np.linalg.solve(n[independent], offsets[triples][..., None])[..., 0]
+        feasible = (
+            np.all(points >= floor - SURFACE_FEAS_TOL, axis=1)
+            & np.all(points @ normals.T >= offsets - SURFACE_FEAS_TOL, axis=1)
+        )
+        boxed = np.all(points <= VERTEX_BOX_LIMIT, axis=1)
+        clipped += int(np.sum(feasible & ~boxed))
+        chunks.append(points[feasible & boxed])
+    candidates = np.concatenate(chunks) if chunks else np.empty((0, 3))
 
     merged = []
     for v in sorted(candidates, key=tuple):

@@ -3,11 +3,16 @@ import pytest
 
 from qtradeoff.bounds import nhcrb_sdp
 from qtradeoff.estimation import (
+    BOOTSTRAP_RESAMPLES,
+    BOOTSTRAP_STREAM,
     DEMO_SHOTS,
     DEMO_THETAS,
+    REPEAT_STREAM,
     MleError,
     ShotPlan,
+    _bootstrap_standard_error,
     _eigenstate_probabilities,
+    _sample_mixed,
     largest_remainder_allocation,
     linear_estimator_matrix,
     mixed_sampling_plan,
@@ -58,6 +63,92 @@ def test_sample_counts():
         sample_counts(np.array([0.5, 0.6]), 10, rng)
     with pytest.raises(ValueError):
         sample_counts(np.array([1.5, -0.5]), 10, rng)
+
+
+def _philox(*key):
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(list(key))))
+
+
+def test_batched_rows_sum_to_their_shot_counts():
+    povm = two_copy_optimal(WeightSpec(1, 2, 3))
+    values, rows = _eigenstate_probabilities(0.3, povm)
+    probs = outcome_probabilities(model_point(BlochVector(0.1, -0.2, 0.05), copies=2), povm)
+    rng = np.random.default_rng(6)
+    for shots in (np.full(500, 309), rng.poisson(309, size=500)):
+        for counts in (sample_counts(probs, shots, rng), _sample_mixed(values, rows, shots, rng)):
+            assert counts.shape == (500, povm.n_outcomes)
+            assert counts.min() >= 0
+            assert np.array_equal(counts.sum(axis=1), shots)
+    assert sample_counts(probs, 309, rng).shape == (povm.n_outcomes,)
+    with pytest.raises(ValueError):
+        sample_counts(np.array([0.5, 0.6]), np.full(3, 10), rng)
+
+
+def test_same_seed_gives_the_same_counts():
+    povm = two_copy_optimal(EQUAL)
+    values, rows = _eigenstate_probabilities(0.2, povm)
+    draws = []
+    for seed in (3, 3, 4):
+        rng = _philox(seed, REPEAT_STREAM)
+        shots = rng.poisson(150, size=200)
+        draws.append((shots, _sample_mixed(values, rows, shots, rng)))
+    assert np.array_equal(draws[0][0], draws[1][0])
+    assert np.array_equal(draws[0][1], draws[1][1])
+    assert not np.array_equal(draws[0][1], draws[2][1])
+
+
+def test_eigenstate_mixture_follows_the_mixed_state_law():
+    # pooled counts of the randomized eigenstate preparation are multinomial
+    # with the mixed state's outcome probabilities: mean n p and covariance
+    # n (diag p - p p'); a fixed stratum allocation would shrink the covariance
+    t, shots, repeats = 0.3, 309, 20000
+    povm = two_copy_optimal(WeightSpec(1, 2, 3))
+    values, rows = _eigenstate_probabilities(t, povm)
+    p = outcome_probabilities(model_point(BlochVector(t, t, t), copies=2), povm)
+    counts = _sample_mixed(values, rows, np.full(repeats, shots), _philox(8, REPEAT_STREAM))
+    cov = shots * (np.diag(p) - np.outer(p, p))
+    mean_se = np.sqrt(np.diag(cov) / repeats)
+    assert np.all(np.abs(counts.mean(axis=0) - shots * p) <= 5 * mean_se)
+    # a sample covariance entry has variance about (S_jj S_kk + S_jk^2) / R
+    var = np.diag(cov)
+    cov_se = np.sqrt((np.outer(var, var) + cov ** 2) / repeats)
+    assert np.all(np.abs(np.cov(counts, rowvar=False) - cov) <= 5 * cov_se)
+
+
+def test_run_experiment_counts_come_from_one_stream():
+    # direct sampling off the equal-component line: the counts are one batched
+    # multinomial draw from [seed, 0], and the linear estimates the per-row
+    # design @ (c / n) up to the rounding of a 7-term dot product
+    w = WeightSpec(1, 2, 3)
+    theta = BlochVector(0.1, -0.2, 0.05)
+    povm = two_copy_optimal(w)
+    plan = ShotPlan(theta, 2, povm, 200, 300, 9, poisson_shots=True)
+    rep = run_experiment(plan, w)
+    rng = _philox(9, REPEAT_STREAM)
+    shots = rng.poisson(200, size=300)
+    counts = sample_counts(outcome_probabilities(model_point(theta, copies=2), povm), shots, rng)
+    D = linear_estimator_matrix(povm, 2)
+    per_row = np.array([D @ (c / n) for c, n in zip(counts, shots)])
+    batched = (counts / shots[:, None]) @ D.T
+    scale = (counts / shots[:, None]) @ np.abs(D).T
+    assert np.all(np.abs(batched - per_row) <= 1e-15 * scale)
+    assert np.array_equal(rep.estimates_mean.array, batched.mean(axis=0))
+    # per qubit: copies * shots * mean squared error
+    want = 2 * 200 * ((batched - theta.array) ** 2).mean(axis=0)
+    assert np.array_equal(rep.mse.array, want)
+
+
+def test_bootstrap_equals_the_resample_loop():
+    rng = np.random.default_rng(10)
+    weights = np.array([0.2, 0.3, 0.5])
+    for repeats in (1, 7, 40, 1000):
+        squared = rng.exponential(size=(repeats, 3))
+        stream = _philox(5, BOOTSTRAP_STREAM)
+        per_repeat = 2.5 * (squared @ weights)
+        draws = np.empty(BOOTSTRAP_RESAMPLES)
+        for b in range(BOOTSTRAP_RESAMPLES):
+            draws[b] = per_repeat[stream.integers(0, repeats, size=repeats)].mean()
+        assert _bootstrap_standard_error(squared, weights, 2.5, 5) == float(draws.std(ddof=1))
 
 
 def test_largest_remainder_allocation():
