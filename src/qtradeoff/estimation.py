@@ -250,7 +250,7 @@ class _MleModel(NamedTuple):
 
 
 def _mle_model(model):
-    """The _MleModel of a quadratic model (q0, G, Q); one passes through."""
+    """The _MleModel of a quadratic model (q0, G, Q); an _MleModel passes through."""
     if isinstance(model, _MleModel):
         return model
     q0, G, Q = model
@@ -334,11 +334,11 @@ def _ball_newton_step(theta, grad, hess, radius=MLE_BALL_RADIUS):
 def _fit_mle(freqs, model, max_iter, kkt_tol):
     """Batched projected-Newton maximum likelihood over the Bloch ball.
 
-    model is an _MleModel. Each row of freqs (R, n) is solved on its own: it starts at the origin
-    linear estimate pulled inside the ball, takes ball-constrained Newton
-    steps with Armijo backtracking, and is frozen as soon as its unit-step
-    projected-gradient norm |theta - P(theta - g)| is at most kkt_tol, or
-    when its line search finds no decrease. The line search evaluates the
+    model is an _MleModel. Each row of freqs (R, n) is solved on its own:
+    it starts at the origin linear estimate pulled inside the ball, takes
+    ball-constrained Newton steps with Armijo backtracking, and is frozen
+    as soon as its unit-step projected-gradient norm |theta - P(theta - g)|
+    is at most kkt_tol, or when its line search finds no decrease. The line search evaluates the
     Hessian at each trial, so an accepted trial starts the next iteration
     without another evaluation. Returns the estimates (R, 3), the Newton
     iterations per row, the final projected-gradient norms and whether
@@ -431,10 +431,11 @@ def mle_estimator(
     Pass a precomputed quadratic_probability_model as model to amortize
     the Pauli traces; run_experiment passes its _MleModel, which also
     carries the symmetrized quadratic terms and the start's linear design,
-    so its per-repetition calls build neither. If stats is a dict, the solve folds into it its
-    largest Newton iteration count and largest final projected-gradient
-    norm (by max) and the number of rows where the ball binds (by sum),
-    so one dict passed to several calls describes them all.
+    so its per-repetition calls build neither. If stats is a dict, the
+    solve folds into it its largest Newton iteration count and largest
+    final projected-gradient norm (by max) and the number of rows where
+    the ball binds (by sum), so one dict passed to several calls
+    describes them all.
     Raises MleError carrying the first unconverged row's iterate and
     projected-gradient norm when a row stops short of kkt_tol.
     """
