@@ -330,16 +330,30 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _row_seed(seed, table, row):
+    """Experiment seed of one artifact row, from SeedSequence([seed, table, row]).
+
+    table is 0 for trade_off_demo.csv and 1 for sweep.csv, so no two rows
+    of a reproduce run share a random stream and their z-scores pool as
+    independent draws.
+    """
+    return int(np.random.SeedSequence([seed, table, row]).generate_state(1)[0])
+
+
 def _origin_rows(grid, shots, repeats, seed):
-    """Origin trade-off demo: per-weight two-copy and SIC runs."""
+    """Origin trade-off demo: per-weight two-copy and SIC runs.
+
+    Each row draws from its own seed; its SIC twin shares that seed.
+    """
     rows = []
     zs = []
     origin = BlochVector(0.0, 0.0, 0.0)
     sic = sic_two_copy()
-    for u, w in grid:
-        plan = ShotPlan(origin, 2, two_copy_optimal(w), shots, repeats, seed)
+    for row, (u, w) in enumerate(grid):
+        row_seed = _row_seed(seed, 0, row)
+        plan = ShotPlan(origin, 2, two_copy_optimal(w), shots, repeats, row_seed)
         rep = run_experiment(plan, w, estimator="linear")
-        sic_plan = ShotPlan(origin, 2, sic, shots, repeats, seed)
+        sic_plan = ShotPlan(origin, 2, sic, shots, repeats, row_seed)
         sic_rep = run_experiment(sic_plan, w, estimator="linear")
         c1 = rep.metadata["single_copy_bound_per_qubit"]
         c2 = rep.metadata["two_copy_bound_per_qubit"]
@@ -371,12 +385,13 @@ SWEEP_HEADER = [
 
 
 def _sweep_rows(grid, repeats, seed):
-    """MLE sweep over mixedness t with matched shot budgets."""
+    """MLE sweep over mixedness t with matched shot budgets, one seed per row."""
     rows = []
     for t, shots in zip(DEMO_THETAS, DEMO_SHOTS):
         theta = BlochVector(t, t, t)
         for u, w in grid:
-            plan = ShotPlan(theta, 2, two_copy_optimal(w), shots, repeats, seed)
+            row_seed = _row_seed(seed, 1, len(rows))
+            plan = ShotPlan(theta, 2, two_copy_optimal(w), shots, repeats, row_seed)
             rep = run_experiment(plan, w, estimator="mle")
             # the single-copy bound has a closed form at every t; the
             # two-copy bound off the origin comes from the SDP

@@ -22,9 +22,6 @@ PROB_NEGATIVE_TOL = 1e-12        # outcome probabilities may round to -1e-12
 PROB_SUM_TOL = 1e-9
 FISHER_PROB_CUTOFF = 1e-12       # outcomes below this need vanishing derivatives
 
-# SLD defining-equation residual.
-SLD_RESIDUAL_TOL = 1e-10
-
 # SDP solver.
 SDP_GAP_TOL = 1e-8
 SDP_FEAS_TOL = 1e-8
@@ -48,4 +45,3 @@ BOUNDARY_RESIDUAL_TOL = 1e-6
 
 # Monte Carlo experiment defaults.
 DEFAULT_SEED = 42
-BOOTSTRAP_RESAMPLES = 50

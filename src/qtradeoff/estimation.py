@@ -13,7 +13,6 @@ import numpy as np
 
 from .bounds import as_weights, nhcrb_analytic
 from .constants import (
-    BOOTSTRAP_RESAMPLES,
     MLE_ARMIJO,
     MLE_BALL_RADIUS,
     MLE_EIG_FLOOR,
@@ -22,7 +21,7 @@ from .constants import (
     PROB_NEGATIVE_TOL,
     PROB_SUM_TOL,
 )
-from .model import BlochVector, convert_normalization, equal_component_eigensystem, model_point
+from .model import BlochVector, convert_normalization, model_point
 from .povm import (  # noqa: F401  (linear_estimator_matrix re-exported)
     Povm,
     WeightSpec,
@@ -34,7 +33,6 @@ from .povm import (  # noqa: F401  (linear_estimator_matrix re-exported)
 from .tradeoff import MsePoint
 
 REPEAT_STREAM = 0
-BOOTSTRAP_STREAM = 1
 
 DEMO_THETAS = (0.1, 0.2, 0.3, 0.4, 0.5)
 DEMO_SHOTS = (309, 238, 196, 156, 131)
@@ -66,7 +64,8 @@ class ShotPlan:
     shots_per_repeat: measurements per repetition.
     repeats: independent repetitions, each yielding one estimate.
     seed: root seed; the experiment draws every repetition's shot count
-        and outcome counts from the one stream [seed, 0].
+        and outcome counts from the one stream [seed, 0], the counts
+        straight from the state's outcome probabilities.
     poisson_shots: draw each repetition's shot count from a Poisson
         distribution with the nominal mean instead of fixing it.
     """
@@ -113,8 +112,9 @@ class ExperimentReport:
 
     mse holds the per-axis mean squared errors normalized per qubit
     (copies * shots * mean squared error), weighted_trace their
-    weight-combined scalar, and standard_error a bootstrap standard
-    error of the weighted trace over repetitions.
+    weight-combined scalar, and standard_error the bootstrap standard
+    error of the weighted trace over repetitions, in its closed
+    infinite-resample form.
     """
 
     mse: MsePoint
@@ -151,81 +151,6 @@ def sample_counts(probs, shots, rng, sum_tol=PROB_SUM_TOL):
     p = np.clip(p, 0.0, None)
     p = p / p.sum()
     return rng.multinomial(np.asarray(shots, dtype=np.int64), p)
-
-
-def largest_remainder_allocation(weights, total):
-    """Split an integer total proportionally using largest remainders.
-
-    Returns integer allocations that sum exactly to total, ordered like
-    weights. Ties in the fractional parts go to earlier entries.
-    """
-    w = np.asarray(weights, dtype=float)
-    if w.min() < 0 or w.sum() <= 0:
-        raise ValueError("weights must be nonnegative with positive sum")
-    quota = w / w.sum() * total
-    alloc = np.floor(quota).astype(int)
-    remainder = quota - alloc
-    short = int(total - alloc.sum())
-    if short > 0:
-        order = np.argsort(-remainder, kind="stable")
-        alloc[order[:short]] += 1
-    return alloc
-
-
-def mixed_sampling_plan(t, shots):
-    """Eigenstate preparation plan for theta = (t, t, t) on two copies.
-
-    Diagonalizes the two-copy state into its four product/entangled
-    eigenstates and allocates the shot budget proportionally to the
-    eigenvalues with largest-remainder rounding. Returns a tuple of
-    (eigenvalue, eigenstate, allocation) triples whose allocations sum
-    to shots. Preparing each eigenstate for its allocated shots and
-    pooling the outcome counts reproduces the mixed-state outcome
-    frequencies in expectation.
-    """
-    if not 0 <= t < 1 / np.sqrt(3):
-        raise ValueError("equal-component states need 0 <= t < 1/sqrt(3)")
-    if shots <= 0:
-        raise ValueError("shots must be positive")
-    system = equal_component_eigensystem(t)
-    values = np.array([value for value, _ in system])
-    alloc = largest_remainder_allocation(values, shots)
-    return tuple(
-        (float(value), state, int(n))
-        for (value, state), n in zip(system, alloc)
-    )
-
-
-def _equal_components(theta):
-    arr = theta.array
-    return arr[0] == arr[1] == arr[2] and 0 <= arr[0] < 1 / np.sqrt(3)
-
-
-def _eigenstate_probabilities(t, povm):
-    """Outcome probability row per eigenstate of the equal-component state."""
-    system = equal_component_eigensystem(t)
-    values = np.array([value for value, _ in system])
-    rows = np.empty((len(system), povm.n_outcomes))
-    for k, (_, state) in enumerate(system):
-        rho = np.outer(state, state.conj())
-        rows[k] = [np.trace(element @ rho).real for element in povm.elements]
-    rows = np.clip(rows, 0.0, None)
-    rows /= rows.sum(axis=1, keepdims=True)
-    return values, rows
-
-
-def _sample_mixed(values, rows, shots, rng):
-    """Sample pooled counts (R, n) through randomized eigenstate preparation.
-
-    For each of the (R,) shot counts, the number of shots spent on each
-    eigenstate is drawn multinomially from the eigenvalues, then outcomes
-    are drawn per eigenstate, one batched draw per eigenstate over all
-    repetitions. The pooled counts follow exactly the multinomial law of
-    the mixed state, matching the physical protocol where arrivals in each
-    preparation are independent and only the total budget is fixed.
-    """
-    alloc = rng.multinomial(shots, values / values.sum())
-    return sum(rng.multinomial(alloc[:, k], row) for k, row in enumerate(rows))
 
 
 def _norm(x):
@@ -469,16 +394,14 @@ def mle_estimator(
     return theta if counts.ndim == 2 else theta[0]
 
 
-def _bootstrap_standard_error(squared_errors, weights, scale, seed):
-    """Bootstrap SE of the weighted-trace MSE over repetitions."""
-    rng = np.random.Generator(
-        np.random.Philox(np.random.SeedSequence([seed, BOOTSTRAP_STREAM]))
-    )
-    repeats = squared_errors.shape[0]
-    per_repeat = scale * (squared_errors @ weights)
-    # row b holds the indices of resample b, in the order a loop would draw them
-    draws = per_repeat[rng.integers(0, repeats, size=(BOOTSTRAP_RESAMPLES, repeats))].mean(axis=1)
-    return float(draws.std(ddof=1))
+def _bootstrap_standard_error(squared_errors, weights, scale):
+    """Bootstrap SE of the weighted-trace MSE over repetitions.
+
+    The exact infinite-resample limit: the standard deviation (ddof 0) of
+    the per-repetition weighted errors over sqrt(R), which is 0 for R = 1.
+    """
+    per_repeat = squared_errors @ weights
+    return float(scale * per_repeat.std() / np.sqrt(len(per_repeat)))
 
 
 def run_experiment(plan, weights, estimator="linear"):
@@ -486,20 +409,18 @@ def run_experiment(plan, weights, estimator="linear"):
 
     One generator seeded with the stream [seed, 0] draws, in order, the
     (R,) shot counts when they are Poisson and then the (R, n) outcome
-    counts of all R repetitions as batched multinomials. Equal-component
-    two-copy states are sampled through the eigenstate-preparation
-    protocol with each repetition's stratum allocation drawn from the
-    eigenvalues, which composes to the exact mixed-state multinomial law;
-    other states are sampled from the outcome distribution directly. The
-    linear estimator maps all repetitions' frequencies in one product; the
-    MLE solves each repetition's counts in its own call, with the solves'
-    convergence statistics in metadata["mle"]. Per-axis squared errors are
+    counts of all R repetitions as one batched multinomial draw from the
+    outcome probabilities of the quadratic model at theta_true, for every
+    state, mixed or not. The linear estimator maps all repetitions'
+    frequencies in one product; the MLE solves each repetition's counts in
+    its own call, with the solves' convergence statistics in
+    metadata["mle"]. Per-axis squared errors are
     averaged over repetitions and normalized per qubit. For positive
     weights the metadata carries the closed-form collective bounds at
     theta_true, per qubit: the single-copy bound everywhere and the
     two-copy bound at the origin, where its closed form exists;
     z_vs_single_copy measures the weighted trace against the single-copy
-    one in bootstrap standard errors.
+    one in bootstrap standard errors, taken in their closed form.
     """
     w = as_weights(weights)
     if estimator not in ("linear", "mle"):
@@ -509,9 +430,6 @@ def run_experiment(plan, weights, estimator="linear"):
     probs = _model_probabilities(*model, theta_true)
     # completeness rounding of published measurements leaks into sum(probs)
     prob_budget = max(PROB_SUM_TOL, plan.povm.dim * plan.povm.completeness_tol)
-    mixed = plan.copies == 2 and _equal_components(plan.theta_true)
-    if mixed:
-        values, rows = _eigenstate_probabilities(theta_true[0], plan.povm)
     fit_model = _mle_model(model)
 
     rng = np.random.Generator(
@@ -523,10 +441,7 @@ def run_experiment(plan, weights, estimator="linear"):
             raise RuntimeError("drew an empty repetition; raise the shot budget")
     else:
         shots = np.full(plan.repeats, plan.shots_per_repeat)
-    if mixed:
-        counts = _sample_mixed(values, rows, shots, rng)
-    else:
-        counts = sample_counts(probs, shots, rng, sum_tol=prob_budget)
+    counts = sample_counts(probs, shots, rng, sum_tol=prob_budget)
     if estimator == "linear":
         estimates = (counts / shots[:, None]) @ fit_model.design.T
     else:
@@ -547,9 +462,14 @@ def run_experiment(plan, weights, estimator="linear"):
     per_axis = scale * squared.mean(axis=0)
     mse = MsePoint(per_axis[0], per_axis[1], per_axis[2])
     weighted_trace = float(w.array @ per_axis)
-    stderr = _bootstrap_standard_error(squared, w.array, scale, plan.seed)
+    stderr = _bootstrap_standard_error(squared, w.array, scale)
 
-    metadata = {"plan": plan.to_json_dict(), "estimator": estimator, "weights": list(w.array)}
+    metadata = {
+        "plan": plan.to_json_dict(),
+        "estimator": estimator,
+        "weights": list(w.array),
+        "sampling": "direct",
+    }
     try:
         w.require_positive()
     except ValueError:
@@ -564,13 +484,6 @@ def run_experiment(plan, weights, estimator="linear"):
             metadata["z_vs_single_copy"] = (c1 - weighted_trace) / stderr
     if estimator == "mle":
         metadata["mle"] = mle_stats
-    if mixed:
-        metadata["sampling"] = "eigenstate-mixture"
-        metadata["planned_allocation"] = [
-            n for _, _, n in mixed_sampling_plan(theta_true[0], plan.shots_per_repeat)
-        ]
-    else:
-        metadata["sampling"] = "direct"
     mean = estimates.mean(axis=0)
     return ExperimentReport(
         mse=mse,

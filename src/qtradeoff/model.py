@@ -12,7 +12,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .constants import BLOCH_NORM_SLACK, INTERIOR_MARGIN, SLD_RESIDUAL_TOL
+from .constants import BLOCH_NORM_SLACK, INTERIOR_MARGIN
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -174,40 +174,3 @@ def model_qfi(point: ModelPoint) -> np.ndarray:
     """QFI of the model point; additivity gives copies * J(theta)."""
     return point.copies * qfi(point.theta)
 
-
-def check_sld_contract(theta: BlochVector) -> None:
-    if sld_defining_residual(theta) > SLD_RESIDUAL_TOL:
-        raise AssertionError("SLD defining equation residual above contract")
-
-
-def equal_component_eigensystem(t: float) -> list[tuple[float, np.ndarray]]:
-    """Eigenvalues and eigenvectors of rho(t,t,t) tensor rho(t,t,t).
-
-    Returns four (weight, vector) pairs ordered by ascending weight:
-    (lm^2, v- v-), (lp lm, symmetric), (lp lm, antisymmetric), (lp^2, v+ v+),
-    where lp/lm = (1 +/- t sqrt(3))/2 and v+/- are the Bloch-direction
-    eigenvectors, which do not depend on t. The degenerate pair is returned
-    as the symmetric/antisymmetric combinations; any orthonormal basis of
-    that eigenspace is equivalent for state preparation.
-    """
-    t = float(t)
-    if not 0.0 <= t <= 1.0 / np.sqrt(3.0) + BLOCH_NORM_SLACK:
-        raise ValueError("equal-component magnitude must satisfy 0 <= t <= 1/sqrt(3)")
-    # eigenvectors of (sigma_x + sigma_y + sigma_z)/sqrt(3) in closed form: polar
-    # angle beta with cos(beta) = 1/sqrt(3), azimuth pi/4; the larger
-    # component of each is real and positive
-    cos_half = np.sqrt((1.0 + 1.0 / np.sqrt(3.0)) / 2.0)
-    sin_half = np.sqrt((1.0 - 1.0 / np.sqrt(3.0)) / 2.0)
-    phase = (1.0 + 1.0j) / np.sqrt(2.0)
-    vp = np.array([cos_half, phase * sin_half])
-    vm = np.array([-phase.conjugate() * sin_half, cos_half])
-    lp = (1.0 + t * np.sqrt(3.0)) / 2.0
-    lm = (1.0 - t * np.sqrt(3.0)) / 2.0
-    sym = (np.kron(vp, vm) + np.kron(vm, vp)) / np.sqrt(2.0)
-    anti = (np.kron(vp, vm) - np.kron(vm, vp)) / np.sqrt(2.0)
-    return [
-        (lm * lm, np.kron(vm, vm)),
-        (lp * lm, sym),
-        (lp * lm, anti),
-        (lp * lp, np.kron(vp, vp)),
-    ]

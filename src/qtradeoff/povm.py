@@ -83,10 +83,6 @@ class WeightSpec:
     def matrix(self) -> np.ndarray:
         return np.diag(self.array)
 
-    def normalized(self) -> "WeightSpec":
-        arr = self.array
-        return WeightSpec(*(arr / arr.sum()))
-
 
 @dataclass(frozen=True)
 class Povm:
@@ -127,31 +123,6 @@ class Povm:
                 f"POVM '{self.name}' completeness deviation {dev:.3e} "
                 f"exceeds {self.completeness_tol:.1e}"
             )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "name": self.name,
-            "labels": list(self.labels),
-            "completeness_tol": self.completeness_tol,
-            "elements": [
-                [[[float(v.real), float(v.imag)] for v in row] for row in el]
-                for el in self.elements
-            ],
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "Povm":
-        els = tuple(
-            np.array([[complex(re, im) for re, im in row] for row in el])
-            for el in doc["elements"]
-        )
-        return cls(
-            elements=els,
-            name=doc.get("name", "povm"),
-            labels=tuple(doc.get("labels", [str(i) for i in range(len(els))])),
-            completeness_tol=float(doc.get("completeness_tol", COMPLETENESS_TOL)),
-        )
 
 
 def _axis_eigenvectors() -> list[list[np.ndarray]]:

@@ -175,12 +175,6 @@ def weights_from_boundary_point(p: MsePoint) -> WeightSpec:
     return WeightSpec(s * s, t * t, (1.0 - s - t) ** 2)
 
 
-def origin_tangent_points(weight_grid, copies: int = 1) -> tuple:
-    """Boundary points for each grid weight; the tangent point of each plane
-    at theta = 0."""
-    return tuple(boundary_point_from_weights(w, copies) for w in weight_grid)
-
-
 def integer_weight_triples(values=(1, 2, 3)) -> tuple:
     """Pairs (u, weights) with weights = Diag(u^2)/sum(u^2), deduplicated.
 
@@ -196,11 +190,6 @@ def integer_weight_triples(values=(1, 2, 3)) -> tuple:
         if key not in seen:
             seen[key] = (tuple(int(v) for v in u), WeightSpec(*w))
     return tuple(seen.values())
-
-
-def integer_weight_grid(values=(1, 2, 3)) -> tuple:
-    """Weight triples Diag(u^2)/sum(u^2) over u in values^3, deduplicated."""
-    return tuple(w for _, w in integer_weight_triples(values))
 
 
 def _plane_bound(theta: BlochVector, copies: int, weights: WeightSpec) -> float:

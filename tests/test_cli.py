@@ -231,6 +231,18 @@ def test_reproduce_writes_deterministic_artifacts(tmp_path, schema):
     assert len(sweep_lines) == 6
 
 
+def test_reproduce_rows_draw_from_their_own_seeds():
+    # at one seed, two rows with the same weights would be copies of each
+    # other; with per-row seeds they draw different counts
+    u, w = cli.integer_weight_triples((1, 2))[1]
+    origin, _ = cli._origin_rows(((u, w), (u, w)), 50, 5, 21)
+    assert origin[0][6:11] != origin[1][6:11]
+    sweep = cli._sweep_rows(((u, w), (u, w)), 5, 21)
+    for first, second in zip(sweep[::2], sweep[1::2]):
+        assert first[:8] == second[:8]
+        assert first[8:13] != second[8:13]
+
+
 def test_rendered_floats_are_short():
     text = cli.render_json({"x": 0.1234567890123456789, "n": [np.float64(1 / 3)]})
     doc = json.loads(text)

@@ -3,19 +3,13 @@ import pytest
 
 from qtradeoff.bounds import nhcrb_sdp
 from qtradeoff.estimation import (
-    BOOTSTRAP_RESAMPLES,
-    BOOTSTRAP_STREAM,
     DEMO_SHOTS,
     DEMO_THETAS,
     REPEAT_STREAM,
     MleError,
     ShotPlan,
     _bootstrap_standard_error,
-    _eigenstate_probabilities,
-    _sample_mixed,
-    largest_remainder_allocation,
     linear_estimator_matrix,
-    mixed_sampling_plan,
     mle_estimator,
     run_experiment,
     sample_counts,
@@ -71,14 +65,13 @@ def _philox(*key):
 
 def test_batched_rows_sum_to_their_shot_counts():
     povm = two_copy_optimal(WeightSpec(1, 2, 3))
-    values, rows = _eigenstate_probabilities(0.3, povm)
     probs = outcome_probabilities(model_point(BlochVector(0.1, -0.2, 0.05), copies=2), povm)
     rng = np.random.default_rng(6)
     for shots in (np.full(500, 309), rng.poisson(309, size=500)):
-        for counts in (sample_counts(probs, shots, rng), _sample_mixed(values, rows, shots, rng)):
-            assert counts.shape == (500, povm.n_outcomes)
-            assert counts.min() >= 0
-            assert np.array_equal(counts.sum(axis=1), shots)
+        counts = sample_counts(probs, shots, rng)
+        assert counts.shape == (500, povm.n_outcomes)
+        assert counts.min() >= 0
+        assert np.array_equal(counts.sum(axis=1), shots)
     assert sample_counts(probs, 309, rng).shape == (povm.n_outcomes,)
     with pytest.raises(ValueError):
         sample_counts(np.array([0.5, 0.6]), np.full(3, 10), rng)
@@ -86,41 +79,26 @@ def test_batched_rows_sum_to_their_shot_counts():
 
 def test_same_seed_gives_the_same_counts():
     povm = two_copy_optimal(EQUAL)
-    values, rows = _eigenstate_probabilities(0.2, povm)
+    probs = outcome_probabilities(model_point(BlochVector(0.2, 0.2, 0.2), copies=2), povm)
     draws = []
     for seed in (3, 3, 4):
         rng = _philox(seed, REPEAT_STREAM)
         shots = rng.poisson(150, size=200)
-        draws.append((shots, _sample_mixed(values, rows, shots, rng)))
+        draws.append((shots, sample_counts(probs, shots, rng)))
     assert np.array_equal(draws[0][0], draws[1][0])
     assert np.array_equal(draws[0][1], draws[1][1])
     assert not np.array_equal(draws[0][1], draws[2][1])
 
 
-def test_eigenstate_mixture_follows_the_mixed_state_law():
-    # pooled counts of the randomized eigenstate preparation are multinomial
-    # with the mixed state's outcome probabilities: mean n p and covariance
-    # n (diag p - p p'); a fixed stratum allocation would shrink the covariance
-    t, shots, repeats = 0.3, 309, 20000
-    povm = two_copy_optimal(WeightSpec(1, 2, 3))
-    values, rows = _eigenstate_probabilities(t, povm)
-    p = outcome_probabilities(model_point(BlochVector(t, t, t), copies=2), povm)
-    counts = _sample_mixed(values, rows, np.full(repeats, shots), _philox(8, REPEAT_STREAM))
-    cov = shots * (np.diag(p) - np.outer(p, p))
-    mean_se = np.sqrt(np.diag(cov) / repeats)
-    assert np.all(np.abs(counts.mean(axis=0) - shots * p) <= 5 * mean_se)
-    # a sample covariance entry has variance about (S_jj S_kk + S_jk^2) / R
-    var = np.diag(cov)
-    cov_se = np.sqrt((np.outer(var, var) + cov ** 2) / repeats)
-    assert np.all(np.abs(np.cov(counts, rowvar=False) - cov) <= 5 * cov_se)
-
-
-def test_run_experiment_counts_come_from_one_stream():
-    # direct sampling off the equal-component line: the counts are one batched
-    # multinomial draw from [seed, 0], and the linear estimates the per-row
-    # design @ (c / n) up to the rounding of a 7-term dot product
+@pytest.mark.parametrize(
+    "components", [(0, 0, 0), (0.3, 0.3, 0.3), (0.1, -0.2, 0.05)], ids=["origin", "equal", "generic"]
+)
+def test_run_experiment_counts_come_from_one_stream(components):
+    # every state, mixed or not, is sampled directly: the counts are one
+    # batched multinomial draw from [seed, 0], and the linear estimates the
+    # per-row design @ (c / n) up to the rounding of a 7-term dot product
     w = WeightSpec(1, 2, 3)
-    theta = BlochVector(0.1, -0.2, 0.05)
+    theta = BlochVector(*components)
     povm = two_copy_optimal(w)
     plan = ShotPlan(theta, 2, povm, 200, 300, 9, poisson_shots=True)
     rep = run_experiment(plan, w)
@@ -139,54 +117,37 @@ def test_run_experiment_counts_come_from_one_stream():
 
 
 def test_bootstrap_equals_the_resample_loop():
+    # the closed form is the infinite-resample limit of the bootstrap: a
+    # 20 000-resample loop agrees with it within 5 Monte Carlo standard
+    # errors. Over B draws with kurtosis k, a sample standard deviation s
+    # has standard error about s sqrt((k - 1) / (4 B)) (delta method)
     rng = np.random.default_rng(10)
     weights = np.array([0.2, 0.3, 0.5])
-    for repeats in (1, 7, 40, 1000):
+    resamples = 20000
+    for repeats in (7, 40, 1000):
         squared = rng.exponential(size=(repeats, 3))
-        stream = _philox(5, BOOTSTRAP_STREAM)
         per_repeat = 2.5 * (squared @ weights)
-        draws = np.empty(BOOTSTRAP_RESAMPLES)
-        for b in range(BOOTSTRAP_RESAMPLES):
-            draws[b] = per_repeat[stream.integers(0, repeats, size=repeats)].mean()
-        assert _bootstrap_standard_error(squared, weights, 2.5, 5) == float(draws.std(ddof=1))
-
-
-def test_largest_remainder_allocation():
-    alloc = largest_remainder_allocation(np.array([1.0, 1.0, 1.0, 1.0]), 309)
-    assert alloc.sum() == 309
-    assert list(alloc) == [78, 77, 77, 77]
-    rng = np.random.default_rng(1)
-    for _ in range(20):
-        w = rng.uniform(0, 1, size=5)
-        total = int(rng.integers(1, 500))
-        alloc = largest_remainder_allocation(w, total)
-        assert alloc.sum() == total
-        assert np.abs(alloc - w / w.sum() * total).max() < 1.0
-    with pytest.raises(ValueError):
-        largest_remainder_allocation(np.array([-1.0, 2.0]), 10)
-    with pytest.raises(ValueError):
-        largest_remainder_allocation(np.zeros(3), 10)
-
-
-def test_mixed_sampling_plan_proportions():
-    plan = mixed_sampling_plan(0.3, 10 ** 7)
-    fractions = np.array([n for _, _, n in plan], dtype=float) / 10 ** 7
-    quoted = np.array([0.0577, 0.1825, 0.1825, 0.5773])
-    assert np.abs(fractions - quoted).max() < 1e-3
-    plan0 = mixed_sampling_plan(0.0, 309)
-    assert [n for _, _, n in plan0] == [78, 77, 77, 77]
-    with pytest.raises(ValueError):
-        mixed_sampling_plan(-0.1, 100)
-    with pytest.raises(ValueError):
-        mixed_sampling_plan(0.6, 100)
+        draws = np.empty(resamples)
+        for b in range(resamples):
+            draws[b] = per_repeat[rng.integers(0, repeats, size=repeats)].mean()
+        dev = draws - draws.mean()
+        kurtosis = (dev ** 4).mean() / (dev ** 2).mean() ** 2
+        mc_se = draws.std(ddof=1) * np.sqrt((kurtosis - 1) / (4 * resamples))
+        assert abs(draws.std(ddof=1) - _bootstrap_standard_error(squared, weights, 2.5)) <= 5 * mc_se
+    # one repetition resamples to itself every time
+    assert _bootstrap_standard_error(rng.exponential(size=(1, 3)), weights, 2.5) == 0.0
 
 
 def test_mixed_sampling_matches_direct_distribution():
+    # preparing the eigenstates of rho tensor rho with probability equal to
+    # their eigenvalues gives the outcome law that the direct sampler draws
+    # from, so equal-component states need no sampler of their own
     for t in (0.0, 0.2, 0.4):
         povm = two_copy_optimal(EQUAL)
-        values, rows = _eigenstate_probabilities(t, povm)
-        pooled = values @ rows
         point = model_point(BlochVector(t, t, t), copies=2)
+        values, vecs = np.linalg.eigh(point.rho)
+        rows = np.array([[(v.conj() @ el @ v).real for el in povm.elements] for v in vecs.T])
+        pooled = values @ rows
         direct = outcome_probabilities(point, povm)
         assert np.abs(pooled - direct).sum() < 1e-12
 
@@ -283,7 +244,7 @@ def test_origin_linear_estimator_statistics():
     assert abs(rep.weighted_trace - 6.0) < 4 * rep.standard_error
     assert rep.metadata["single_copy_bound_per_qubit"] == 9.0
     assert rep.metadata["two_copy_bound_per_qubit"] == 6.0
-    assert rep.metadata["sampling"] == "eigenstate-mixture"
+    assert rep.metadata["sampling"] == "direct"
     assert rep.metadata["z_vs_single_copy"] > 5.0
 
 

@@ -3,12 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtradeoff import model
 from qtradeoff.model import (
     PAULIS,
     BlochVector,
     density_matrix,
-    equal_component_eigensystem,
     model_point,
     model_qfi,
     qfi,
@@ -169,45 +167,5 @@ def test_density_matrix_positive(vals):
     assert abs(np.trace(rho).real - 1.0) < 1e-12
 
 
-def test_equal_component_eigensystem_against_numpy():
-    for t in (0.0, 0.1, 0.3, 0.5):
-        theta = BlochVector(t, t, t)
-        rho2 = model_point(theta, copies=2).rho
-        system = equal_component_eigensystem(t)
-        values = np.array([v for v, _ in system])
-        assert abs(values.sum() - 1.0) < 1e-12
-        lam_minus = (1.0 - t * np.sqrt(3.0)) / 2.0
-        lam_plus = (1.0 + t * np.sqrt(3.0)) / 2.0
-        expected = np.array(
-            [lam_minus ** 2, lam_plus * lam_minus, lam_plus * lam_minus, lam_plus ** 2]
-        )
-        assert np.allclose(values, expected, atol=1e-12)
-        for value, state in system:
-            assert abs(np.linalg.norm(state) - 1.0) < 1e-12
-            assert np.abs(rho2 @ state - value * state).max() < 1e-12
-
-
-def test_equal_component_eigenvectors_match_eigh_up_to_phase():
-    # the closed-form v+/- equal numpy's eigenvectors of (sx + sy + sz)/sqrt(3)
-    # up to a phase; every returned pair state then matches its eigh-built one
-    direction = sum(PAULIS) / np.sqrt(3.0)
-    _, vecs = np.linalg.eigh(direction)
-    vm, vp = vecs[:, 0], vecs[:, 1]
-    sym = (np.kron(vp, vm) + np.kron(vm, vp)) / np.sqrt(2.0)
-    anti = (np.kron(vp, vm) - np.kron(vm, vp)) / np.sqrt(2.0)
-    reference = [np.kron(vm, vm), sym, anti, np.kron(vp, vp)]
-    for (_, state), ref in zip(equal_component_eigensystem(0.2), reference):
-        phase = np.vdot(ref, state)
-        assert abs(abs(phase) - 1.0) < 1e-15
-        assert np.abs(state - phase * ref).max() < 1e-15
-
-
-def test_equal_component_eigensystem_rejects_bad_t():
-    with pytest.raises(ValueError):
-        equal_component_eigensystem(0.6)
-    with pytest.raises(ValueError):
-        equal_component_eigensystem(-0.1)
-
-
 def test_check_sld_contract_smoke():
-    model.check_sld_contract(BlochVector(0.1, 0.1, 0.1))
+    assert sld_defining_residual(BlochVector(0.1, 0.1, 0.1)) <= 1e-10

@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from qtradeoff import linalg
 from qtradeoff.bounds import convert_normalization, nhcrb_analytic
+from qtradeoff.cli import _complex_matrix_json
 from qtradeoff.model import BlochVector, model_point, model_qfi
 from qtradeoff.povm import (
     Povm,
@@ -32,7 +35,8 @@ def random_weights(rng):
 def test_weight_spec_basics():
     w = WeightSpec.from_integers((1, 2, 3))
     assert np.allclose(w.array, np.array([1.0, 4.0, 9.0]) / 14.0)
-    assert np.allclose(WeightSpec(2, 2, 2).normalized().array, np.ones(3) / 3)
+    arr = WeightSpec(2, 2, 2).array
+    assert np.allclose(arr / arr.sum(), np.ones(3) / 3)
     assert np.allclose(WeightSpec(0.2, 0.5, 0.3).matrix, np.diag([0.2, 0.5, 0.3]))
 
 
@@ -147,7 +151,7 @@ def test_optimal_povms_saturate_origin_bounds():
 
 
 def test_fisher_normalizations():
-    w = WeightSpec(1, 1, 1).normalized()
+    w = WeightSpec(*(np.ones(3) / 3))
     f2 = classical_fisher(ORIGIN_2, two_copy_optimal(w))
     pm = f2.weighted_trace_inverse(w, "per_measurement")
     pq = f2.weighted_trace_inverse(w, "per_qubit")
@@ -223,8 +227,10 @@ def test_povm_validation_rejects_incomplete():
 def test_povm_json_round_trip():
     w = WeightSpec.from_integers((1, 2, 3))
     povm = two_copy_optimal(w)
-    doc = povm.to_json_dict()
-    back = Povm.from_json_dict(doc)
+    # the element encoding of the povm command's JSON, decoded again
+    doc = json.loads(json.dumps([_complex_matrix_json(e) for e in povm.elements]))
+    back = Povm(tuple(np.array(e)[..., 0] + 1j * np.array(e)[..., 1] for e in doc),
+                name=povm.name, labels=povm.labels)
     assert back.name == povm.name
     assert back.labels == povm.labels
     for a, b in zip(back.elements, povm.elements):

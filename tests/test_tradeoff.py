@@ -16,9 +16,7 @@ from qtradeoff.tradeoff import (
     MsePoint,
     SupportingPlane,
     boundary_point_from_weights,
-    integer_weight_grid,
     integer_weight_triples,
-    origin_tangent_points,
     pairwise_residual,
     single_copy_surface_residual,
     surface_scan,
@@ -68,8 +66,8 @@ def test_boundary_weights_round_trip():
         raw = rng.uniform(0.05, 1.0, size=3)
         w0 = WeightSpec(*(raw / raw.sum()))
         p = boundary_point_from_weights(w0, copies=1)
-        back = weights_from_boundary_point(p).normalized()
-        assert np.abs(back.array - w0.normalized().array).max() < 1e-6
+        back = weights_from_boundary_point(p).array
+        assert np.abs(back / back.sum() - w0.array / w0.array.sum()).max() < 1e-6
 
 
 def test_weights_rejected_off_boundary():
@@ -78,9 +76,9 @@ def test_weights_rejected_off_boundary():
 
 
 def test_origin_tangent_points():
-    grid = integer_weight_grid()
+    grid = [w for _, w in integer_weight_triples()]
     for copies, resid in ((1, single_copy_surface_residual), (2, two_copy_surface_residual)):
-        pts = origin_tangent_points(grid, copies)
+        pts = [boundary_point_from_weights(w, copies) for w in grid]
         assert len(pts) == len(grid)
         for p in pts:
             assert abs(resid(p)) < 1e-9
@@ -99,7 +97,7 @@ def test_integer_weight_triples_dedup():
 
 
 def test_surface_scan_origin():
-    grid = integer_weight_grid()
+    grid = [w for _, w in integer_weight_triples()]
     for copies, resid in ((1, single_copy_surface_residual), (2, two_copy_surface_residual)):
         scan = surface_scan((0.0, 0.0, 0.0), copies, grid)
         assert len(scan.planes) == 25
@@ -131,7 +129,7 @@ def test_surface_scan_empty_grid():
 def test_surface_scan_interior_point():
     # off the origin, one copy takes its planes from the closed form and two
     # copies from the SDP
-    grid = integer_weight_grid(values=(1, 2))
+    grid = [w for _, w in integer_weight_triples(values=(1, 2))]
     floor = 1.0 - np.array([0.2, 0.0, 0.0]) ** 2
     for copies in (1, 2):
         scan = surface_scan((0.2, 0.0, 0.0), copies, grid)
