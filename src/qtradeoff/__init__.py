@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 from .bounds import (
     BoundValue,
     convert_normalization,
-    holevo_origin,
+    holevo,
     nhcrb_analytic,
     nhcrb_sdp,
     qcrb,
@@ -27,7 +27,7 @@ __all__ = [
     "classical_fisher",
     "convert_normalization",
     "density_matrix",
-    "holevo_origin",
+    "holevo",
     "model_point",
     "nhcrb_analytic",
     "nhcrb_sdp",

@@ -7,10 +7,12 @@ The central object is the collective bound
 over operator-valued covariance surrogates L and locally unbiased estimator
 observables X, subject to a positive semidefiniteness lift. Solved here as a
 self-contained primal-dual SDP; closed forms exist for one copy at every
-point and for two copies at the origin.
+point and for two copies at the origin. The QCRB and the Holevo bound are
+closed forms at every point.
 
-Normalization conventions ("per_measurement" vs "per_qubit") differ by the
-number of copies a single measurement consumes; see convert_normalization.
+Every bound function returns its value per qubit; BoundValue.to converts it
+to "per_measurement", which differs by the number of copies a single
+measurement consumes (see convert_normalization).
 Centering: the SDP is formulated with Tr[rho X_i] = 0 so that its optimum is
 the bound on the weighted mean squared error itself rather than on second
 moments; reported observables are recentred as X_i + theta_i I.
@@ -78,36 +80,41 @@ class BoundValue:
         )
 
 
-def qcrb(point: ModelPoint, weights, normalization: str = "per_qubit") -> BoundValue:
+def qcrb(point: ModelPoint, weights) -> BoundValue:
     """Weighted quantum Cramer-Rao bound Tr[W J^-1] = Tr[W] - theta.W theta.
 
     The inverse single-qubit information is exactly I - theta theta^T, and
     information is additive over copies, so the per-qubit value does not
     depend on the copy count.
     """
-    _check_normalization(normalization)
     t = point.theta.array
     w = as_weights(weights).array
-    per_qubit = float(w.sum() - t @ (w * t))
-    value = convert_normalization(per_qubit, point.copies, "per_qubit", normalization)
-    return BoundValue(value=value, normalization=normalization, method="qcrb",
+    return BoundValue(value=float(w.sum() - t @ (w * t)), normalization="per_qubit",
+                      method="qcrb", copies=point.copies)
+
+
+def holevo(point: ModelPoint, weights) -> BoundValue:
+    """Holevo bound per qubit, Tr[W] - theta.W theta + 2 |v|.
+
+    The locally unbiased observables of one qubit are unique,
+    X_i = sigma_i - theta_i I, so the bound is the QCRB plus the trace norm
+    Tr|sqrt(W) Im Z sqrt(W)|, where
+    Z_ij = Tr[rho X_i X_j] = delta_ij - theta_i theta_j + i eps_ijk theta_k.
+    That trace norm is 2 |v| with v_k = sqrt(w_i w_j) theta_k over cyclic (i, j, k),
+    which equals 2 sqrt(wx wy wz) |W^-1/2 theta| without dividing by a weight.
+    The bound is additive, so the per-qubit value is also the many-copy
+    collective limit and does not depend on the copy count.
+    """
+    t = point.theta.array
+    w = as_weights(weights).array
+    v = np.sqrt(w[[1, 2, 0]] * w[[2, 0, 1]]) * t
+    value = float(w.sum() - t @ (w * t) + 2.0 * np.linalg.norm(v))
+    return BoundValue(value=value, normalization="per_qubit", method="holevo",
                       copies=point.copies)
 
 
-def holevo_origin(weights) -> BoundValue:
-    """Holevo bound per qubit at theta = 0, which collapses to Tr[W].
-
-    At the origin the weighted quantum Cramer-Rao bound is already attainable
-    in the collective limit, so the Holevo value carries no extra penalty.
-    """
-    w = as_weights(weights).array
-    return BoundValue(value=float(w.sum()), normalization="per_qubit",
-                      method="holevo", copies=1)
-
-
-def nhcrb_analytic(point: ModelPoint, weights,
-                   normalization: str = "per_qubit") -> BoundValue | None:
-    """Closed form of the collective bound, where one exists; else None.
+def nhcrb_analytic(point: ModelPoint, weights) -> BoundValue | None:
+    """Closed form of the collective bound per qubit, where one exists; else None.
 
     One copy, any theta: the Gill-Massar value (sum_k sqrt(lambda_k))^2 per
     measurement, with lambda the eigenvalues of W - u u^T, u = W^1/2 theta.
@@ -117,7 +124,6 @@ def nhcrb_analytic(point: ModelPoint, weights,
     measurement. Two copies off the origin have no closed form: use
     nhcrb_sdp.
     """
-    _check_normalization(normalization)
     w = as_weights(weights).array
     copies = point.copies
     if copies == 1:
@@ -130,9 +136,8 @@ def nhcrb_analytic(point: ModelPoint, weights,
         pm = 0.5 * float(w.sum() + cross)
     else:
         return None
-    value = convert_normalization(pm, copies, "per_measurement", normalization)
-    return BoundValue(value=value, normalization=normalization,
-                      method="analytic", copies=copies)
+    return BoundValue(value=convert_normalization(pm, copies, "per_measurement", "per_qubit"),
+                      normalization="per_qubit", method="analytic", copies=copies)
 
 
 def _hermitian_basis(d: int) -> np.ndarray:
@@ -158,25 +163,21 @@ class NhSdpProblem:
 
     The constraint matrices are complex Hermitian 4d x 4d: the lift after the
     congruence blockdiag(R, R, R, I_d) with R = rho^1/2. Variables y stack
-    the coefficients of the scaled blocks L'_jk = R L_jk R (index tag
-    ("L", j, k, s) for block j <= k in Hermitian basis element s) and the
-    free estimator coefficients (tag ("X", i, t) over the unbiasedness
-    nullspace). The objective is sum_i w_i Tr[L'_ii] = Tr[(W x rho) L], so
-    objective values and gaps are those of the bound per measurement.
-    `unscale` is R^-1.
+    the coefficients of the scaled blocks L'_jk = R L_jk R (block j <= k,
+    one Hermitian basis element at a time) and then the free estimator
+    coefficients over the unbiasedness nullspace. The slack
+    S(y) = F0 + sum_j y_j Fs[j] is the scaled lift itself, with L'_jk at
+    block (j, k) and X'_i = R X_i at block (i, 3). The objective is
+    sum_i w_i Tr[L'_ii] = Tr[(W x rho) L], so objective values and gaps are
+    those of the bound per measurement. `unscale` is R^-1.
     """
 
     point: ModelPoint
-    weights: WeightSpec
     c: np.ndarray
     F0: np.ndarray
     Fs: np.ndarray
     y0: np.ndarray
     Z0: np.ndarray
-    index: tuple
-    basis: np.ndarray
-    x_part: np.ndarray
-    x_null: np.ndarray
     unscale: np.ndarray
 
 
@@ -231,8 +232,6 @@ def nh_problem(point: ModelPoint, weights: WeightSpec) -> NhSdpProblem:
         rows = slice(nl + i * nn, nl + (i + 1) * nn)
         Fs[rows, i * d:(i + 1) * d, 3 * d:] = x_null_s
         Fs[rows, 3 * d:, i * d:(i + 1) * d] = x_null_s.conj().transpose(0, 2, 1)
-    index = [("L", j, k, s) for j, k in blocks for s in range(nb)]
-    index += [("X", i, t) for i in range(3) for t in range(nn)]
 
     # objective sum_i w_i Tr[L'_ii]: the diagonal units of the diagonal blocks
     w = weights.array
@@ -252,47 +251,35 @@ def nh_problem(point: ModelPoint, weights: WeightSpec) -> NhSdpProblem:
     # exactly dual-feasible start: Z = blockdiag(w_i I_d, t I_d)
     Z0 = np.diag(np.append(np.repeat(w, d), np.full(d, np.mean(w)))).astype(complex)
 
-    return NhSdpProblem(point=point, weights=weights, c=c, F0=F0, Fs=Fs,
-                        y0=y0, Z0=Z0, index=tuple(index), basis=basis,
-                        x_part=x_part, x_null=x_null, unscale=unscale)
+    return NhSdpProblem(point=point, c=c, F0=F0, Fs=Fs, y0=y0, Z0=Z0,
+                        unscale=unscale)
 
 
 def nh_solution(problem: NhSdpProblem, y: np.ndarray, centered: bool = False):
-    """Reconstruct (L, [X_1, X_2, X_3]) from a solver parameter vector.
+    """Read (L, [X_1, X_2, X_3]) off the lift S(y) = F0 + sum_j y_j Fs[j].
 
+    L_jk = R^-1 S_jk R^-1 and X_i = R^-1 S_i3, with R^-1 = problem.unscale.
     By default the estimator observables are recentred to satisfy
     Tr[rho X_i] = theta_i; pass centered=True for the raw SDP variables.
     """
     d = problem.point.dim
-    L = np.zeros((3 * d, 3 * d), dtype=complex)
-    xs = [h.copy() for h in problem.x_part]
-    R = problem.unscale
-    for pos, tag in enumerate(problem.index):
-        v = y[pos]
-        if tag[0] == "L":
-            _, j, k, s = tag
-            h = R @ (v * problem.basis[s]) @ R
-            L[j * d:(j + 1) * d, k * d:(k + 1) * d] += h
-            if k != j:
-                L[k * d:(k + 1) * d, j * d:(j + 1) * d] += h
-        else:
-            _, i, t = tag
-            xs[i] = xs[i] + v * problem.x_null[t]
+    S = problem.F0 + np.tensordot(y, problem.Fs, axes=1)
+    unscale3 = np.kron(np.eye(3), problem.unscale)
+    L = unscale3 @ S[:3 * d, :3 * d] @ unscale3
+    xs = [problem.unscale @ S[i * d:(i + 1) * d, 3 * d:] for i in range(3)]
     if not centered:
         t = problem.point.theta.array
         xs = [x + t[i] * np.eye(d) for i, x in enumerate(xs)]
     return L, xs
 
 
-def nhcrb_sdp(point: ModelPoint, weights, normalization: str = "per_qubit") -> BoundValue:
-    """Collective bound at an arbitrary interior point, by interior-point SDP.
+def nhcrb_sdp(point: ModelPoint, weights) -> BoundValue:
+    """Collective bound per qubit at an arbitrary interior point, by SDP.
 
     Needs strictly positive weights (the dual start blockdiag(w_i I, t I) is
-    built from them). The reported gap is the absolute duality gap, in the
-    requested normalization; it certifies the value to within gap on either
-    side.
+    built from them). The reported gap is the absolute duality gap per
+    qubit; it certifies the value to within gap on either side.
     """
-    _check_normalization(normalization)
     w = as_weights(weights).require_positive()
     if point.theta.norm > SDP_BLOCH_LIMIT:
         raise ValueError(
@@ -302,12 +289,11 @@ def nhcrb_sdp(point: ModelPoint, weights, normalization: str = "per_qubit") -> B
     result = sdp.solve_lmi(problem.c, problem.F0, problem.Fs, problem.y0,
                            problem.Z0)
     copies = point.copies
-    value = convert_normalization(result.primal, copies, "per_measurement",
-                                  normalization)
-    gap = convert_normalization(abs(result.gap), copies, "per_measurement",
-                                normalization)
-    return BoundValue(value=value, normalization=normalization, method="sdp",
-                      copies=copies, gap=gap, iterations=result.iterations)
+    return BoundValue(
+        value=convert_normalization(result.primal, copies, "per_measurement", "per_qubit"),
+        normalization="per_qubit", method="sdp", copies=copies,
+        gap=convert_normalization(abs(result.gap), copies, "per_measurement", "per_qubit"),
+        iterations=result.iterations)
 
 
 @dataclass(frozen=True)
@@ -318,11 +304,11 @@ class NhCertificate:
     estimator: with estimator coefficients
     c_i(m), the blocks L_jk = sum_m c_j(m) c_k(m) Pi_m and estimator
     observables X_i = sum_m c_i(m) Pi_m make the lift a sum of outer products
-    and hence PSD, with objective equal to the closed form.
+    and hence PSD, with objective `value` equal to the closed form per
+    measurement.
     """
 
     value: float
-    normalization: str
     copies: int
     L: np.ndarray
     xs: tuple
@@ -369,6 +355,5 @@ def nh_optimal_certificate_origin(weights, copies: int = 1) -> NhCertificate:
 
     # sum_j w_j Tr[rho L_jj]
     value = float(np.einsum("j,ab,jbja->", w.array, point.rho, L.reshape(3, d, 3, d)).real)
-    return NhCertificate(value=value, normalization="per_measurement",
-                         copies=copies, L=L, xs=tuple(xs), lifted=lifted,
+    return NhCertificate(value=value, copies=copies, L=L, xs=tuple(xs), lifted=lifted,
                          lifted_min_eig=min_eig, constraint_residual=resid)

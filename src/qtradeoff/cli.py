@@ -18,7 +18,7 @@ import numpy as np
 from .bounds import (
     BoundValue,
     as_weights,
-    holevo_origin,
+    holevo,
     nhcrb_analytic,
     nhcrb_sdp,
     qcrb,
@@ -163,27 +163,12 @@ def cmd_bounds(args) -> int:
         else ("per_measurement", "per_qubit")
     )
     point = model_point(theta, copies=copies)
-    records = []
-    for norm in normalizations:
-        records.append(_bound_record("qcrb", qcrb(point, weights), norm))
-    if theta.norm == 0.0:
-        holevo = holevo_origin(weights)
-        holevo = BoundValue(
-            value=holevo.value,
-            normalization="per_qubit",
-            method="holevo",
-            copies=copies,
-        )
-        for norm in normalizations:
-            records.append(_bound_record("holevo", holevo, norm))
-    analytic = nhcrb_analytic(point, weights)
-    if analytic is not None:
-        for norm in normalizations:
-            records.append(_bound_record("nhcrb_analytic", analytic, norm))
+    named = [("qcrb", qcrb(point, weights)), ("holevo", holevo(point, weights)),
+             ("nhcrb_analytic", nhcrb_analytic(point, weights))]
     weights.require_positive()
-    sdp = nhcrb_sdp(point, weights)
-    for norm in normalizations:
-        records.append(_bound_record("nhcrb_sdp", sdp, norm))
+    named.append(("nhcrb_sdp", nhcrb_sdp(point, weights)))
+    records = [_bound_record(name, bound, norm) for name, bound in named
+               if bound is not None for norm in normalizations]
     payload = {
         "kind": "bounds",
         "theta": list(theta.array),
@@ -320,7 +305,7 @@ def cmd_simulate(args) -> int:
             "vx", "vy", "vz", "weighted_trace", "standard_error",
             "mean_x", "mean_y", "mean_z",
         ]
-        mean = report.estimates_mean.array
+        mean = report.estimates_mean
         rows = [[
             fmt(report.mse.vx), fmt(report.mse.vy), fmt(report.mse.vz),
             fmt(report.weighted_trace), fmt(report.standard_error),

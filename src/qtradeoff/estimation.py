@@ -114,22 +114,24 @@ class ExperimentReport:
     (copies * shots * mean squared error), weighted_trace their
     weight-combined scalar, and standard_error the bootstrap standard
     error of the weighted trace over repetitions, in its closed
-    infinite-resample form.
+    infinite-resample form. estimates_mean, shape (3,), is the mean
+    estimate, which need not lie in the Bloch ball: an unbiased linear
+    estimate from few shots can fall outside it.
     """
 
     mse: MsePoint
     weighted_trace: float
     standard_error: float
-    estimates_mean: BlochVector
+    estimates_mean: np.ndarray
     metadata: dict = field(default_factory=dict)
 
     def to_json_dict(self):
         return {
             "mse": [self.mse.vx, self.mse.vy, self.mse.vz],
-            "normalization": self.mse.normalization,
+            "normalization": "per_qubit",
             "weighted_trace": self.weighted_trace,
             "standard_error": self.standard_error,
-            "estimates_mean": list(self.estimates_mean.array),
+            "estimates_mean": list(self.estimates_mean),
             "metadata": self.metadata,
         }
 
@@ -484,11 +486,10 @@ def run_experiment(plan, weights, estimator="linear"):
             metadata["z_vs_single_copy"] = (c1 - weighted_trace) / stderr
     if estimator == "mle":
         metadata["mle"] = mle_stats
-    mean = estimates.mean(axis=0)
     return ExperimentReport(
         mse=mse,
         weighted_trace=weighted_trace,
         standard_error=stderr,
-        estimates_mean=BlochVector(mean[0], mean[1], mean[2]),
+        estimates_mean=estimates.mean(axis=0),
         metadata=metadata,
     )

@@ -240,35 +240,19 @@ REFERENCE_THETA = (0.3, 0.3, 0.3)
 REFERENCE_WEIGHTS = (1 / 14, 4 / 14, 9 / 14)
 
 
-def reference_single_copy() -> Povm:
-    """Four-outcome single-copy reference measurement (four-decimal vectors)."""
-    els = tuple(
-        np.outer(np.array(v, dtype=complex), np.array(v, dtype=complex).conj())
-        for v in _REFERENCE_SINGLE_VECTORS
-    )
-    labels = tuple(f"r{j}" for j in range(1, 5))
-    return Povm(els, name="reference_single_copy", labels=labels,
-                completeness_tol=REFERENCE_COMPLETENESS_TOL)
-
-
-def reference_two_copy() -> Povm:
-    """Six-outcome two-copy reference measurement (four-decimal vectors)."""
-    els = tuple(
-        np.outer(np.array(v, dtype=complex), np.array(v, dtype=complex).conj())
-        for v in _REFERENCE_TWO_VECTORS
-    )
-    labels = tuple(f"r{j}" for j in range(1, 7))
-    return Povm(els, name="reference_two_copy", labels=labels,
-                completeness_tol=REFERENCE_COMPLETENESS_TOL)
-
-
 def reference_povm(copies: int) -> Povm:
-    """The hard-coded reference measurement for one or two copies."""
-    if copies == 1:
-        return reference_single_copy()
-    if copies == 2:
-        return reference_two_copy()
-    raise ValueError(f"copies must be 1 or 2, got {copies}")
+    """The hard-coded reference measurement for one or two copies.
+
+    Four outcomes for one copy and six for two, from the four-decimal vectors.
+    """
+    if copies not in (1, 2):
+        raise ValueError(f"copies must be 1 or 2, got {copies}")
+    name, vectors = (("reference_single_copy", _REFERENCE_SINGLE_VECTORS),
+                     ("reference_two_copy", _REFERENCE_TWO_VECTORS))[copies - 1]
+    els = tuple(np.outer(v, v.conj()) for v in np.array(vectors, dtype=complex))
+    labels = tuple(f"r{j}" for j in range(1, len(els) + 1))
+    return Povm(els, name=name, labels=labels,
+                completeness_tol=REFERENCE_COMPLETENESS_TOL)
 
 
 def quadratic_probability_model(povm: Povm, copies: int):

@@ -6,10 +6,10 @@ weight-adapted optimal measurements, inversion from a boundary point back to
 weights, and a halfspace-intersection scan that reconstructs the surface
 numerically from weighted bounds at arbitrary interior parameter values.
 
-All quantities here are per-qubit normalized; points tagged otherwise are
-rejected. At the origin every attainable point has V_i >= 1 (the
-per-parameter bound); away from the origin the per-parameter floor is
-1 - theta_i^2, which is what the scan uses as its coordinate cut.
+All quantities here are per-qubit normalized. At the origin every
+attainable point has V_i >= 1 (the per-parameter bound); away from the
+origin the per-parameter floor is 1 - theta_i^2, which is what the scan uses
+as its coordinate cut.
 """
 
 from __future__ import annotations
@@ -33,21 +33,19 @@ from .povm import WeightSpec
 
 @dataclass(frozen=True)
 class MsePoint:
-    """Per-qubit normalized mean squared errors (Vx, Vy, Vz)."""
+    """Per-qubit normalized mean squared errors (Vx, Vy, Vz).
+
+    A coordinate may be 0: a finite experiment can estimate an axis exactly.
+    """
 
     vx: float
     vy: float
     vz: float
-    normalization: str = "per_qubit"
 
     def __post_init__(self):
-        if self.normalization != "per_qubit":
-            raise ValueError(
-                "MsePoint is a per-qubit object; convert before constructing"
-            )
-        arr = np.array([self.vx, self.vy, self.vz], dtype=float)
-        if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
-            raise ValueError(f"MSE coordinates must be positive, got {tuple(arr)}")
+        arr = self.array
+        if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
+            raise ValueError(f"MSE coordinates must be finite and >= 0, got {tuple(arr)}")
 
     @property
     def array(self) -> np.ndarray:
@@ -184,11 +182,8 @@ def integer_weight_triples(values=(1, 2, 3)) -> tuple:
     """
     seen = {}
     for u in itertools.product(values, repeat=3):
-        sq = np.array(u, dtype=float) ** 2
-        w = sq / sq.sum()
-        key = tuple(np.round(w, 12))
-        if key not in seen:
-            seen[key] = (tuple(int(v) for v in u), WeightSpec(*w))
+        w = WeightSpec.from_integers(u)
+        seen.setdefault(tuple(np.round(w.array, 12)), (tuple(int(v) for v in u), w))
     return tuple(seen.values())
 
 

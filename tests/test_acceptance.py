@@ -16,7 +16,7 @@ import pytest
 
 from qtradeoff.bounds import (
     convert_normalization,
-    holevo_origin,
+    holevo,
     nhcrb_analytic,
     nhcrb_sdp,
 )
@@ -92,16 +92,16 @@ def test_criterion_03_analytic_bounds_and_sdp_origin():
     unit = WeightSpec(1, 1, 1)
     origin = BlochVector(0, 0, 0)
     one, two = model_point(origin, 1), model_point(origin, 2)
-    assert abs(nhcrb_analytic(one, unit, "per_measurement").value - 9.0) <= 1e-12
-    assert abs(nhcrb_analytic(two, unit, "per_measurement").value - 3.0) <= 1e-12
-    assert abs(nhcrb_analytic(two, unit, "per_qubit").value - 6.0) <= 1e-12
+    assert abs(nhcrb_analytic(one, unit).to("per_measurement").value - 9.0) <= 1e-12
+    assert abs(nhcrb_analytic(two, unit).to("per_measurement").value - 3.0) <= 1e-12
+    assert abs(nhcrb_analytic(two, unit).value - 6.0) <= 1e-12
     rng = np.random.default_rng(SEED)
     for _ in range(50):
         w = random_weights(rng)
         for copies in (1, 2):
             point = model_point(origin, copies)
-            want = nhcrb_analytic(point, w, "per_measurement").value
-            got = nhcrb_sdp(point, w, "per_measurement")
+            want = nhcrb_analytic(point, w).to("per_measurement").value
+            got = nhcrb_sdp(point, w).to("per_measurement")
             assert abs(got.value - want) / want <= 1e-5
             assert got.gap <= 1e-6
     assert time.perf_counter() - start < 30.0
@@ -115,7 +115,7 @@ def test_criterion_04_reference_povm_matches_sdp():
         point = model_point(theta, copies)
         fisher = classical_fisher(point, reference_povm(copies))
         measured = fisher.weighted_trace_inverse(w, "per_measurement")
-        bound = nhcrb_sdp(point, w, "per_measurement").value
+        bound = nhcrb_sdp(point, w).to("per_measurement").value
         assert abs(measured - bound) <= 2e-3
     assert time.perf_counter() - start < 10.0
 
@@ -131,7 +131,7 @@ def test_criterion_05_tangency_sweep():
         v1 = np.diag(mse1).real
         assert abs(single_copy_surface_residual(MsePoint(*v1))) <= 1e-9
         wt1 = f1.weighted_trace_inverse(w, "per_measurement")
-        c1 = nhcrb_analytic(origin, w, "per_measurement").value
+        c1 = nhcrb_analytic(origin, w).to("per_measurement").value
         assert abs(wt1 - c1) <= 1e-10
 
         f2 = classical_fisher(origin2, two_copy_optimal(w))
@@ -139,7 +139,7 @@ def test_criterion_05_tangency_sweep():
         v2 = np.diag(mse2).real
         assert abs(two_copy_surface_residual(MsePoint(*v2))) <= 1e-9
         wt2 = f2.weighted_trace_inverse(w, "per_measurement")
-        c2 = nhcrb_analytic(origin2, w, "per_measurement").value
+        c2 = nhcrb_analytic(origin2, w).to("per_measurement").value
         assert abs(wt2 - c2) <= 1e-10
 
 
@@ -150,7 +150,8 @@ def test_criterion_06_surface_landmarks():
     corner = MsePoint(1, 1, 1)
     assert abs(single_copy_surface_residual(corner)) > 0.1
     assert abs(two_copy_surface_residual(corner)) > 0.1
-    assert abs(corner.array.sum() - holevo_origin(WeightSpec(1, 1, 1)).value) <= 1e-12
+    holevo_unit = holevo(model_point(BlochVector(0, 0, 0)), WeightSpec(1, 1, 1)).value
+    assert abs(corner.array.sum() - holevo_unit) <= 1e-12
 
     rng = np.random.default_rng(SEED)
     samples = [w for _, w in integer_weight_triples()]

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtradeoff import sdp
 from qtradeoff.bounds import (
     BoundValue,
     convert_normalization,
-    holevo_origin,
+    holevo,
     nh_optimal_certificate_origin,
     nh_problem,
     nh_solution,
@@ -13,7 +15,7 @@ from qtradeoff.bounds import (
     nhcrb_sdp,
     qcrb,
 )
-from qtradeoff.model import BlochVector, model_point
+from qtradeoff.model import PAULIS, BlochVector, model_point
 from qtradeoff.povm import WeightSpec
 
 # Interior-point values cross-checked once against an independent convex
@@ -51,18 +53,106 @@ def test_qcrb_copy_invariance_per_qubit():
 
 
 def test_holevo_origin_is_weight_trace():
-    got = holevo_origin(WeightSpec(1, 1, 1))
-    assert got.value == 3.0
-    assert got.normalization == "per_qubit"
-    assert got.method == "holevo"
+    for copies in (1, 2):
+        got = holevo(model_point(ORIGIN, copies=copies), WeightSpec(1, 1, 1))
+        assert got.value == 3.0
+        assert got.normalization == "per_qubit"
+        assert got.method == "holevo"
+        assert got.copies == copies
+
+
+def test_holevo_hand_value():
+    # Tr W = 14, theta.W theta = 1.26, v = 0.3 (6, 3, 2), |v| = 2.1
+    theta, w = BlochVector(0.3, 0.3, 0.3), WeightSpec(1, 4, 9)
+    assert abs(holevo(model_point(theta), w).value - 16.94) < 1e-12
+    two = holevo(model_point(theta, copies=2), w)
+    assert abs(two.value - 16.94) < 1e-12
+    assert abs(two.to("per_measurement").value - 8.47) < 1e-12
+
+
+# Interior points up to |theta| = 0.999999 and weights over six decades
+# either side of 1, for the solver-independent Holevo properties.
+_interior_theta = st.tuples(
+    st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: np.linalg.norm(v) > 1e-3),
+    st.floats(0.0, 0.999999),
+).map(lambda vr: vr[1] * np.array(vr[0]) / np.linalg.norm(vr[0]))
+_log_weights = st.tuples(*[st.floats(-7.0, 7.0)] * 3).map(np.exp)
+
+
+def _holevo(theta, weights):
+    return holevo(model_point(BlochVector(*theta)), WeightSpec(*weights)).value
+
+
+@settings(max_examples=200, deadline=None)
+@given(_interior_theta, _log_weights)
+def test_holevo_between_qcrb_and_gill_massar(theta, w):
+    point = model_point(BlochVector(*theta))
+    got = holevo(point, WeightSpec(*w)).value
+    assert qcrb(point, WeightSpec(*w)).value <= got * (1 + 1e-12)
+    assert got <= nhcrb_analytic(point, WeightSpec(*w)).value * (1 + 1e-12)
+    # its definition: Tr[W Re Z] + Tr|W^1/2 Im Z W^1/2| with the unique
+    # locally unbiased observables X_i = sigma_i - theta_i I
+    xs = [PAULIS[i] - theta[i] * np.eye(2) for i in range(3)]
+    z = np.einsum("ab,ibc,jca->ij", point.rho, np.array(xs), np.array(xs))
+    rw = np.sqrt(w)
+    im = rw[:, None] * z.imag * rw[None, :]
+    want = np.sum(w * np.diag(z.real)) + np.abs(np.linalg.eigvalsh(1j * im)).sum()
+    assert abs(got - want) <= 1e-12 * want
+
+
+@settings(max_examples=100, deadline=None)
+@given(_log_weights)
+def test_holevo_equals_qcrb_at_origin(w):
+    point = model_point(ORIGIN)
+    assert holevo(point, WeightSpec(*w)).value == qcrb(point, WeightSpec(*w)).value == w.sum()
+
+
+@settings(max_examples=100, deadline=None)
+@given(_interior_theta, _log_weights, st.permutations([0, 1, 2]))
+def test_holevo_axis_permutation_covariance(theta, w, perm):
+    want = _holevo(theta, w)
+    assert abs(_holevo(theta[perm], w[perm]) - want) <= 1e-12 * want
+
+
+@settings(max_examples=100, deadline=None)
+@given(_interior_theta, _log_weights, st.floats(-5.0, 5.0).map(np.exp))
+def test_holevo_scale_covariance(theta, w, c):
+    want = c * _holevo(theta, w)
+    assert abs(_holevo(theta, c * w) - want) <= 1e-12 * want
+
+
+@settings(max_examples=100, deadline=None)
+@given(_interior_theta, st.floats(-7.0, 7.0).map(np.exp),
+       st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(lambda q: np.linalg.norm(q) > 1e-3))
+def test_holevo_rotation_invariance_for_isotropic_weights(theta, c, quaternion):
+    a, b, s, d = np.array(quaternion) / np.linalg.norm(quaternion)
+    rotation = np.array([
+        [a * a + b * b - s * s - d * d, 2 * (b * s - a * d), 2 * (b * d + a * s)],
+        [2 * (b * s + a * d), a * a - b * b + s * s - d * d, 2 * (s * d - a * b)],
+        [2 * (b * d - a * s), 2 * (s * d + a * b), a * a - b * b - s * s + d * d],
+    ])
+    w = np.full(3, c)
+    want = _holevo(theta, w)
+    assert abs(_holevo(rotation @ theta, w) - want) <= 1e-12 * want
+
+
+def test_holevo_below_two_copy_collective_bound():
+    # the frozen values are per measurement; two copies take two qubits each
+    for theta, weights, _, c2 in FROZEN_SDP:
+        point = model_point(BlochVector(*theta), copies=2)
+        w = WeightSpec(*weights)
+        got = holevo(point, w).value
+        assert got <= 2.0 * c2
+        nh = nhcrb_sdp(point, w)
+        assert got <= nh.value + nh.gap
 
 
 def test_analytic_origin_values():
     w = WeightSpec(1, 1, 1)
     one, two = model_point(ORIGIN, copies=1), model_point(ORIGIN, copies=2)
-    assert abs(nhcrb_analytic(one, w, normalization="per_measurement").value - 9.0) < 1e-12
-    assert abs(nhcrb_analytic(two, w, normalization="per_measurement").value - 3.0) < 1e-12
-    assert abs(nhcrb_analytic(two, w, normalization="per_qubit").value - 6.0) < 1e-12
+    assert abs(nhcrb_analytic(one, w).to("per_measurement").value - 9.0) < 1e-12
+    assert abs(nhcrb_analytic(two, w).to("per_measurement").value - 3.0) < 1e-12
+    assert abs(nhcrb_analytic(two, w).value - 6.0) < 1e-12
     with pytest.raises(ValueError):
         nhcrb_analytic(model_point(ORIGIN, copies=3), w)
 
@@ -72,11 +162,9 @@ def test_analytic_origin_general_weights():
     for _ in range(10):
         w = rng.uniform(0.05, 1.0, size=3)
         rw = np.sqrt(w)
-        c1 = nhcrb_analytic(model_point(ORIGIN, copies=1), WeightSpec(*w),
-                            normalization="per_measurement")
+        c1 = nhcrb_analytic(model_point(ORIGIN, copies=1), WeightSpec(*w)).to("per_measurement")
         assert abs(c1.value - rw.sum() ** 2) < 1e-12
-        c2 = nhcrb_analytic(model_point(ORIGIN, copies=2), WeightSpec(*w),
-                            normalization="per_measurement")
+        c2 = nhcrb_analytic(model_point(ORIGIN, copies=2), WeightSpec(*w)).to("per_measurement")
         cross = rw[0] * rw[1] + rw[0] * rw[2] + rw[1] * rw[2]
         assert abs(c2.value - 0.5 * (w.sum() + cross)) < 1e-12
 
@@ -84,10 +172,8 @@ def test_analytic_origin_general_weights():
 def test_sdp_matches_frozen_oracles():
     for theta, weights, c1, c2 in FROZEN_SDP:
         w = WeightSpec(*weights)
-        got1 = nhcrb_sdp(model_point(BlochVector(*theta), copies=1), w,
-                         normalization="per_measurement")
-        got2 = nhcrb_sdp(model_point(BlochVector(*theta), copies=2), w,
-                         normalization="per_measurement")
+        got1 = nhcrb_sdp(model_point(BlochVector(*theta), copies=1), w).to("per_measurement")
+        got2 = nhcrb_sdp(model_point(BlochVector(*theta), copies=2), w).to("per_measurement")
         assert abs(got1.value - c1) / c1 < 2e-6
         assert abs(got2.value - c2) / c2 < 2e-6
         assert got1.gap < 1e-6 and got2.gap < 1e-6
@@ -101,8 +187,8 @@ def test_sdp_matches_analytic_at_origin():
         w = WeightSpec(*rng.uniform(0.05, 1.0, size=3))
         for copies in (1, 2):
             point = model_point(ORIGIN, copies=copies)
-            want = nhcrb_analytic(point, w, normalization="per_measurement").value
-            got = nhcrb_sdp(point, w, normalization="per_measurement")
+            want = nhcrb_analytic(point, w).to("per_measurement").value
+            got = nhcrb_sdp(point, w).to("per_measurement")
             assert abs(got.value - want) / want < 1e-5
 
 
@@ -184,8 +270,8 @@ def test_sdp_scale_covariance():
     theta = BlochVector(0.3, 0.3, 0.3)
     w = np.array([1.0, 4.0, 9.0])
     point = model_point(theta)
-    a = nhcrb_sdp(point, WeightSpec(*w), normalization="per_measurement").value
-    b = nhcrb_sdp(point, WeightSpec(*(w / 14.0)), normalization="per_measurement").value
+    a = nhcrb_sdp(point, WeightSpec(*w)).to("per_measurement").value
+    b = nhcrb_sdp(point, WeightSpec(*(w / 14.0))).to("per_measurement").value
     assert abs(a - 14.0 * b) / a < 1e-6
 
 
@@ -214,6 +300,13 @@ def test_sdp_solution_is_feasible():
     res = sdp.solve_lmi(problem.c, problem.F0, problem.Fs, problem.y0, problem.Z0)
     L, xs = nh_solution(problem, res.y, centered=True)
     assert np.abs(L - L.conj().T).max() < 1e-10
+    # L and X read off the lift give back the solver's objective and a PSD lift
+    d = point.dim
+    objective = np.einsum("j,ab,jbja->", w.array, point.rho, L.reshape(3, d, 3, d)).real
+    assert abs(objective - problem.c @ res.y) < 1e-9 * objective
+    stack = np.vstack(xs)
+    lifted = np.block([[L, stack], [stack.conj().T, np.eye(d)]])
+    assert np.linalg.eigvalsh(lifted)[0] > -1e-9
     for i in range(3):
         assert abs(np.trace(point.rho @ xs[i]).real) < 1e-9
         for j in range(3):
@@ -240,7 +333,7 @@ def test_sdp_recovers_pauli_observables_at_origin():
 def test_certificate_single_copy():
     w = WeightSpec(1.0, 4.0, 9.0)
     cert = nh_optimal_certificate_origin(w, copies=1)
-    want = nhcrb_analytic(model_point(ORIGIN, copies=1), w, normalization="per_measurement").value
+    want = nhcrb_analytic(model_point(ORIGIN, copies=1), w).to("per_measurement").value
     assert abs(cert.value - want) < 1e-12
     assert cert.lifted_min_eig >= -1e-12
     assert cert.constraint_residual < 1e-12
@@ -254,8 +347,7 @@ def test_certificate_two_copy():
         raw = rng.uniform(0.05, 1.0, size=3)
         w = WeightSpec(*raw)
         cert = nh_optimal_certificate_origin(w, copies=2)
-        want = nhcrb_analytic(model_point(ORIGIN, copies=2), w,
-                              normalization="per_measurement").value
+        want = nhcrb_analytic(model_point(ORIGIN, copies=2), w).to("per_measurement").value
         assert abs(cert.value - want) < 1e-10
         assert cert.lifted_min_eig >= -1e-12
         assert cert.constraint_residual < 1e-12
@@ -324,6 +416,6 @@ def test_sdp_against_live_convex_solver(copies):
     t *= 0.35 / np.linalg.norm(t)
     w = rng.uniform(0.2, 1.0, size=3)
     oracle = _cvxpy_nhcrb(tuple(t), tuple(w), copies)
-    got = nhcrb_sdp(model_point(BlochVector(*t), copies), WeightSpec(*w),
-                    normalization="per_measurement").value
+    got = nhcrb_sdp(model_point(BlochVector(*t), copies), WeightSpec(*w))
+    got = got.to("per_measurement").value
     assert abs(got - oracle) / oracle < 1e-5

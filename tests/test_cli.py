@@ -152,7 +152,12 @@ def test_bounds_analytic_record_off_origin(tmp_path, schema):
     assert abs(by_name["nhcrb_analytic"]["value"] - want) / want < 1e-10
     assert abs(by_name["nhcrb_sdp"]["value"] - want) / want < 1e-7
     two = run_json(tmp_path, argv + ["--copies", "2"], "two.json")
-    assert {r["name"] for r in two["records"]} == {"qcrb", "nhcrb_sdp"}
+    assert {r["name"] for r in two["records"]} == {"qcrb", "holevo", "nhcrb_sdp"}
+    # Holevo at every point: Tr W - theta.W theta + 2 |v| = 14 - 1.26 + 4.2
+    for doc in (one, two):
+        holevo = [r for r in doc["records"] if r["name"] == "holevo"]
+        assert [r["value"] for r in holevo] == [16.94]
+        assert holevo[0]["copies"] == doc["copies"]
 
 
 def test_surface_csv_header(tmp_path):
@@ -197,6 +202,15 @@ def test_simulate_reference_povm_smoke(tmp_path, schema):
     ])
     jsonschema.validate(doc, schema)
     assert doc["metadata"]["sampling"] == "direct"
+
+
+def test_simulate_accepts_an_exact_axis_estimate(tmp_path, schema):
+    # one shot of one repetition estimates two of the three axes exactly
+    doc = run_json(tmp_path, ["simulate", "--shots", "1", "--repeats", "1",
+                              "--copies", "2", "--povm", "opt2"])
+    jsonschema.validate(doc, schema)
+    assert 0.0 in doc["mse"]
+    assert all(v >= 0.0 for v in doc["mse"])
 
 
 def test_command_output_is_deterministic(tmp_path):

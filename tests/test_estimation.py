@@ -110,7 +110,7 @@ def test_run_experiment_counts_come_from_one_stream(components):
     batched = (counts / shots[:, None]) @ D.T
     scale = (counts / shots[:, None]) @ np.abs(D).T
     assert np.all(np.abs(batched - per_row) <= 1e-15 * scale)
-    assert np.array_equal(rep.estimates_mean.array, batched.mean(axis=0))
+    assert np.array_equal(rep.estimates_mean, batched.mean(axis=0))
     # per qubit: copies * shots * mean squared error
     want = 2 * 200 * ((batched - theta.array) ** 2).mean(axis=0)
     assert np.array_equal(rep.mse.array, want)
@@ -231,14 +231,14 @@ def test_run_experiment_deterministic():
     assert a.weighted_trace == b.weighted_trace
     assert a.standard_error == b.standard_error
     assert np.array_equal(a.mse.array, b.mse.array)
-    assert np.array_equal(a.estimates_mean.array, b.estimates_mean.array)
+    assert np.array_equal(a.estimates_mean, b.estimates_mean)
 
 
 def test_origin_linear_estimator_statistics():
     plan = ShotPlan(ORIGIN, 2, two_copy_optimal(EQUAL), 309, 2000, 11)
     rep = run_experiment(plan, EQUAL)
     # unbiased at the origin
-    assert np.abs(rep.estimates_mean.array).max() < 5e-3
+    assert np.abs(rep.estimates_mean).max() < 5e-3
     # attains the two-copy bound V_i = 2 per qubit
     assert np.abs(rep.mse.array - 2.0).max() < 0.25
     assert abs(rep.weighted_trace - 6.0) < 4 * rep.standard_error

@@ -15,8 +15,6 @@ from qtradeoff.povm import (
     outcome_probabilities,
     probability_derivatives,
     reference_povm,
-    reference_single_copy,
-    reference_two_copy,
     sic_two_copy,
     single_copy_optimal,
     two_copy_alpha,
@@ -144,10 +142,10 @@ def test_optimal_povms_saturate_origin_bounds():
         w = random_weights(rng)
         f1 = classical_fisher(ORIGIN_1, single_copy_optimal(w))
         wt1 = f1.weighted_trace_inverse(w, "per_measurement")
-        assert abs(wt1 - nhcrb_analytic(ORIGIN_1, w, normalization="per_measurement").value) < 1e-10
+        assert abs(wt1 - nhcrb_analytic(ORIGIN_1, w).to("per_measurement").value) < 1e-10
         f2 = classical_fisher(ORIGIN_2, two_copy_optimal(w))
         wt2 = f2.weighted_trace_inverse(w, "per_measurement")
-        assert abs(wt2 - nhcrb_analytic(ORIGIN_2, w, normalization="per_measurement").value) < 1e-10
+        assert abs(wt2 - nhcrb_analytic(ORIGIN_2, w).to("per_measurement").value) < 1e-10
 
 
 def test_fisher_normalizations():
@@ -191,19 +189,19 @@ def test_singular_fisher_raises():
 
 
 def test_reference_povms_structure():
-    single = reference_single_copy()
+    single = reference_povm(1)
+    assert single.name == "reference_single_copy"
     assert single.n_outcomes == 4
     assert single.dim == 2
     assert single.completeness_deviation() < 2e-3
-    two = reference_two_copy()
+    two = reference_povm(2)
+    assert two.name == "reference_two_copy"
     assert two.n_outcomes == 6
     assert two.dim == 4
     assert two.completeness_deviation() < 2e-3
     for p in (single, two):
         for el in p.elements:
             assert linalg.is_psd(el, 1e-12)
-    assert reference_povm(1).name == single.name
-    assert reference_povm(2).name == two.name
     with pytest.raises(ValueError):
         reference_povm(3)
 
@@ -220,8 +218,8 @@ def test_povm_validation_rejects_incomplete():
         single_copy_optimal(w).validate()
         two_copy_optimal(w).validate()
     sic_two_copy().validate()
-    reference_single_copy().validate()
-    reference_two_copy().validate()
+    reference_povm(1).validate()
+    reference_povm(2).validate()
 
 
 def test_povm_json_round_trip():

@@ -41,3 +41,9 @@ def test_readme_names_resolve(module, name):
     obj = importlib.import_module(module)
     for part in name.split("."):
         obj = getattr(obj, part)
+
+
+def test_readme_example_runs():
+    section = _section(README.read_text(encoding="utf-8"), "## Library entry points")
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(code, "README.md", "exec"), {})
