@@ -122,7 +122,8 @@ def solve_lmi(
     with the step length. Raises ConvergenceError if an iterate loses
     positive definiteness, the Schur complement is singular, or the relative
     gap and residuals fail to reach SDP_GAP_TOL and SDP_FEAS_TOL within
-    SDP_MAX_ITER iterations.
+    SDP_MAX_ITER iterations. The error's `iterate` is the last (y, Z) whose
+    S and Z both passed Cholesky, or None if no iterate did.
     """
     c = np.asarray(c, dtype=float)
     F0, Fs, Z0 = np.asarray(F0), np.asarray(Fs), np.asarray(Z0)
@@ -150,76 +151,84 @@ def solve_lmi(
     Fcols = np.ascontiguousarray(Fs.transpose(1, 0, 2)).reshape(n, m * n)
     cscale = 1.0 + np.abs(c).max()
 
-    iterations = 0
-    for iterations in range(1, SDP_MAX_ITER + 1):
-        rp = _herm(F0 + (y @ A).reshape(n, n) - S)
-        rd = c - Ar @ Z.view(float).ravel()
-        gap = _inner(Z, S)
-        primal = float(c @ y)
-        dual = -_inner(F0, Z)
-        rel_gap = abs(gap) / (1.0 + abs(primal) + abs(dual))
-        rp_inf = float(np.abs(rp).max())
-        rd_inf = float(np.abs(rd).max()) / cscale
-        if rel_gap < SDP_GAP_TOL and rp_inf < SDP_FEAS_TOL and rd_inf < SDP_FEAS_TOL:
-            return SdpResult(
-                y=y, primal=primal, dual=dual, gap=gap, rel_gap=rel_gap,
-                iterations=iterations - 1, S=S, Z=Z,
-                primal_residual=rp_inf, dual_residual=rd_inf,
-            )
+    # the last (y, Z) whose S and Z passed Cholesky, handed on with any
+    # ConvergenceError so that the caller can bound the optimum from it
+    trusted = None
+    try:
+        iterations = 0
+        for iterations in range(1, SDP_MAX_ITER + 1):
+            rp = _herm(F0 + (y @ A).reshape(n, n) - S)
+            rd = c - Ar @ Z.view(float).ravel()
+            gap = _inner(Z, S)
+            primal = float(c @ y)
+            dual = -_inner(F0, Z)
+            rel_gap = abs(gap) / (1.0 + abs(primal) + abs(dual))
+            rp_inf = float(np.abs(rp).max())
+            rd_inf = float(np.abs(rd).max()) / cscale
+            if rel_gap < SDP_GAP_TOL and rp_inf < SDP_FEAS_TOL and rd_inf < SDP_FEAS_TOL:
+                return SdpResult(
+                    y=y, primal=primal, dual=dual, gap=gap, rel_gap=rel_gap,
+                    iterations=iterations - 1, S=S, Z=Z,
+                    primal_residual=rp_inf, dual_residual=rd_inf,
+                )
 
-        Ginv, lam = _nt_scaling(S, Z)
-        GinvH = Ginv.conj().T
-        mu = float(lam @ lam) / n
+            Ginv, lam = _nt_scaling(S, Z)
+            trusted = (y, Z)
+            GinvH = Ginv.conj().T
+            mu = float(lam @ lam) / n
 
-        # scaled constraints G^-1 F_j G^-H, rows of At in the layout of A
-        Ft = ((Ginv @ Fcols).reshape(n * m, n) @ GinvH).reshape(n, m, n)
-        At = np.ascontiguousarray(Ft.transpose(1, 0, 2)).reshape(m, n * n)
-        Atr = At.view(float)
-        M = Atr @ Atr.T
-        Rpt = _herm(Ginv @ rp @ GinvH)
+            # scaled constraints G^-1 F_j G^-H, rows of At in the layout of A
+            Ft = ((Ginv @ Fcols).reshape(n * m, n) @ GinvH).reshape(n, m, n)
+            At = np.ascontiguousarray(Ft.transpose(1, 0, 2)).reshape(m, n * n)
+            Atr = At.view(float)
+            M = Atr @ Atr.T
+            Rpt = _herm(Ginv @ rp @ GinvH)
 
-        def direction(V):
-            rhs = Atr @ (V - Rpt).view(float).ravel() - rd
-            dy = _solve_gram(M, rhs, iterations)
-            dlamS = _herm((dy @ At).reshape(n, n) + Rpt)
-            return dy, dlamS, V - dlamS
+            def direction(V):
+                rhs = Atr @ (V - Rpt).view(float).ravel() - rd
+                dy = _solve_gram(M, rhs, iterations)
+                dlamS = _herm((dy @ At).reshape(n, n) + Rpt)
+                return dy, dlamS, V - dlamS
 
-        # predictor: target ZS -> 0; the Lyapunov solution for -lam^2 is
-        # V = -lam, no solve needed
-        _, dlamS_aff, dlamZ_aff = direction(np.diag(-lam).astype(dtype))
-        ap_aff, ad_aff = np.minimum(1.0, _max_steps(lam, dlamS_aff, dlamZ_aff))
-        lam_s = np.diag(lam) + ap_aff * dlamS_aff
-        lam_z = np.diag(lam) + ad_aff * dlamZ_aff
-        mu_aff = _inner(lam_z, lam_s) / n
-        sigma = min(1.0, max(0.0, (mu_aff / mu) ** 3))
+            # predictor: target ZS -> 0; the Lyapunov solution for -lam^2 is
+            # V = -lam, no solve needed
+            _, dlamS_aff, dlamZ_aff = direction(np.diag(-lam).astype(dtype))
+            ap_aff, ad_aff = np.minimum(1.0, _max_steps(lam, dlamS_aff, dlamZ_aff))
+            lam_s = np.diag(lam) + ap_aff * dlamS_aff
+            lam_z = np.diag(lam) + ad_aff * dlamZ_aff
+            mu_aff = _inner(lam_z, lam_s) / n
+            sigma = min(1.0, max(0.0, (mu_aff / mu) ** 3))
 
-        # corrector with Mehrotra second-order term; lam is diagonal, so the
-        # Lyapunov equation (lam V + V lam)/2 = rhs is solved elementwise
-        denom = 0.5 * (lam[:, None] + lam[None, :])
-        centering = np.diag(sigma * mu - lam * lam)
-        cross = _herm(dlamS_aff @ dlamZ_aff)
-        dy, dlamS, dlamZ = direction((centering - cross) / denom)
-        ap, ad = np.minimum(1.0, SDP_STEP_FRACTION * _max_steps(lam, dlamS, dlamZ))
-        if min(ap, ad) < 0.5 * min(ap_aff, ad_aff):
-            # the second-order term shortened the step: on degenerate faces,
-            # where the Schur complement is nearly singular, it amplifies
-            # the error of the predictor; take the plain centering step
-            dy, dlamS, dlamZ = direction(centering / denom)
+            # corrector with Mehrotra second-order term; lam is diagonal, so the
+            # Lyapunov equation (lam V + V lam)/2 = rhs is solved elementwise
+            denom = 0.5 * (lam[:, None] + lam[None, :])
+            centering = np.diag(sigma * mu - lam * lam)
+            cross = _herm(dlamS_aff @ dlamZ_aff)
+            dy, dlamS, dlamZ = direction((centering - cross) / denom)
             ap, ad = np.minimum(1.0, SDP_STEP_FRACTION * _max_steps(lam, dlamS, dlamZ))
-        if ap < 1e-13 and ad < 1e-13:
-            raise ConvergenceError(
-                f"step lengths collapsed at iteration {iterations}, "
-                f"relative gap {rel_gap:.3e}"
-            )
+            if min(ap, ad) < 0.5 * min(ap_aff, ad_aff):
+                # the second-order term shortened the step: on degenerate faces,
+                # where the Schur complement is nearly singular, it amplifies
+                # the error of the predictor; take the plain centering step
+                dy, dlamS, dlamZ = direction(centering / denom)
+                ap, ad = np.minimum(1.0, SDP_STEP_FRACTION * _max_steps(lam, dlamS, dlamZ))
+            if ap < 1e-13 and ad < 1e-13:
+                raise ConvergenceError(
+                    f"step lengths collapsed at iteration {iterations}, "
+                    f"relative gap {rel_gap:.3e}"
+                )
 
-        # S moves by the unscaled direction, so that it tracks S(y) to
-        # rounding even when G and G^-1 are only approximately inverse
-        y = y + ap * dy
-        S = _herm(S + ap * ((dy @ A).reshape(n, n) + rp))
-        Z = _herm(Z + ad * (GinvH @ dlamZ @ Ginv))
+            # S moves by the unscaled direction, so that it tracks S(y) to
+            # rounding even when G and G^-1 are only approximately inverse
+            y = y + ap * dy
+            S = _herm(S + ap * ((dy @ A).reshape(n, n) + rp))
+            Z = _herm(Z + ad * (GinvH @ dlamZ @ Ginv))
 
-    raise ConvergenceError(
-        f"no convergence in {iterations} iterations: primal {primal:.12g}, "
-        f"dual {dual:.12g}, relative gap {rel_gap:.3e}, "
-        f"residuals {rp_inf:.3e}/{rd_inf:.3e}"
-    )
+        raise ConvergenceError(
+            f"no convergence in {iterations} iterations: primal {primal:.12g}, "
+            f"dual {dual:.12g}, relative gap {rel_gap:.3e}, "
+            f"residuals {rp_inf:.3e}/{rd_inf:.3e}"
+        )
+    except ConvergenceError as exc:
+        exc.iterate = trusted
+        raise

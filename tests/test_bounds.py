@@ -15,8 +15,11 @@ from qtradeoff.bounds import (
     nhcrb_sdp,
     qcrb,
 )
+from qtradeoff.estimation import DEMO_THETAS
+from qtradeoff.linalg import ConvergenceError
 from qtradeoff.model import PAULIS, BlochVector, model_point
 from qtradeoff.povm import WeightSpec
+from qtradeoff.tradeoff import integer_weight_triples
 
 # Interior-point values cross-checked once against an independent convex
 # solver (SCS at eps 1e-9) and frozen; all per measurement.
@@ -293,9 +296,13 @@ def test_sdp_input_validation():
         nhcrb_sdp(model_point(BlochVector(0, 0, 0)), WeightSpec(1, 0, 0))
 
 
-def test_sdp_solution_is_feasible():
+SWAP = np.eye(4)[[0, 2, 1, 3]]
+
+
+@pytest.mark.parametrize("copies", [1, 2])
+def test_sdp_solution_is_feasible(copies):
     w = WeightSpec.from_integers((1, 2, 3))
-    point = model_point(BlochVector(0.2, -0.1, 0.3))
+    point = model_point(BlochVector(0.2, -0.1, 0.3), copies)
     problem = nh_problem(point, w)
     res = sdp.solve_lmi(problem.c, problem.F0, problem.Fs, problem.y0, problem.Z0)
     L, xs = nh_solution(problem, res.y, centered=True)
@@ -316,6 +323,117 @@ def test_sdp_solution_is_feasible():
     t = point.theta.array
     for i in range(3):
         assert abs(np.trace(point.rho @ raised[i]).real - t[i]) < 1e-9
+    if copies == 2:
+        # the reduced problem only spans SWAP-invariant L_jk and X_i
+        assert len(problem.Fs) == 78
+        swap3 = np.kron(np.eye(3), SWAP)
+        assert np.abs(swap3 @ L - L @ swap3).max() < 1e-12 * np.abs(L).max()
+        for x in xs:
+            assert np.abs(SWAP @ x - x @ SWAP).max() < 1e-12 * np.abs(x).max()
+
+
+# Two-copy values per qubit and their duality gaps (rounded up), frozen
+# from the full 16-element operator basis (132 variables) before the SWAP
+# reduction; inputs seeded, |theta| in [0.05, 0.9], weights e^U(-2, 2).
+FROZEN_FULL_BASIS = [
+    ((-0.3074, 0.093, -0.6342), (2.373, 5.267, 4.227), 19.014102494, 3e-08),
+    ((0.1182, -0.1858, -0.4064), (0.176, 0.138, 3.753), 4.92696784913, 2.9e-08),
+    ((0.4915, 0.1653, -0.3911), (0.448, 2.62, 0.414), 5.34645864813, 3.5e-08),
+    ((0.0531, -0.4352, 0.6697), (5.213, 2.3, 1.244), 13.9535738768, 7.8e-08),
+    ((0.2886, -0.4404, 0.205), (0.915, 3.227, 0.295), 6.44704243334, 5.3e-08),
+    ((0.1198, 0.0047, 0.1103), (0.334, 0.612, 1.638), 4.73103289044, 2.6e-08),
+    ((-0.1026, -0.4268, -0.5432), (0.489, 0.289, 1.468), 3.24701338534, 7.8e-09),
+    ((-0.5843, -0.1653, 0.3512), (1.995, 3.323, 0.326), 8.27409838924, 1.6e-07),
+    ((0.1426, -0.1432, -0.0134), (3.09, 1.174, 1.595), 11.1855965397, 6e-09),
+    ((0.646, 0.0513, -0.1378), (0.144, 0.612, 0.168), 1.50997469896, 5.7e-09),
+    ((0.0024, 0.2079, -0.6917), (1.526, 1.333, 3.254), 8.92427089557, 1.4e-07),
+    ((-0.4757, -0.0545, 0.2354), (0.532, 1.956, 0.689), 5.51399267263, 1.5e-08),
+]
+
+
+@pytest.mark.parametrize("theta,weights,value,gap", FROZEN_FULL_BASIS)
+def test_reduced_two_copy_sdp_matches_the_full_basis(theta, weights, value, gap):
+    got = nhcrb_sdp(model_point(BlochVector(*theta), copies=2), WeightSpec(*weights))
+    assert abs(got.value - value) <= gap + got.gap + 1e-10 * value
+
+
+def _stalled_at(iterate):
+    def solve(*args):
+        raise ConvergenceError("step lengths collapsed", iterate=iterate)
+    return solve
+
+
+def test_certified_bracket_contains_the_optimum(monkeypatch):
+    point = model_point(BlochVector(0.1, -0.2, 0.4), copies=2)
+    w = WeightSpec(1.0, 4.0, 9.0)
+    converged = nhcrb_sdp(point, w)
+    problem = nh_problem(point, w)
+    res = sdp.solve_lmi(problem.c, problem.F0, problem.Fs, problem.y0, problem.Z0)
+    # a primal iterate pushed inside the cone by raising every L'_ii, and a
+    # dual iterate knocked off its affine set and slightly out of the cone
+    rng = np.random.default_rng(8)
+    y = res.y + 1e-6 * (problem.c > 0)
+    noise = rng.normal(size=res.Z.shape) + 1j * rng.normal(size=res.Z.shape)
+    Z = res.Z + 1e-7 * (noise + noise.conj().T)
+    monkeypatch.setattr(sdp, "solve_lmi", _stalled_at((y, Z)))
+    got = nhcrb_sdp(point, w)
+    assert got.iterations is None and got.method == "sdp"
+    assert got.value - got.gap <= converged.value <= got.value
+    assert 0.0 < got.gap < 1e-4 * got.value
+
+
+def test_bare_convergence_error_propagates(monkeypatch):
+    monkeypatch.setattr(sdp, "solve_lmi", _stalled_at(None))
+    with pytest.raises(ConvergenceError, match="step lengths collapsed"):
+        nhcrb_sdp(model_point(BlochVector(0.1, 0.1, 0.1), copies=2), WeightSpec(1, 2, 3))
+
+
+def _sweep_inputs():
+    """The (theta, weights) of every row of the reproduce sweep."""
+    for t in DEMO_THETAS:
+        for _, w in integer_weight_triples():
+            yield (t, t, t), w.array
+
+
+def _near_origin_inputs():
+    """200 seeded points with |theta| <= 0.05 and near-equal weights."""
+    rng = np.random.default_rng(200)
+    for _ in range(200):
+        v = rng.normal(size=3)
+        yield rng.uniform(0.0, 0.05) * v / np.linalg.norm(v), np.exp(rng.uniform(-0.5, 0.5, 3))
+
+
+def _random_interior_inputs():
+    """100 seeded points with |theta| <= 0.95 and weights e^U(-3, 3)."""
+    rng = np.random.default_rng(100)
+    for _ in range(100):
+        v = rng.normal(size=3)
+        yield rng.uniform(0.0, 0.95) * v / np.linalg.norm(v), np.exp(rng.uniform(-3.0, 3.0, 3))
+
+
+def _assert_two_copy_between_holevo_and_gill_massar(theta, weights):
+    point = model_point(BlochVector(*theta), copies=2)
+    w = WeightSpec(*weights)
+    got = nhcrb_sdp(point, w)
+    assert got.gap is not None and got.gap >= 0.0
+    assert holevo(point, w).value - got.gap <= got.value
+    assert got.value <= _gill_massar(theta, np.asarray(weights)) + got.gap
+
+
+@pytest.mark.parametrize("inputs", [_sweep_inputs, _near_origin_inputs,
+                                    _random_interior_inputs])
+def test_two_copy_scan_never_raises(inputs):
+    # inputs on which the solver stalls short of its tolerances return the
+    # certified bracket instead of raising
+    for theta, weights in inputs():
+        _assert_two_copy_between_holevo_and_gill_massar(theta, weights)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_interior_theta.filter(lambda t: np.linalg.norm(t) <= 0.98),
+       st.tuples(*[st.floats(-3.0, 3.0)] * 3).map(np.exp))
+def test_two_copy_between_holevo_and_gill_massar(theta, w):
+    _assert_two_copy_between_holevo_and_gill_massar(theta, w)
 
 
 def test_sdp_recovers_pauli_observables_at_origin():

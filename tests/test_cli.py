@@ -160,6 +160,25 @@ def test_bounds_analytic_record_off_origin(tmp_path, schema):
         assert holevo[0]["copies"] == doc["copies"]
 
 
+@pytest.mark.parametrize("theta,weights", [
+    # the solver used to stop short of its dual tolerance here (exit 3)
+    ("-0.003,0.008,-0.003", "1.15,1.24,1.02"),
+    # the (2,3,3) grid weights on the first sweep state: a certified stop
+    ("0.1,0.1,0.1", "4,9,9"),
+])
+def test_bounds_at_former_solver_stops(tmp_path, schema, theta, weights):
+    doc = run_json(tmp_path, ["bounds", f"--theta={theta}", "--weights", weights,
+                              "--copies", "2", "--normalization", "per_qubit"])
+    jsonschema.validate(doc, schema)
+    by_name = {r["name"]: r for r in doc["records"]}
+    sdp_record = by_name["nhcrb_sdp"]
+    t = [float(v) for v in theta.split(",")]
+    w = [float(v) for v in weights.split(",")]
+    assert by_name["holevo"]["value"] - sdp_record["gap"] <= sdp_record["value"]
+    assert sdp_record["value"] <= _gill_massar(t, w) + sdp_record["gap"]
+    assert sdp_record["gap"] < 1e-5 * sdp_record["value"]
+
+
 def test_surface_csv_header(tmp_path):
     out = tmp_path / "surface.csv"
     assert cli.main(["surface", "--grid", "2", "--out", str(out),
