@@ -8,6 +8,7 @@ in qtradeoff/schemas/artifacts.schema.json.
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -432,7 +433,13 @@ def cmd_reproduce(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The qtradeoff argument parser, built once per process.
+
+    Parsing leaves the parser unchanged (every call fills a fresh
+    namespace from the defaults), so every `main` call shares this one.
+    """
     parser = argparse.ArgumentParser(
         prog="qtradeoff",
         description="Qubit tomography trade-off bounds, POVMs, and experiments.",

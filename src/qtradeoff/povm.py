@@ -255,37 +255,46 @@ def reference_povm(copies: int) -> Povm:
                 completeness_tol=REFERENCE_COMPLETENESS_TOL)
 
 
+def _model_operators(copies: int) -> np.ndarray:
+    """The identity, the three linear Pauli operators and, for two copies,
+    the nine sigma_i (x) sigma_k, stacked in that order."""
+    eye = np.eye(2)
+    if copies == 1:
+        linear, quadratic = list(PAULIS), []
+    else:
+        linear = [np.kron(s, eye) + np.kron(eye, s) for s in PAULIS]
+        quadratic = [np.kron(si, sk) for si in PAULIS for sk in PAULIS]
+    return np.stack([np.eye(2 ** copies, dtype=complex)] + linear + quadratic)
+
+
+_MODEL_OPERATORS = {copies: _model_operators(copies) for copies in (1, 2)}
+
+
 def quadratic_probability_model(povm: Povm, copies: int):
     """Exact outcome-probability model p_j = q0_j + G_j . theta + theta' Q_j theta.
 
     The one- and two-copy states are polynomial in the Bloch vector, so
     the outcome probabilities are affine (one copy) or quadratic (two
-    copies) in theta with coefficients given by Pauli traces of the POVM
-    elements. Returns (q0, G, Q) with Q zero for one copy.
+    copies) in theta with coefficients Tr[E_j B] / dim over the identity,
+    the Pauli operators sum_c sigma_i^(c) and, for two copies, the
+    sigma_i (x) sigma_k. All of them come from one batched product of the
+    element stack with the operator stack, which is built once per copy
+    count. Returns (q0, G, Q) with Q zero for one copy.
     """
     if copies not in (1, 2):
         raise ValueError("copies must be 1 or 2")
     dim = 2 ** copies
     if povm.dim != dim:
         raise ValueError("POVM dimension does not match copies")
-    n = povm.n_outcomes
-    q0 = np.array([np.trace(e).real / dim for e in povm.elements])
-    G = np.empty((n, 3))
-    Q = np.zeros((n, 3, 3))
-    eye = np.eye(2)
+    elements = np.array(povm.elements)
+    coeffs = np.trace(elements[:, None] @ _MODEL_OPERATORS[copies],
+                      axis1=2, axis2=3).real / dim
+    # contiguous copies, not strided views into coeffs
     if copies == 1:
-        linear, scale = PAULIS, 2
+        Q = np.zeros((len(coeffs), 3, 3))
     else:
-        linear, scale = [np.kron(s, eye) + np.kron(eye, s) for s in PAULIS], 4
-    quadratic = [[np.kron(si, sk) for sk in PAULIS] for si in PAULIS]
-    for j, element in enumerate(povm.elements):
-        for i, op in enumerate(linear):
-            G[j, i] = np.trace(element @ op).real / scale
-        if copies == 2:
-            for i in range(3):
-                for k in range(3):
-                    Q[j, i, k] = np.trace(element @ quadratic[i][k]).real / 4
-    return q0, G, Q
+        Q = coeffs[:, 4:].reshape(-1, 3, 3).copy()
+    return coeffs[:, 0].copy(), coeffs[:, 1:4].copy(), Q
 
 
 def linear_estimator_matrix(povm, copies):

@@ -38,6 +38,15 @@ from .constants import (
 )
 from .linalg import ConvergenceError
 
+# solve_lmi gives up after this many iterations without progress, where
+# progress is the stopping test's distance (the largest of the relative gap
+# and the two residuals, each over its tolerance) falling below half its
+# value at the last progress. A converging solve almost always halves it
+# every iteration or two; a stalled one creeps, with the gap stuck just above
+# SDP_GAP_TOL and the dual residual above SDP_FEAS_TOL, and its iterate goes
+# to the caller's certified bracket 8 iterations later.
+_STALL_WINDOW = 8
+
 
 @dataclass(frozen=True)
 class SdpResult:
@@ -120,10 +129,11 @@ def solve_lmi(
     definite and (near-)feasible for the dual equality constraints; small
     dual infeasibility is folded into the Newton right-hand side and decays
     with the step length. Raises ConvergenceError if an iterate loses
-    positive definiteness, the Schur complement is singular, or the relative
-    gap and residuals fail to reach SDP_GAP_TOL and SDP_FEAS_TOL within
-    SDP_MAX_ITER iterations. The error's `iterate` is the last (y, Z) whose
-    S and Z both passed Cholesky, or None if no iterate did.
+    positive definiteness, the Schur complement is singular, the relative
+    gap and residuals stop falling for _STALL_WINDOW iterations, or they
+    fail to reach SDP_GAP_TOL and SDP_FEAS_TOL within SDP_MAX_ITER
+    iterations. The error's `iterate` is the last (y, Z) whose S and Z both
+    passed Cholesky, or None if no iterate did.
     """
     c = np.asarray(c, dtype=float)
     F0, Fs, Z0 = np.asarray(F0), np.asarray(Fs), np.asarray(Z0)
@@ -154,6 +164,8 @@ def solve_lmi(
     # the last (y, Z) whose S and Z passed Cholesky, handed on with any
     # ConvergenceError so that the caller can bound the optimum from it
     trusted = None
+    # the stopping test's distance at the last progress, and its iteration
+    progress, progressed = np.inf, 0
     try:
         iterations = 0
         for iterations in range(1, SDP_MAX_ITER + 1):
@@ -170,6 +182,16 @@ def solve_lmi(
                     y=y, primal=primal, dual=dual, gap=gap, rel_gap=rel_gap,
                     iterations=iterations - 1, S=S, Z=Z,
                     primal_residual=rp_inf, dual_residual=rd_inf,
+                )
+            distance = max(rel_gap / SDP_GAP_TOL, rp_inf / SDP_FEAS_TOL,
+                           rd_inf / SDP_FEAS_TOL)
+            if distance < 0.5 * progress:
+                progress, progressed = distance, iterations
+            elif iterations - progressed >= _STALL_WINDOW:
+                raise ConvergenceError(
+                    f"stalled at iteration {iterations}: no progress in "
+                    f"{_STALL_WINDOW} iterations, relative gap {rel_gap:.3e}, "
+                    f"residuals {rp_inf:.3e}/{rd_inf:.3e}"
                 )
 
             Ginv, lam = _nt_scaling(S, Z)

@@ -27,7 +27,7 @@ from .constants import (
     VERTEX_BOX_LIMIT,
     VERTEX_MERGE_TOL,
 )
-from .model import AXIS_LABELS, BlochVector, model_point
+from .model import AXIS_LABELS, BlochVector, ModelPoint, model_point
 from .povm import WeightSpec
 
 
@@ -187,8 +187,9 @@ def integer_weight_triples(values=(1, 2, 3)) -> tuple:
     return tuple(seen.values())
 
 
-def _plane_bound(theta: BlochVector, copies: int, weights: WeightSpec) -> float:
-    point = model_point(theta, copies)
+def _plane_bound(point: ModelPoint, weights: WeightSpec) -> float:
+    """Per-qubit collective bound at `point` for one weight triple: the
+    closed form where one exists, the SDP otherwise."""
     bound = bounds_mod.nhcrb_analytic(point, weights)
     if bound is None:
         bound = bounds_mod.nhcrb_sdp(point, weights)
@@ -200,20 +201,21 @@ def surface_scan(theta, copies: int, weight_grid) -> SurfaceScan:
 
     For each weight triple the per-qubit collective bound defines the
     halfspace w . V >= C(w), from its closed form where one exists and from
-    the SDP otherwise. Candidate vertices are the intersections of all plane
-    triples with independent normals, solved as one batch per first plane; those
-    feasible for every plane (within tolerance), above the per-parameter
-    floor 1 - theta_i^2, and inside the bounding box are kept, deduplicated,
-    and returned sorted. Vertices discarded by the box alone are counted in
-    `clipped`.
+    the SDP otherwise. The model point depends on theta alone, so one is
+    built per scan and shared by every plane. Candidate vertices are the
+    intersections of all plane triples with independent normals, solved as
+    one batch per first plane; those feasible for every plane (within
+    tolerance), above the per-parameter floor 1 - theta_i^2, and inside the
+    bounding box are kept, deduplicated, and returned sorted. Vertices
+    discarded by the box alone are counted in `clipped`.
     """
     theta = bounds_mod.as_bloch(theta)
     grid = [bounds_mod.as_weights(w) for w in weight_grid]
     if not grid:
         raise ValueError("weight grid is empty")
+    point = model_point(theta, copies)
     planes = tuple(
-        SupportingPlane(weights=w, offset=_plane_bound(theta, copies, w))
-        for w in grid
+        SupportingPlane(weights=w, offset=_plane_bound(point, w)) for w in grid
     )
 
     floor = 1.0 - theta.array ** 2

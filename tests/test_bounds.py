@@ -388,6 +388,31 @@ def test_bare_convergence_error_propagates(monkeypatch):
         nhcrb_sdp(model_point(BlochVector(0.1, 0.1, 0.1), copies=2), WeightSpec(1, 2, 3))
 
 
+def test_stalled_solve_stops_early_with_a_certified_bracket(monkeypatch):
+    # the gap creeps at 1.3e-8 and the dual residual at 4e-8 here, just above
+    # their tolerances; the solver used to run all SDP_MAX_ITER iterations
+    theta, weights = (0.0252, 0.0252, 0.0252), (2.0, 2.0, 2.0)
+    iterations = []
+    scaling = sdp._nt_scaling
+
+    def counting(S, Z):
+        iterations.append(1)
+        return scaling(S, Z)
+
+    monkeypatch.setattr(sdp, "_nt_scaling", counting)
+    point = model_point(BlochVector(*theta), copies=2)
+    w = WeightSpec(*weights)
+    problem = nh_problem(point, w)
+    with pytest.raises(ConvergenceError, match="stalled") as stop:
+        sdp.solve_lmi(problem.c, problem.F0, problem.Fs, problem.y0, problem.Z0)
+    assert stop.value.iterate is not None
+    assert len(iterations) <= 40
+    got = nhcrb_sdp(point, w)
+    assert got.iterations is None
+    assert holevo(point, w).value <= got.value - got.gap
+    assert got.value <= _gill_massar(theta, np.asarray(weights))
+
+
 def _sweep_inputs():
     """The (theta, weights) of every row of the reproduce sweep."""
     for t in DEMO_THETAS:

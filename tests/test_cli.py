@@ -61,6 +61,13 @@ def test_bounds_normalization_filter(tmp_path, schema):
     assert all(r["normalization"] == "per_qubit" for r in doc["records"])
 
 
+def test_shared_parser_keeps_no_state_between_calls(tmp_path):
+    assert cli.build_parser() is cli.build_parser()
+    run_json(tmp_path, ["bounds", "--normalization", "per_qubit"], name="one.json")
+    doc = run_json(tmp_path, ["bounds"], name="two.json")
+    assert {r["normalization"] for r in doc["records"]} == {"per_measurement", "per_qubit"}
+
+
 def test_bounds_csv_shape(tmp_path):
     out = tmp_path / "bounds.csv"
     assert cli.main(["bounds", "--out", str(out), "--format", "csv"]) == 0
@@ -165,6 +172,8 @@ def test_bounds_analytic_record_off_origin(tmp_path, schema):
     ("-0.003,0.008,-0.003", "1.15,1.24,1.02"),
     # the (2,3,3) grid weights on the first sweep state: a certified stop
     ("0.1,0.1,0.1", "4,9,9"),
+    # the solver ran all SDP_MAX_ITER iterations here before its stall stop
+    ("0.0252,0.0252,0.0252", "2,2,2"),
 ])
 def test_bounds_at_former_solver_stops(tmp_path, schema, theta, weights):
     doc = run_json(tmp_path, ["bounds", f"--theta={theta}", "--weights", weights,

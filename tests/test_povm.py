@@ -6,7 +6,7 @@ import pytest
 from qtradeoff import linalg
 from qtradeoff.bounds import convert_normalization, nhcrb_analytic
 from qtradeoff.cli import _complex_matrix_json
-from qtradeoff.model import BlochVector, model_point, model_qfi
+from qtradeoff.model import PAULIS, BlochVector, model_point, model_qfi
 from qtradeoff.povm import (
     Povm,
     SingularFisherError,
@@ -14,12 +14,14 @@ from qtradeoff.povm import (
     classical_fisher,
     outcome_probabilities,
     probability_derivatives,
+    quadratic_probability_model,
     reference_povm,
     sic_two_copy,
     single_copy_optimal,
     two_copy_alpha,
     two_copy_optimal,
 )
+from qtradeoff.tradeoff import integer_weight_triples
 
 ORIGIN_1 = model_point(BlochVector(0, 0, 0))
 ORIGIN_2 = model_point(BlochVector(0, 0, 0), copies=2)
@@ -28,6 +30,35 @@ ORIGIN_2 = model_point(BlochVector(0, 0, 0), copies=2)
 def random_weights(rng):
     w = rng.uniform(0.05, 1.0, size=3)
     return WeightSpec(*(w / w.sum()))
+
+
+def _model_by_element(povm, copies):
+    """(q0, G, Q) from one Pauli trace per element and operator."""
+    eye = np.eye(2)
+    if copies == 1:
+        linear, scale = PAULIS, 2
+    else:
+        linear, scale = [np.kron(s, eye) + np.kron(eye, s) for s in PAULIS], 4
+    n = povm.n_outcomes
+    q0 = np.array([np.trace(e).real / scale for e in povm.elements])
+    G = np.array([[np.trace(e @ op).real / scale for op in linear] for e in povm.elements])
+    Q = np.zeros((n, 3, 3))
+    if copies == 2:
+        for j, e in enumerate(povm.elements):
+            for i in range(3):
+                for k in range(3):
+                    Q[j, i, k] = np.trace(e @ np.kron(PAULIS[i], PAULIS[k])).real / 4
+    return q0, G, Q
+
+
+def test_batched_quadratic_model_equals_the_per_element_traces():
+    for _, w in integer_weight_triples():
+        for copies, povm in ((1, single_copy_optimal(w)), (2, two_copy_optimal(w)),
+                             (2, sic_two_copy()), (1, reference_povm(1)),
+                             (2, reference_povm(2))):
+            got = quadratic_probability_model(povm, copies)
+            for a, b in zip(got, _model_by_element(povm, copies)):
+                assert np.array_equal(a, b)
 
 
 def test_weight_spec_basics():

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from qtradeoff import tradeoff
 from qtradeoff.bounds import nhcrb_sdp
 from qtradeoff.constants import (
     PARALLEL_NORMAL_TOL,
@@ -143,6 +144,21 @@ def test_surface_scan_interior_point():
     for plane, w in zip(scan.planes, grid):
         want = nhcrb_sdp(point, w).value
         assert abs(plane.offset - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("copies", [1, 2])
+def test_surface_scan_builds_one_model_point(monkeypatch, copies):
+    calls = []
+
+    def counting(theta, copies):
+        calls.append(copies)
+        return model_point(theta, copies)
+
+    monkeypatch.setattr(tradeoff, "model_point", counting)
+    grid = [w for _, w in integer_weight_triples(values=(1, 2))]
+    scan = surface_scan((0.2, 0.0, 0.0), copies, grid)
+    assert len(scan.planes) == len(grid) > 1
+    assert calls == [copies]
 
 
 def _scan_one_triple_at_a_time(theta, planes):
