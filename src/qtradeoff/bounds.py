@@ -35,7 +35,7 @@ from .model import (  # noqa: F401  (NORMALIZATIONS re-exported)
     convert_normalization,
     model_point,
 )
-from .povm import WeightSpec, linear_estimator_matrix, single_copy_optimal, two_copy_optimal
+from .povm import WeightSpec, quadratic_probability_model, single_copy_optimal, two_copy_optimal
 
 
 def as_bloch(theta) -> BlochVector:
@@ -406,7 +406,7 @@ def nh_optimal_certificate_origin(weights, copies: int = 1) -> NhCertificate:
     else:
         raise ValueError(f"copies must be 1 or 2, got {copies}")
     # coefficients c_i(m) of the unbiased linear estimator, one row per outcome
-    coeff = linear_estimator_matrix(p, copies).T
+    coeff = quadratic_probability_model(p, copies).design.T
     point = model_point(BlochVector(0.0, 0.0, 0.0), copies)
     d = point.dim
 

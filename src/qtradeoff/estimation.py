@@ -7,7 +7,6 @@ comparable to the analytic and SDP bounds.
 """
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -22,14 +21,7 @@ from .constants import (
     PROB_SUM_TOL,
 )
 from .model import BlochVector, convert_normalization, model_point
-from .povm import (  # noqa: F401  (linear_estimator_matrix re-exported)
-    Povm,
-    WeightSpec,
-    _linear_design,
-    _model_probabilities,
-    linear_estimator_matrix,
-    quadratic_probability_model,
-)
+from .povm import Povm, quadratic_probability_model
 from .tradeoff import MsePoint
 
 REPEAT_STREAM = 0
@@ -166,24 +158,6 @@ def _project_ball(theta, radius=MLE_BALL_RADIUS):
     return theta * np.minimum(1.0, radius / np.maximum(norm, radius))
 
 
-class _MleModel(NamedTuple):
-    """What _fit_mle needs of a quadratic model: q0 and G, the symmetrized
-    S_j = Q_j + Q_j' and the origin linear design that gives the start."""
-
-    q0: np.ndarray
-    G: np.ndarray
-    S: np.ndarray
-    design: np.ndarray
-
-
-def _mle_model(model):
-    """The _MleModel of a quadratic model (q0, G, Q); an _MleModel passes through."""
-    if isinstance(model, _MleModel):
-        return model
-    q0, G, Q = model
-    return _MleModel(q0, G, Q + np.transpose(Q, (0, 2, 1)), _linear_design(q0, G))
-
-
 def _likelihood(theta, freqs, q0, G, S):
     """Shot-normalized negative log likelihood of each row, -sum_j f_j log p_j,
     with its exact gradient and Hessian.
@@ -261,7 +235,7 @@ def _ball_newton_step(theta, grad, hess, radius=MLE_BALL_RADIUS):
 def _fit_mle(freqs, model, max_iter, kkt_tol):
     """Batched projected-Newton maximum likelihood over the Bloch ball.
 
-    model is an _MleModel. Each row of freqs (R, n) is solved on its own:
+    model is a QuadraticModel. Each row of freqs (R, n) is solved on its own:
     it starts at the origin linear estimate pulled inside the ball, takes
     ball-constrained Newton steps with Armijo backtracking, and is frozen
     as soon as its unit-step projected-gradient norm |theta - P(theta - g)|
@@ -271,8 +245,8 @@ def _fit_mle(freqs, model, max_iter, kkt_tol):
     iterations per row, the final projected-gradient norms and whether
     the ball binds (the projection P is active) at each estimate.
     """
-    q0, G, S, design = model
-    start = (freqs[:, None, :] * design).sum(axis=-1)
+    q0, G, S = model.q0, model.G, model.S
+    start = (freqs[:, None, :] * model.design).sum(axis=-1)
     t = _project_ball(start, 0.9 * MLE_BALL_RADIUS)
     f, g, h = _likelihood(t, freqs, q0, G, S)
     while not np.isfinite(f).all():
@@ -355,10 +329,10 @@ def mle_estimator(
     likelihood over the ball |theta| <= MLE_BALL_RADIUS, and each row
     stops on its own once its unit-step projected-gradient norm is at
     most kkt_tol, so no estimate depends on the other rows of its batch.
-    Pass a precomputed quadratic_probability_model as model to amortize
-    the Pauli traces; run_experiment passes its _MleModel, which also
-    carries the symmetrized quadratic terms and the start's linear design,
-    so its per-repetition calls build neither. If stats is a dict, the
+    Pass a precomputed QuadraticModel of povm as model to amortize the
+    Pauli traces: it caches its symmetrized quadratic terms S and the
+    start's linear design, so run_experiment's per-repetition calls,
+    which share one model, build each once. If stats is a dict, the
     solve folds into it its largest Newton iteration count and largest
     final projected-gradient norm (by max) and the number of rows where
     the ball binds (by sum), so one dict passed to several calls
@@ -377,9 +351,9 @@ def mle_estimator(
         raise ValueError("counts must be nonnegative")
     if model is None:
         model = quadratic_probability_model(povm, copies)
-    if np.where(batch > 0, model[0], 1.0).min() <= 0:
+    if np.where(batch > 0, model.q0, 1.0).min() <= 0:
         raise ValueError("counts on an outcome whose POVM element is zero")
-    theta, iterations, kkt, binds = _fit_mle(batch / total, _mle_model(model), max_iter, kkt_tol)
+    theta, iterations, kkt, binds = _fit_mle(batch / total, model, max_iter, kkt_tol)
     failed = np.flatnonzero(~(kkt <= kkt_tol))
     if failed.size:
         r = failed[0]
@@ -409,15 +383,16 @@ def _bootstrap_standard_error(squared_errors, weights, scale):
 def run_experiment(plan, weights, estimator="linear"):
     """Run the full Monte Carlo experiment described by a ShotPlan.
 
-    One generator seeded with the stream [seed, 0] draws, in order, the
-    (R,) shot counts when they are Poisson and then the (R, n) outcome
-    counts of all R repetitions as one batched multinomial draw from the
-    outcome probabilities of the quadratic model at theta_true, for every
-    state, mixed or not. The linear estimator maps all repetitions'
-    frequencies in one product; the MLE solves each repetition's counts in
-    its own call, with the solves' convergence statistics in
-    metadata["mle"]. Per-axis squared errors are
-    averaged over repetitions and normalized per qubit. For positive
+    The experiment builds one QuadraticModel of the POVM. One generator
+    seeded with the stream [seed, 0] draws, in order, the (R,) shot counts
+    when they are Poisson and then the (R, n) outcome counts of all R
+    repetitions as one batched multinomial draw from the model's
+    probabilities at theta_true, for every state, mixed or not. The linear
+    estimator maps all repetitions' frequencies through the model's
+    design in one product; the MLE solves each repetition's counts in its
+    own call on the same model, with the solves' convergence statistics
+    in metadata["mle"]. Per-axis squared errors are averaged over
+    repetitions and normalized per qubit. For positive
     weights the metadata carries the closed-form collective bounds at
     theta_true, per qubit: the single-copy bound everywhere and the
     two-copy bound at the origin, where its closed form exists;
@@ -429,10 +404,6 @@ def run_experiment(plan, weights, estimator="linear"):
         raise ValueError("estimator must be 'linear' or 'mle'")
     theta_true = plan.theta_true.array
     model = quadratic_probability_model(plan.povm, plan.copies)
-    probs = _model_probabilities(*model, theta_true)
-    # completeness rounding of published measurements leaks into sum(probs)
-    prob_budget = max(PROB_SUM_TOL, plan.povm.dim * plan.povm.completeness_tol)
-    fit_model = _mle_model(model)
 
     rng = np.random.Generator(
         np.random.Philox(np.random.SeedSequence([plan.seed, REPEAT_STREAM]))
@@ -443,16 +414,16 @@ def run_experiment(plan, weights, estimator="linear"):
             raise RuntimeError("drew an empty repetition; raise the shot budget")
     else:
         shots = np.full(plan.repeats, plan.shots_per_repeat)
-    counts = sample_counts(probs, shots, rng, sum_tol=prob_budget)
+    counts = sample_counts(model.probabilities(theta_true), shots, rng, sum_tol=model.sum_tol)
     if estimator == "linear":
-        estimates = (counts / shots[:, None]) @ fit_model.design.T
+        estimates = (counts / shots[:, None]) @ model.design.T
     else:
         # one call per repetition, so mle_estimator stays the per-repetition
         # layer that the benchmark's traced run counts; a row's estimate is
         # the same bits whether it is solved alone or in a batch
         mle_stats = {}
         estimates = np.array([
-            mle_estimator(c, plan.copies, plan.povm, model=fit_model, stats=mle_stats) for c in counts
+            mle_estimator(c, plan.copies, plan.povm, model=model, stats=mle_stats) for c in counts
         ])
     squared = (estimates - theta_true) ** 2
 
@@ -470,13 +441,8 @@ def run_experiment(plan, weights, estimator="linear"):
         "plan": plan.to_json_dict(),
         "estimator": estimator,
         "weights": list(w.array),
-        "sampling": "direct",
     }
-    try:
-        w.require_positive()
-    except ValueError:
-        pass
-    else:
+    if np.all(w.array > 0):
         c1 = nhcrb_analytic(model_point(plan.theta_true, 1), w).value
         metadata["single_copy_bound_per_qubit"] = c1
         c2 = nhcrb_analytic(model_point(plan.theta_true, 2), w)

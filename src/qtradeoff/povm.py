@@ -7,8 +7,9 @@ to four decimals for theta = (0.3, 0.3, 0.3) with W = diag(1, 4, 9)/14.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+import functools
+from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -270,8 +271,60 @@ def _model_operators(copies: int) -> np.ndarray:
 _MODEL_OPERATORS = {copies: _model_operators(copies) for copies in (1, 2)}
 
 
-def quadratic_probability_model(povm: Povm, copies: int):
+@dataclass(frozen=True, eq=False)
+class QuadraticModel:
     """Exact outcome-probability model p_j = q0_j + G_j . theta + theta' Q_j theta.
+
+    sum_tol is the accepted deviation of sum(p) from one: PROB_SUM_TOL, or
+    the dimension times the POVM's completeness budget where that is
+    larger, since the completeness rounding of the four-decimal reference
+    measurements leaks into the sum. S = Q + Q' (so that
+    dp_j/dtheta = G_j + S_j theta) and the origin linear design are
+    computed on first use: a POVM that is not informationally complete
+    has probabilities but no design.
+    """
+
+    q0: np.ndarray
+    G: np.ndarray
+    Q: np.ndarray
+    sum_tol: float
+
+    def probabilities(self, theta) -> np.ndarray:
+        return self.q0 + self.G @ theta + np.einsum("jik,i,k->j", self.Q, theta, theta)
+
+    def jacobian(self, theta) -> np.ndarray:
+        """d p_j / d theta_i as an (n_outcomes, 3) array."""
+        return self.G + np.einsum("jik,k->ji", self.S, theta)
+
+    @functools.cached_property
+    def S(self) -> np.ndarray:
+        return self.Q + np.transpose(self.Q, (0, 2, 1))
+
+    @functools.cached_property
+    def design(self) -> np.ndarray:
+        """Coefficient matrix of the best linear unbiased estimator at the origin.
+
+        theta_hat = design @ (counts / shots). It inverts the origin Fisher
+        information against the outcome Jacobian G, so the estimator is
+        unbiased at theta = 0 for any informationally complete POVM. For
+        the weight-adapted optimal measurements this reduces to the
+        familiar difference-of-counts form.
+        """
+        mask = self.q0 > FISHER_PROB_CUTOFF
+        scaled = np.zeros_like(self.G)
+        scaled[mask] = self.G[mask] / self.q0[mask, None]
+        fisher = self.G[mask].T @ scaled[mask]
+        try:
+            inv = np.linalg.inv(fisher)
+        except np.linalg.LinAlgError:
+            raise ValueError(
+                "POVM is not informationally complete at the origin"
+            ) from None
+        return inv @ scaled.T
+
+
+def quadratic_probability_model(povm: Povm, copies: int) -> QuadraticModel:
+    """The QuadraticModel of a POVM measured on one or two copies.
 
     The one- and two-copy states are polynomial in the Bloch vector, so
     the outcome probabilities are affine (one copy) or quadratic (two
@@ -279,7 +332,7 @@ def quadratic_probability_model(povm: Povm, copies: int):
     the Pauli operators sum_c sigma_i^(c) and, for two copies, the
     sigma_i (x) sigma_k. All of them come from one batched product of the
     element stack with the operator stack, which is built once per copy
-    count. Returns (q0, G, Q) with Q zero for one copy.
+    count. Q is zero for one copy.
     """
     if copies not in (1, 2):
         raise ValueError("copies must be 1 or 2")
@@ -294,67 +347,28 @@ def quadratic_probability_model(povm: Povm, copies: int):
         Q = np.zeros((len(coeffs), 3, 3))
     else:
         Q = coeffs[:, 4:].reshape(-1, 3, 3).copy()
-    return coeffs[:, 0].copy(), coeffs[:, 1:4].copy(), Q
+    return QuadraticModel(coeffs[:, 0].copy(), coeffs[:, 1:4].copy(), Q,
+                          max(PROB_SUM_TOL, dim * povm.completeness_tol))
 
 
-def linear_estimator_matrix(povm, copies):
-    """Coefficient matrix of the best linear unbiased estimator at the origin.
-
-    Returns D with theta_hat = D @ (counts / shots). D inverts the
-    origin Fisher information against the outcome Jacobian, so the
-    estimator is unbiased at theta = 0 for any informationally complete
-    POVM. For the weight-adapted optimal measurements this reduces to
-    the familiar difference-of-counts form.
-    """
-    q0, G, _ = quadratic_probability_model(povm, copies)
-    return _linear_design(q0, G)
-
-
-def _linear_design(q0, G):
-    """linear_estimator_matrix from precomputed model coefficients q0 and G."""
-    mask = q0 > FISHER_PROB_CUTOFF
-    scaled = np.zeros_like(G)
-    scaled[mask] = G[mask] / q0[mask, None]
-    fisher = G[mask].T @ scaled[mask]
-    try:
-        inv = np.linalg.inv(fisher)
-    except np.linalg.LinAlgError:
-        raise ValueError(
-            "POVM is not informationally complete at the origin"
-        ) from None
-    return inv @ scaled.T
-
-
-def _model_probabilities(q0, G, Q, theta):
-    return q0 + G @ theta + np.einsum("jik,i,k->j", Q, theta, theta)
-
-
-def _model_jacobian(G, Q, theta):
-    return G + np.einsum("jik,k->ji", Q + np.transpose(Q, (0, 2, 1)), theta)
-
-
-def outcome_probabilities(point: ModelPoint, povm: Povm, model=None) -> np.ndarray:
+def outcome_probabilities(point: ModelPoint, povm: Povm) -> np.ndarray:
     """Born probabilities Tr[rho Pi_j] from the quadratic model, clipped of
-    sub-tolerance negatives. Pass a precomputed quadratic_probability_model
-    as model to evaluate it instead of rebuilding it."""
+    sub-tolerance negatives; raises ValueError when a probability is
+    negative or their sum misses one by more than the model's sum_tol."""
     if povm.dim != point.dim:
         raise ValueError(f"POVM dimension {povm.dim} != model dimension {point.dim}")
-    if model is None:
-        model = quadratic_probability_model(povm, point.copies)
-    p = _model_probabilities(*model, point.theta.array)
+    return _checked_probabilities(quadratic_probability_model(povm, point.copies),
+                                  point.theta.array)
+
+
+def _checked_probabilities(model: QuadraticModel, theta) -> np.ndarray:
+    p = model.probabilities(theta)
     if p.min() < -PROB_NEGATIVE_TOL:
         raise ValueError(f"negative outcome probability {p.min():.3e}")
     p = np.clip(p, 0.0, 1.0)
-    sum_tol = max(PROB_SUM_TOL, point.dim * povm.completeness_tol)
-    if abs(p.sum() - 1.0) > sum_tol:
+    if abs(p.sum() - 1.0) > model.sum_tol:
         raise ValueError(f"outcome probabilities sum to {p.sum():.6f}")
     return p
-
-
-def probability_derivatives(point: ModelPoint, povm: Povm) -> np.ndarray:
-    """d p_j / d theta_i as an (n_outcomes, 3) array."""
-    _, G, Q = quadratic_probability_model(povm, point.copies)
-    return _model_jacobian(G, Q, point.theta.array)
 
 
 @dataclass(frozen=True)
@@ -388,17 +402,18 @@ def classical_fisher(point: ModelPoint, povm: Povm) -> FisherMatrix:
     in the PSD order, with slack scaled to the POVM's completeness budget.
     """
     model = quadratic_probability_model(povm, point.copies)
-    p = outcome_probabilities(point, povm, model)
-    dp = _model_jacobian(model[1], model[2], point.theta.array)
-    F = np.zeros((3, 3))
-    for j in range(len(p)):
-        if p[j] > FISHER_PROB_CUTOFF:
-            F += np.outer(dp[j], dp[j]) / p[j]
-        elif np.abs(dp[j]).max() > np.sqrt(FISHER_PROB_CUTOFF):
-            raise SingularFisherError(
-                f"outcome {j} has probability {p[j]:.2e} but derivative "
-                f"{np.abs(dp[j]).max():.2e}"
-            )
+    p = _checked_probabilities(model, point.theta.array)
+    dp = model.jacobian(point.theta.array)
+    kept = p > FISHER_PROB_CUTOFF
+    lost = np.flatnonzero(~kept & (np.abs(dp).max(axis=1) > np.sqrt(FISHER_PROB_CUTOFF)))
+    if lost.size:
+        j = lost[0]
+        raise SingularFisherError(
+            f"outcome {j} has probability {p[j]:.2e} but derivative "
+            f"{np.abs(dp[j]).max():.2e}"
+        )
+    root = dp[kept] / np.sqrt(p[kept, None])
+    F = root.T @ root
     if point.theta.norm < 1.0 - INTERIOR_MARGIN:
         tol = max(PSD_TOL, povm.completeness_tol)
         if not linalg.is_psd(model_qfi(point) - F, tol):

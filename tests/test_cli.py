@@ -97,6 +97,14 @@ def test_povm_reference_artifact(tmp_path, schema):
     assert doc["completeness_deviation"] < 2e-3
 
 
+def test_povm_at_a_pure_state_leaves_out_the_singular_fisher(tmp_path, schema):
+    doc = run_json(tmp_path, ["povm", "--povm", "opt2", "--copies", "2",
+                              "--theta", "0,0,1"])
+    jsonschema.validate(doc, schema)
+    assert doc["probabilities"][-1] == 0.0
+    assert "fisher" not in doc
+
+
 def test_povm_csv_rows(tmp_path):
     out = tmp_path / "povm.csv"
     assert cli.main(["povm", "--povm", "opt1", "--out", str(out),
@@ -229,7 +237,6 @@ def test_simulate_reference_povm_smoke(tmp_path, schema):
         "--shots", "100", "--repeats", "20", "--seed", "1",
     ])
     jsonschema.validate(doc, schema)
-    assert doc["metadata"]["sampling"] == "direct"
 
 
 def test_simulate_accepts_an_exact_axis_estimate(tmp_path, schema):

@@ -9,7 +9,6 @@ from qtradeoff.estimation import (
     MleError,
     ShotPlan,
     _bootstrap_standard_error,
-    linear_estimator_matrix,
     mle_estimator,
     run_experiment,
     sample_counts,
@@ -18,8 +17,6 @@ from qtradeoff.model import BlochVector, model_point
 from qtradeoff.povm import (
     Povm,
     WeightSpec,
-    _model_jacobian,
-    _model_probabilities,
     outcome_probabilities,
     quadratic_probability_model,
     sic_two_copy,
@@ -105,7 +102,7 @@ def test_run_experiment_counts_come_from_one_stream(components):
     rng = _philox(9, REPEAT_STREAM)
     shots = rng.poisson(200, size=300)
     counts = sample_counts(outcome_probabilities(model_point(theta, copies=2), povm), shots, rng)
-    D = linear_estimator_matrix(povm, 2)
+    D = quadratic_probability_model(povm, 2).design
     per_row = np.array([D @ (c / n) for c, n in zip(counts, shots)])
     batched = (counts / shots[:, None]) @ D.T
     scale = (counts / shots[:, None]) @ np.abs(D).T
@@ -160,15 +157,15 @@ def test_quadratic_model_is_exact():
         (2, sic_two_copy()),
     ]
     for copies, povm in cases:
-        q0, G, Q = quadratic_probability_model(povm, copies)
+        model = quadratic_probability_model(povm, copies)
         for _ in range(5):
             t = rng.normal(size=3)
             t *= rng.uniform(0, 0.8) / np.linalg.norm(t)
             point = model_point(BlochVector(*t), copies=copies)
             born = [np.trace(point.rho @ el).real for el in povm.elements]
             born_jac = [[np.trace(d @ el).real for d in point.drho] for el in povm.elements]
-            assert np.abs(_model_probabilities(q0, G, Q, t) - born).max() < 1e-12
-            assert np.abs(_model_jacobian(G, Q, t) - born_jac).max() < 1e-12
+            assert np.abs(model.probabilities(t) - born).max() < 1e-12
+            assert np.abs(model.jacobian(t) - born_jac).max() < 1e-12
 
 
 def test_linear_estimator_unbiased_to_first_order():
@@ -178,10 +175,9 @@ def test_linear_estimator_unbiased_to_first_order():
         (2, sic_two_copy()),
     ]
     for copies, povm in cases:
-        D = linear_estimator_matrix(povm, copies)
-        q0, G, _ = quadratic_probability_model(povm, copies)
-        assert np.abs(D @ G - np.eye(3)).max() < 1e-12
-        assert np.abs(D @ q0).max() < 1e-12
+        model = quadratic_probability_model(povm, copies)
+        assert np.abs(model.design @ model.G - np.eye(3)).max() < 1e-12
+        assert np.abs(model.design @ model.q0).max() < 1e-12
 
 
 def test_linear_estimator_closed_form_agrees():
@@ -194,7 +190,7 @@ def test_linear_estimator_closed_form_agrees():
     w = WeightSpec.from_integers((1, 2, 3))
     root = np.sqrt(w.array)
     for copies, povm in ((1, single_copy_optimal(w)), (2, two_copy_optimal(w))):
-        D = linear_estimator_matrix(povm, copies)
+        D = quadratic_probability_model(povm, copies).design
         probs = outcome_probabilities(model_point(BlochVector(0.1, 0.05, -0.1), copies=copies), povm)
         counts = sample_counts(probs, 500, rng)
         direct = np.empty(3)
@@ -212,16 +208,19 @@ def test_linear_estimator_closed_form_agrees():
 def test_linear_estimator_origin_validation():
     w = WeightSpec(1, 1, 1)
     with pytest.raises(ValueError):
-        linear_estimator_matrix(two_copy_optimal(w), 1)
+        quadratic_probability_model(two_copy_optimal(w), 1)
     with pytest.raises(ValueError):
-        linear_estimator_matrix(two_copy_optimal(w), 3)
+        quadratic_probability_model(two_copy_optimal(w), 3)
     # z-basis outcomes carry no information on x and y
     z_basis = Povm(
         (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)),
         name="z_basis", labels=("+z", "-z"),
     )
+    # which has probabilities but no design
+    model = quadratic_probability_model(z_basis, 1)
+    assert np.array_equal(model.probabilities(np.zeros(3)), [0.5, 0.5])
     with pytest.raises(ValueError, match="informationally complete"):
-        linear_estimator_matrix(z_basis, 1)
+        model.design
 
 
 def test_run_experiment_deterministic():
@@ -244,7 +243,6 @@ def test_origin_linear_estimator_statistics():
     assert abs(rep.weighted_trace - 6.0) < 4 * rep.standard_error
     assert rep.metadata["single_copy_bound_per_qubit"] == 9.0
     assert rep.metadata["two_copy_bound_per_qubit"] == 6.0
-    assert rep.metadata["sampling"] == "direct"
     assert rep.metadata["z_vs_single_copy"] > 5.0
 
 
@@ -290,9 +288,8 @@ BALL = 1 - 1e-6
 
 def _projected_gradient_norm(counts, est, model):
     """|est - P(est - grad)| for the shot-normalized negative log likelihood."""
-    q0, G, Q = model
-    p = _model_probabilities(q0, G, Q, est)
-    jac = _model_jacobian(G, Q, est)
+    p = model.probabilities(est)
+    jac = model.jacobian(est)
     freqs = counts / counts.sum()
     active = freqs > 0
     grad = -(freqs[active] / p[active]) @ jac[active]
@@ -304,7 +301,7 @@ def _projected_gradient_norm(counts, est, model):
 
 
 def _log_likelihood(counts, theta, model):
-    p = _model_probabilities(*model, theta)
+    p = model.probabilities(theta)
     active = counts > 0
     return counts[active] @ np.log(p[active])
 

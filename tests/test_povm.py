@@ -13,7 +13,6 @@ from qtradeoff.povm import (
     WeightSpec,
     classical_fisher,
     outcome_probabilities,
-    probability_derivatives,
     quadratic_probability_model,
     reference_povm,
     sic_two_copy,
@@ -57,7 +56,7 @@ def test_batched_quadratic_model_equals_the_per_element_traces():
                              (2, sic_two_copy()), (1, reference_povm(1)),
                              (2, reference_povm(2))):
             got = quadratic_probability_model(povm, copies)
-            for a, b in zip(got, _model_by_element(povm, copies)):
+            for a, b in zip((got.q0, got.G, got.Q), _model_by_element(povm, copies)):
                 assert np.array_equal(a, b)
 
 
@@ -136,8 +135,7 @@ def test_probability_derivatives_finite_difference():
     w = WeightSpec.from_integers((2, 1, 3))
     for copies, povm in ((1, single_copy_optimal(w)), (2, two_copy_optimal(w)), (2, sic_two_copy())):
         theta = np.array([0.15, -0.2, 0.25])
-        point = model_point(BlochVector(*theta), copies=copies)
-        dp = probability_derivatives(point, povm)
+        dp = quadratic_probability_model(povm, copies).jacobian(theta)
         h = 1e-6
         for i in range(3):
             shift = np.zeros(3)
@@ -217,6 +215,16 @@ def test_singular_fisher_raises():
     F = classical_fisher(ORIGIN_1, povm)
     with pytest.raises(SingularFisherError):
         F.weighted_trace_inverse(WeightSpec(1, 1, 1))
+
+
+@pytest.mark.parametrize("copies, build, outcome", [(1, single_copy_optimal, 5),
+                                                    (2, two_copy_optimal, 6)])
+def test_fisher_names_a_vanishing_outcome_with_a_slope(copies, build, outcome):
+    # at the pure state theta = (0, 0, 1) the -z outcome of one copy and the
+    # singlet of two have probability 0 but a nonzero z derivative
+    point = model_point(BlochVector(0, 0, 1), copies=copies)
+    with pytest.raises(SingularFisherError, match=rf"^outcome {outcome} has probability 0\.00e\+00"):
+        classical_fisher(point, build(WeightSpec(1, 4, 9)))
 
 
 def test_reference_povms_structure():
