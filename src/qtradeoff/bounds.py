@@ -406,7 +406,7 @@ def nh_optimal_certificate_origin(weights, copies: int = 1) -> NhCertificate:
     else:
         raise ValueError(f"copies must be 1 or 2, got {copies}")
     # coefficients c_i(m) of the unbiased linear estimator, one row per outcome
-    coeff = quadratic_probability_model(p, copies).design.T
+    coeff = quadratic_probability_model(p).design.T
     point = model_point(BlochVector(0.0, 0.0, 0.0), copies)
     d = point.dim
 

@@ -217,8 +217,7 @@ def cmd_povm(args) -> int:
     theta = parse_theta(args.theta)
     weights = parse_weights(args.weights)
     povm = build_povm(args.povm, args.copies, weights)
-    point = model_point(theta, copies=args.copies)
-    probs = outcome_probabilities(point, povm)
+    probs = outcome_probabilities(theta, povm)
     payload = {
         "kind": "povm",
         "name": povm.name,
@@ -230,7 +229,7 @@ def cmd_povm(args) -> int:
         "probabilities": list(probs),
     }
     try:
-        fisher = classical_fisher(point, povm)
+        fisher = classical_fisher(theta, povm)
     except SingularFisherError:
         fisher = None
     if fisher is not None:
@@ -291,7 +290,6 @@ def cmd_simulate(args) -> int:
     povm = build_povm(args.povm, args.copies, weights)
     plan = ShotPlan(
         theta_true=theta,
-        copies=args.copies,
         povm=povm,
         shots_per_repeat=args.shots,
         repeats=args.repeats,
@@ -337,9 +335,9 @@ def _origin_rows(grid, shots, repeats, seed):
     sic = sic_two_copy()
     for row, (u, w) in enumerate(grid):
         row_seed = _row_seed(seed, 0, row)
-        plan = ShotPlan(origin, 2, two_copy_optimal(w), shots, repeats, row_seed)
+        plan = ShotPlan(origin, two_copy_optimal(w), shots, repeats, row_seed)
         rep = run_experiment(plan, w, estimator="linear")
-        sic_plan = ShotPlan(origin, 2, sic, shots, repeats, row_seed)
+        sic_plan = ShotPlan(origin, sic, shots, repeats, row_seed)
         sic_rep = run_experiment(sic_plan, w, estimator="linear")
         c1 = rep.metadata["single_copy_bound_per_qubit"]
         c2 = rep.metadata["two_copy_bound_per_qubit"]
@@ -377,7 +375,7 @@ def _sweep_rows(grid, repeats, seed):
         theta = BlochVector(t, t, t)
         for u, w in grid:
             row_seed = _row_seed(seed, 1, len(rows))
-            plan = ShotPlan(theta, 2, two_copy_optimal(w), shots, repeats, row_seed)
+            plan = ShotPlan(theta, two_copy_optimal(w), shots, repeats, row_seed)
             rep = run_experiment(plan, w, estimator="mle")
             # the single-copy bound has a closed form at every t; the
             # two-copy bound off the origin comes from the SDP
@@ -399,9 +397,6 @@ def cmd_reproduce(args) -> int:
     shots = args.shots if args.shots is not None else ORIGIN_SHOTS
     origin_rows, zs = _origin_rows(grid, shots, args.repeats, args.seed)
     sweep_rows = _sweep_rows(grid, args.repeats, args.seed)
-    below = all(
-        float(row[9]) < float(row[13]) for row in origin_rows
-    )
     summary = {
         "kind": "summary",
         "seed": args.seed,
@@ -412,7 +407,8 @@ def cmd_reproduce(args) -> int:
             "mean_z_vs_single_copy": float(zs.mean()),
             "min_z_vs_single_copy": float(zs.min()),
             "pooled_z_vs_single_copy": float(zs.sum() / np.sqrt(len(zs))),
-            "all_below_single_copy": below,
+            # z = (bound - weighted trace) / SE with SE > 0
+            "all_below_single_copy": bool((zs > 0).all()),
         },
         "sweep": {
             "rows": len(sweep_rows),
@@ -446,16 +442,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, theta=True, weights=True, copies=True, output=True):
-        if theta:
-            p.add_argument("--theta", default="0,0,0", help="Bloch vector a,b,c")
+    def common(p, weights=True):
+        p.add_argument("--theta", default="0,0,0", help="Bloch vector a,b,c")
         if weights:
             p.add_argument("--weights", default="1,1,1", help="weight triple a,b,c")
-        if copies:
-            p.add_argument("--copies", type=int, choices=(1, 2), default=1)
-        if output:
-            p.add_argument("--out", default=None, help="output path (default stdout)")
-            p.add_argument("--format", choices=("json", "csv"), default="json")
+        p.add_argument("--copies", type=int, choices=(1, 2), default=1)
+        p.add_argument("--out", default=None, help="output path (default stdout)")
+        p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("bounds", help="precision bounds at a model point")
     common(p)

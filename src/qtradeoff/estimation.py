@@ -17,8 +17,6 @@ from .constants import (
     MLE_EIG_FLOOR,
     MLE_KKT_TOL,
     MLE_MAX_ITER,
-    PROB_NEGATIVE_TOL,
-    PROB_SUM_TOL,
 )
 from .model import BlochVector, convert_normalization, model_point
 from .povm import Povm, quadratic_probability_model
@@ -51,8 +49,8 @@ class ShotPlan:
     """Specification of one Monte Carlo experiment.
 
     theta_true: Bloch vector of the prepared state.
-    copies: qubits measured jointly per shot (1 or 2).
-    povm: measurement applied to each shot.
+    povm: measurement applied to each shot; its dimension fixes copies,
+        the qubits measured jointly per shot.
     shots_per_repeat: measurements per repetition.
     repeats: independent repetitions, each yielding one estimate.
     seed: root seed; the experiment draws every repetition's shot count
@@ -63,7 +61,6 @@ class ShotPlan:
     """
 
     theta_true: BlochVector
-    copies: int
     povm: Povm
     shots_per_repeat: int
     repeats: int
@@ -71,19 +68,17 @@ class ShotPlan:
     poisson_shots: bool = False
 
     def __post_init__(self):
-        if self.copies not in (1, 2):
-            raise ValueError("copies must be 1 or 2")
-        if self.povm.dim != 2 ** self.copies:
-            raise ValueError(
-                f"POVM dimension {self.povm.dim} does not match "
-                f"{self.copies}-copy measurements"
-            )
+        self.povm.copies  # raises ValueError for a POVM on neither one nor two qubits
         if self.shots_per_repeat <= 0:
             raise ValueError("shots_per_repeat must be positive")
         if self.repeats <= 0:
             raise ValueError("repeats must be positive")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
+
+    @property
+    def copies(self) -> int:
+        return self.povm.copies
 
     def to_json_dict(self):
         return {
@@ -128,23 +123,17 @@ class ExperimentReport:
         }
 
 
-def sample_counts(probs, shots, rng, sum_tol=PROB_SUM_TOL):
+def sample_counts(probs, shots, rng):
     """Draw multinomial outcome counts for one repetition or a batch.
 
-    shots is one repetition's shot count, giving counts of shape (n,), or
-    an (R,) array of them, giving one row of counts per repetition (R, n).
-    sum_tol is the accepted deviation of sum(probs) from 1; measurements
-    published to few decimals carry a looser budget than the exact
-    constructions. Inside the budget the distribution is renormalized.
+    probs are checked probabilities, as QuadraticModel.checked_probabilities
+    returns them; the draw renormalizes them, since measurements published
+    to few decimals sum to one only within their budget. shots is one
+    repetition's shot count, giving counts of shape (n,), or an (R,) array
+    of them, giving one row of counts per repetition (R, n).
     """
     p = np.asarray(probs, dtype=float)
-    if p.min() < -PROB_NEGATIVE_TOL:
-        raise ValueError(f"negative probability {p.min():.3e}")
-    if abs(p.sum() - 1.0) > sum_tol:
-        raise ValueError(f"probabilities sum to {p.sum():.12f}, not 1")
-    p = np.clip(p, 0.0, None)
-    p = p / p.sum()
-    return rng.multinomial(np.asarray(shots, dtype=np.int64), p)
+    return rng.multinomial(np.asarray(shots, dtype=np.int64), p / p.sum())
 
 
 def _norm(x):
@@ -232,14 +221,15 @@ def _ball_newton_step(theta, grad, hess, radius=MLE_BALL_RADIUS):
     return d
 
 
-def _fit_mle(freqs, model, max_iter, kkt_tol):
+def _fit_mle(freqs, model):
     """Batched projected-Newton maximum likelihood over the Bloch ball.
 
     model is a QuadraticModel. Each row of freqs (R, n) is solved on its own:
     it starts at the origin linear estimate pulled inside the ball, takes
     ball-constrained Newton steps with Armijo backtracking, and is frozen
     as soon as its unit-step projected-gradient norm |theta - P(theta - g)|
-    is at most kkt_tol, or when its line search finds no decrease. The line search evaluates the
+    is at most MLE_KKT_TOL, or when its line search finds no decrease, or
+    after MLE_MAX_ITER iterations. The line search evaluates the
     Hessian at each trial, so an accepted trial starts the next iteration
     without another evaluation. Returns the estimates (R, 3), the Newton
     iterations per row, the final projected-gradient norms and whether
@@ -259,11 +249,11 @@ def _fit_mle(freqs, model, max_iter, kkt_tol):
     # t, f, g, h and freqs hold the rows still running; rows maps them back
     rows = np.arange(len(freqs))
     stalled = np.zeros(len(freqs), dtype=bool)
-    for it in range(max_iter + 1):
+    for it in range(MLE_MAX_ITER + 1):
         ascent = t - g
         reach = _norm(ascent)
         norm = _norm(t - _project_ball(ascent))
-        frozen = (norm <= kkt_tol) | stalled | (it == max_iter)
+        frozen = (norm <= MLE_KKT_TOL) | stalled | (it == MLE_MAX_ITER)
         if frozen.any():
             out = rows[frozen]
             theta[out], kkt[out], binds[out] = t[frozen], norm[frozen], reach[frozen] > MLE_BALL_RADIUS
@@ -312,33 +302,24 @@ def _fit_mle(freqs, model, max_iter, kkt_tol):
     return theta, iterations, kkt, binds
 
 
-def mle_estimator(
-    counts,
-    copies,
-    povm,
-    model=None,
-    max_iter=MLE_MAX_ITER,
-    kkt_tol=MLE_KKT_TOL,
-    stats=None,
-):
+def mle_estimator(counts, model, stats=None):
     """Maximum-likelihood Bloch vectors from outcome counts.
 
-    counts holds one repetition (n,) or a batch of repetitions (R, n);
-    the estimates have shape (3,) or (R, 3). All rows are solved in one
-    vectorized projected-Newton loop on the shot-normalized log
-    likelihood over the ball |theta| <= MLE_BALL_RADIUS, and each row
-    stops on its own once its unit-step projected-gradient norm is at
-    most kkt_tol, so no estimate depends on the other rows of its batch.
-    Pass a precomputed QuadraticModel of povm as model to amortize the
-    Pauli traces: it caches its symmetrized quadratic terms S and the
-    start's linear design, so run_experiment's per-repetition calls,
-    which share one model, build each once. If stats is a dict, the
-    solve folds into it its largest Newton iteration count and largest
-    final projected-gradient norm (by max) and the number of rows where
-    the ball binds (by sum), so one dict passed to several calls
-    describes them all.
+    counts holds one repetition (n,) or a batch of repetitions (R, n) of
+    the measurement whose QuadraticModel is model; the estimates have
+    shape (3,) or (R, 3). All rows are solved in one vectorized
+    projected-Newton loop on the shot-normalized log likelihood over the
+    ball |theta| <= MLE_BALL_RADIUS, and each row stops on its own once
+    its unit-step projected-gradient norm is at most MLE_KKT_TOL, so no
+    estimate depends on the other rows of its batch. The model caches
+    its symmetrized quadratic terms S and the start's linear design, so
+    run_experiment's per-repetition calls, which share one model, build
+    each once. If stats is a dict, the solve folds into it its largest
+    Newton iteration count and largest final projected-gradient norm (by
+    max) and the number of rows where the ball binds (by sum), so one
+    dict passed to several calls describes them all.
     Raises MleError carrying the first unconverged row's iterate and
-    projected-gradient norm when a row stops short of kkt_tol.
+    projected-gradient norm when a row stops short of MLE_KKT_TOL.
     """
     counts = np.asarray(counts, dtype=float)
     if counts.ndim not in (1, 2):
@@ -349,17 +330,15 @@ def mle_estimator(
         raise ValueError("counts must contain at least one shot")
     if batch.min() < 0:
         raise ValueError("counts must be nonnegative")
-    if model is None:
-        model = quadratic_probability_model(povm, copies)
     if np.where(batch > 0, model.q0, 1.0).min() <= 0:
         raise ValueError("counts on an outcome whose POVM element is zero")
-    theta, iterations, kkt, binds = _fit_mle(batch / total, model, max_iter, kkt_tol)
-    failed = np.flatnonzero(~(kkt <= kkt_tol))
+    theta, iterations, kkt, binds = _fit_mle(batch / total, model)
+    failed = np.flatnonzero(~(kkt <= MLE_KKT_TOL))
     if failed.size:
         r = failed[0]
         raise MleError(
             f"likelihood maximizer stopped at projected-gradient norm "
-            f"{kkt[r]:.3e} (tolerance {kkt_tol:.1e}) in row {r}",
+            f"{kkt[r]:.3e} (tolerance {MLE_KKT_TOL:.1e}) in row {r}",
             theta[r],
             kkt[r],
         )
@@ -386,7 +365,7 @@ def run_experiment(plan, weights, estimator="linear"):
     The experiment builds one QuadraticModel of the POVM. One generator
     seeded with the stream [seed, 0] draws, in order, the (R,) shot counts
     when they are Poisson and then the (R, n) outcome counts of all R
-    repetitions as one batched multinomial draw from the model's
+    repetitions as one batched multinomial draw from the model's checked
     probabilities at theta_true, for every state, mixed or not. The linear
     estimator maps all repetitions' frequencies through the model's
     design in one product; the MLE solves each repetition's counts in its
@@ -403,7 +382,7 @@ def run_experiment(plan, weights, estimator="linear"):
     if estimator not in ("linear", "mle"):
         raise ValueError("estimator must be 'linear' or 'mle'")
     theta_true = plan.theta_true.array
-    model = quadratic_probability_model(plan.povm, plan.copies)
+    model = quadratic_probability_model(plan.povm)
 
     rng = np.random.Generator(
         np.random.Philox(np.random.SeedSequence([plan.seed, REPEAT_STREAM]))
@@ -414,7 +393,7 @@ def run_experiment(plan, weights, estimator="linear"):
             raise RuntimeError("drew an empty repetition; raise the shot budget")
     else:
         shots = np.full(plan.repeats, plan.shots_per_repeat)
-    counts = sample_counts(model.probabilities(theta_true), shots, rng, sum_tol=model.sum_tol)
+    counts = sample_counts(model.checked_probabilities(theta_true), shots, rng)
     if estimator == "linear":
         estimates = (counts / shots[:, None]) @ model.design.T
     else:
@@ -423,7 +402,7 @@ def run_experiment(plan, weights, estimator="linear"):
         # the same bits whether it is solved alone or in a batch
         mle_stats = {}
         estimates = np.array([
-            mle_estimator(c, plan.copies, plan.povm, model=model, stats=mle_stats) for c in counts
+            mle_estimator(c, model, stats=mle_stats) for c in counts
         ])
     squared = (estimates - theta_true) ** 2
 

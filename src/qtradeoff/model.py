@@ -168,9 +168,3 @@ def model_point(theta: BlochVector, copies: int = 1) -> ModelPoint:
     rho2 = np.kron(rho, rho)
     drho = tuple(0.5 * (np.kron(p, rho) + np.kron(rho, p)) for p in PAULIS)
     return ModelPoint(theta=theta, copies=2, rho=rho2, drho=drho)
-
-
-def model_qfi(point: ModelPoint) -> np.ndarray:
-    """QFI of the model point; additivity gives copies * J(theta)."""
-    return point.copies * qfi(point.theta)
-

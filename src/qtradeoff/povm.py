@@ -23,7 +23,7 @@ from .constants import (
     PSD_TOL,
     REFERENCE_COMPLETENESS_TOL,
 )
-from .model import AXIS_LABELS, PAULIS, ModelPoint, convert_normalization, model_qfi
+from .model import AXIS_LABELS, PAULIS, BlochVector, convert_normalization, qfi
 
 
 class SingularFisherError(RuntimeError):
@@ -106,6 +106,13 @@ class Povm:
     @property
     def n_outcomes(self) -> int:
         return len(self.elements)
+
+    @property
+    def copies(self) -> int:
+        """Qubits measured jointly per shot: 1 for a 2x2 POVM, 2 for a 4x4 one."""
+        if self.dim not in (2, 4):
+            raise ValueError(f"POVM dimension {self.dim} measures neither one nor two qubits")
+        return self.dim // 2
 
     def completeness_deviation(self) -> float:
         total = sum(self.elements)
@@ -237,9 +244,6 @@ _REFERENCE_TWO_VECTORS = (
     (0.0, 0.7071, -0.7071, 0.0),
 )
 
-REFERENCE_THETA = (0.3, 0.3, 0.3)
-REFERENCE_WEIGHTS = (1 / 14, 4 / 14, 9 / 14)
-
 
 def reference_povm(copies: int) -> Povm:
     """The hard-coded reference measurement for one or two copies.
@@ -292,6 +296,20 @@ class QuadraticModel:
     def probabilities(self, theta) -> np.ndarray:
         return self.q0 + self.G @ theta + np.einsum("jik,i,k->j", self.Q, theta, theta)
 
+    def checked_probabilities(self, theta) -> np.ndarray:
+        """probabilities(theta) with sub-tolerance negatives clipped to zero.
+
+        Raises ValueError when a probability is below -PROB_NEGATIVE_TOL or
+        their sum misses one by more than sum_tol.
+        """
+        p = self.probabilities(theta)
+        if p.min() < -PROB_NEGATIVE_TOL:
+            raise ValueError(f"negative outcome probability {p.min():.3e}")
+        p = np.clip(p, 0.0, 1.0)
+        if abs(p.sum() - 1.0) > self.sum_tol:
+            raise ValueError(f"outcome probabilities sum to {p.sum():.6f}")
+        return p
+
     def jacobian(self, theta) -> np.ndarray:
         """d p_j / d theta_i as an (n_outcomes, 3) array."""
         return self.G + np.einsum("jik,k->ji", self.S, theta)
@@ -323,8 +341,8 @@ class QuadraticModel:
         return inv @ scaled.T
 
 
-def quadratic_probability_model(povm: Povm, copies: int) -> QuadraticModel:
-    """The QuadraticModel of a POVM measured on one or two copies.
+def quadratic_probability_model(povm: Povm) -> QuadraticModel:
+    """The QuadraticModel of a POVM on its one or two copies.
 
     The one- and two-copy states are polynomial in the Bloch vector, so
     the outcome probabilities are affine (one copy) or quadratic (two
@@ -332,48 +350,31 @@ def quadratic_probability_model(povm: Povm, copies: int) -> QuadraticModel:
     the Pauli operators sum_c sigma_i^(c) and, for two copies, the
     sigma_i (x) sigma_k. All of them come from one batched product of the
     element stack with the operator stack, which is built once per copy
-    count. Q is zero for one copy.
+    count. Q is zero for one copy. Raises ValueError for a POVM on
+    neither one nor two qubits.
     """
-    if copies not in (1, 2):
-        raise ValueError("copies must be 1 or 2")
-    dim = 2 ** copies
-    if povm.dim != dim:
-        raise ValueError("POVM dimension does not match copies")
+    copies = povm.copies
     elements = np.array(povm.elements)
     coeffs = np.trace(elements[:, None] @ _MODEL_OPERATORS[copies],
-                      axis1=2, axis2=3).real / dim
+                      axis1=2, axis2=3).real / povm.dim
     # contiguous copies, not strided views into coeffs
     if copies == 1:
         Q = np.zeros((len(coeffs), 3, 3))
     else:
         Q = coeffs[:, 4:].reshape(-1, 3, 3).copy()
     return QuadraticModel(coeffs[:, 0].copy(), coeffs[:, 1:4].copy(), Q,
-                          max(PROB_SUM_TOL, dim * povm.completeness_tol))
+                          max(PROB_SUM_TOL, povm.dim * povm.completeness_tol))
 
 
-def outcome_probabilities(point: ModelPoint, povm: Povm) -> np.ndarray:
-    """Born probabilities Tr[rho Pi_j] from the quadratic model, clipped of
-    sub-tolerance negatives; raises ValueError when a probability is
-    negative or their sum misses one by more than the model's sum_tol."""
-    if povm.dim != point.dim:
-        raise ValueError(f"POVM dimension {povm.dim} != model dimension {point.dim}")
-    return _checked_probabilities(quadratic_probability_model(povm, point.copies),
-                                  point.theta.array)
-
-
-def _checked_probabilities(model: QuadraticModel, theta) -> np.ndarray:
-    p = model.probabilities(theta)
-    if p.min() < -PROB_NEGATIVE_TOL:
-        raise ValueError(f"negative outcome probability {p.min():.3e}")
-    p = np.clip(p, 0.0, 1.0)
-    if abs(p.sum() - 1.0) > model.sum_tol:
-        raise ValueError(f"outcome probabilities sum to {p.sum():.6f}")
-    return p
+def outcome_probabilities(theta: BlochVector, povm: Povm) -> np.ndarray:
+    """Born probabilities Tr[rho Pi_j] of the state theta on the POVM's
+    copies, checked and clipped by QuadraticModel.checked_probabilities."""
+    return quadratic_probability_model(povm).checked_probabilities(theta.array)
 
 
 @dataclass(frozen=True)
 class FisherMatrix:
-    """Classical Fisher information of a POVM at a model point, per measurement."""
+    """Classical Fisher information of a POVM at one state, per measurement."""
 
     matrix: np.ndarray
     copies: int
@@ -393,17 +394,17 @@ class FisherMatrix:
         return convert_normalization(val, self.copies, "per_measurement", normalization)
 
 
-def classical_fisher(point: ModelPoint, povm: Povm) -> FisherMatrix:
-    """Classical Fisher information F_ik = sum_j dp_ji dp_jk / p_j.
+def classical_fisher(theta: BlochVector, povm: Povm) -> FisherMatrix:
+    """Classical Fisher information F_ik = sum_j dp_ji dp_jk / p_j at theta.
 
     Outcomes with p_j <= cutoff contribute nothing only if their derivatives
     also vanish; otherwise the Fisher information is singular at this point.
     The result is checked against the quantum information: F <= copies * J
     in the PSD order, with slack scaled to the POVM's completeness budget.
     """
-    model = quadratic_probability_model(povm, point.copies)
-    p = _checked_probabilities(model, point.theta.array)
-    dp = model.jacobian(point.theta.array)
+    model = quadratic_probability_model(povm)
+    p = model.checked_probabilities(theta.array)
+    dp = model.jacobian(theta.array)
     kept = p > FISHER_PROB_CUTOFF
     lost = np.flatnonzero(~kept & (np.abs(dp).max(axis=1) > np.sqrt(FISHER_PROB_CUTOFF)))
     if lost.size:
@@ -414,11 +415,11 @@ def classical_fisher(point: ModelPoint, povm: Povm) -> FisherMatrix:
         )
     root = dp[kept] / np.sqrt(p[kept, None])
     F = root.T @ root
-    if point.theta.norm < 1.0 - INTERIOR_MARGIN:
+    if theta.norm < 1.0 - INTERIOR_MARGIN:
         tol = max(PSD_TOL, povm.completeness_tol)
-        if not linalg.is_psd(model_qfi(point) - F, tol):
+        if not linalg.is_psd(povm.copies * qfi(theta) - F, tol):
             raise ValueError(
                 f"classical Fisher information of '{povm.name}' exceeds the "
                 f"quantum limit beyond tolerance {tol:.1e}"
             )
-    return FisherMatrix(matrix=F, copies=point.copies)
+    return FisherMatrix(matrix=F, copies=povm.copies)

@@ -113,7 +113,7 @@ def test_criterion_04_reference_povm_matches_sdp():
     w = WeightSpec.from_integers((1, 2, 3))
     for copies in (1, 2):
         point = model_point(theta, copies)
-        fisher = classical_fisher(point, reference_povm(copies))
+        fisher = classical_fisher(theta, reference_povm(copies))
         measured = fisher.weighted_trace_inverse(w, "per_measurement")
         bound = nhcrb_sdp(point, w).to("per_measurement").value
         assert abs(measured - bound) <= 2e-3
@@ -126,7 +126,7 @@ def test_criterion_05_tangency_sweep():
     origin2 = model_point(BlochVector(0, 0, 0), copies=2)
     for _ in range(100):
         w = random_weights(rng)
-        f1 = classical_fisher(origin, single_copy_optimal(w))
+        f1 = classical_fisher(origin.theta, single_copy_optimal(w))
         mse1 = convert_normalization(f1.inverse(), f1.copies, "per_measurement", "per_qubit")
         v1 = np.diag(mse1).real
         assert abs(single_copy_surface_residual(MsePoint(*v1))) <= 1e-9
@@ -134,7 +134,7 @@ def test_criterion_05_tangency_sweep():
         c1 = nhcrb_analytic(origin, w).to("per_measurement").value
         assert abs(wt1 - c1) <= 1e-10
 
-        f2 = classical_fisher(origin2, two_copy_optimal(w))
+        f2 = classical_fisher(origin2.theta, two_copy_optimal(w))
         mse2 = convert_normalization(f2.inverse(), f2.copies, "per_measurement", "per_qubit")
         v2 = np.diag(mse2).real
         assert abs(two_copy_surface_residual(MsePoint(*v2))) <= 1e-9
@@ -167,7 +167,7 @@ def test_criterion_07_origin_trade_off_violation():
     origin = BlochVector(0, 0, 0)
     zs = []
     for _, w in integer_weight_triples():
-        plan = ShotPlan(origin, 2, two_copy_optimal(w), ORIGIN_SHOTS, 1000, SEED)
+        plan = ShotPlan(origin, two_copy_optimal(w), ORIGIN_SHOTS, 1000, SEED)
         rep = run_experiment(plan, w, estimator="linear")
         c2 = rep.metadata["two_copy_bound_per_qubit"]
         assert abs(rep.weighted_trace - c2) <= 3 * rep.standard_error
@@ -183,7 +183,7 @@ def test_criterion_08_state_sweep_with_mle():
     for t, shots in zip(DEMO_THETAS, DEMO_SHOTS):
         theta = BlochVector(t, t, t)
         for u, w in grid:
-            plan = ShotPlan(theta, 2, two_copy_optimal(w), shots, 1000, SEED)
+            plan = ShotPlan(theta, two_copy_optimal(w), shots, 1000, SEED)
             rep = run_experiment(plan, w, estimator="mle")
             b2 = nhcrb_sdp(model_point(theta, 2), w).value
             assert rep.weighted_trace >= b2 - 3 * rep.standard_error

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from qtradeoff import estimation
 from qtradeoff.bounds import nhcrb_sdp
+from qtradeoff.constants import PROB_SUM_TOL
 from qtradeoff.estimation import (
     DEMO_SHOTS,
     DEMO_THETAS,
@@ -16,9 +18,11 @@ from qtradeoff.estimation import (
 from qtradeoff.model import BlochVector, model_point
 from qtradeoff.povm import (
     Povm,
+    QuadraticModel,
     WeightSpec,
     outcome_probabilities,
     quadratic_probability_model,
+    reference_povm,
     sic_two_copy,
     single_copy_optimal,
     two_copy_optimal,
@@ -31,29 +35,50 @@ EQUAL = WeightSpec(1, 1, 1)
 def test_shot_plan_validation():
     povm = two_copy_optimal(EQUAL)
     with pytest.raises(ValueError):
-        ShotPlan(ORIGIN, 1, povm, 100, 10, 0)  # dim mismatch
+        ShotPlan(ORIGIN, povm, 0, 10, 0)
     with pytest.raises(ValueError):
-        ShotPlan(ORIGIN, 3, povm, 100, 10, 0)
+        ShotPlan(ORIGIN, povm, 100, 0, 0)
     with pytest.raises(ValueError):
-        ShotPlan(ORIGIN, 2, povm, 0, 10, 0)
-    with pytest.raises(ValueError):
-        ShotPlan(ORIGIN, 2, povm, 100, 0, 0)
-    with pytest.raises(ValueError):
-        ShotPlan(ORIGIN, 2, povm, 100, 10, -1)
-    plan = ShotPlan(ORIGIN, 2, povm, 100, 10, 0)
+        ShotPlan(ORIGIN, povm, 100, 10, -1)
+    plan = ShotPlan(ORIGIN, povm, 100, 10, 0)
     doc = plan.to_json_dict()
     assert doc["povm"] == "two_copy_optimal"
     assert doc["n_outcomes"] == 7
+    assert doc["copies"] == plan.copies == 2
+
+
+def test_a_povm_on_three_qubits_is_rejected():
+    # the copy count comes from the POVM's dimension, 2 or 4
+    three_qubits = Povm((np.eye(8, dtype=complex),), name="three_qubits", labels=("all",))
+    with pytest.raises(ValueError, match="dimension 8"):
+        quadratic_probability_model(three_qubits)
+    with pytest.raises(ValueError, match="dimension 8"):
+        ShotPlan(ORIGIN, three_qubits, 100, 10, 0)
 
 
 def test_sample_counts():
     rng = np.random.default_rng(0)
     counts = sample_counts(np.full(4, 0.25), 1000, rng)
     assert counts.sum() == 1000
-    with pytest.raises(ValueError):
-        sample_counts(np.array([0.5, 0.6]), 10, rng)
-    with pytest.raises(ValueError):
-        sample_counts(np.array([1.5, -0.5]), 10, rng)
+
+
+def test_checked_probabilities():
+    def constant(q0):
+        n = len(q0)
+        return QuadraticModel(np.array(q0), np.zeros((n, 3)), np.zeros((n, 3, 3)), PROB_SUM_TOL)
+
+    theta = np.zeros(3)
+    with pytest.raises(ValueError, match="sum to"):
+        constant([0.5, 0.6]).checked_probabilities(theta)
+    with pytest.raises(ValueError, match="negative"):
+        constant([1.5, -0.5]).checked_probabilities(theta)
+    # a sub-tolerance negative is clipped to zero
+    assert np.array_equal(constant([1.0, -1e-13]).checked_probabilities(theta), [1.0, 0.0])
+    # the four-decimal reference measurement misses a unit sum by more than
+    # PROB_SUM_TOL but within its own budget
+    model = quadratic_probability_model(reference_povm(2))
+    p = model.checked_probabilities(np.array([0.3, 0.3, 0.3]))
+    assert PROB_SUM_TOL < abs(p.sum() - 1.0) <= model.sum_tol
 
 
 def _philox(*key):
@@ -62,7 +87,7 @@ def _philox(*key):
 
 def test_batched_rows_sum_to_their_shot_counts():
     povm = two_copy_optimal(WeightSpec(1, 2, 3))
-    probs = outcome_probabilities(model_point(BlochVector(0.1, -0.2, 0.05), copies=2), povm)
+    probs = outcome_probabilities(BlochVector(0.1, -0.2, 0.05), povm)
     rng = np.random.default_rng(6)
     for shots in (np.full(500, 309), rng.poisson(309, size=500)):
         counts = sample_counts(probs, shots, rng)
@@ -70,13 +95,11 @@ def test_batched_rows_sum_to_their_shot_counts():
         assert counts.min() >= 0
         assert np.array_equal(counts.sum(axis=1), shots)
     assert sample_counts(probs, 309, rng).shape == (povm.n_outcomes,)
-    with pytest.raises(ValueError):
-        sample_counts(np.array([0.5, 0.6]), np.full(3, 10), rng)
 
 
 def test_same_seed_gives_the_same_counts():
     povm = two_copy_optimal(EQUAL)
-    probs = outcome_probabilities(model_point(BlochVector(0.2, 0.2, 0.2), copies=2), povm)
+    probs = outcome_probabilities(BlochVector(0.2, 0.2, 0.2), povm)
     draws = []
     for seed in (3, 3, 4):
         rng = _philox(seed, REPEAT_STREAM)
@@ -97,12 +120,12 @@ def test_run_experiment_counts_come_from_one_stream(components):
     w = WeightSpec(1, 2, 3)
     theta = BlochVector(*components)
     povm = two_copy_optimal(w)
-    plan = ShotPlan(theta, 2, povm, 200, 300, 9, poisson_shots=True)
+    plan = ShotPlan(theta, povm, 200, 300, 9, poisson_shots=True)
     rep = run_experiment(plan, w)
     rng = _philox(9, REPEAT_STREAM)
     shots = rng.poisson(200, size=300)
-    counts = sample_counts(outcome_probabilities(model_point(theta, copies=2), povm), shots, rng)
-    D = quadratic_probability_model(povm, 2).design
+    counts = sample_counts(outcome_probabilities(theta, povm), shots, rng)
+    D = quadratic_probability_model(povm).design
     per_row = np.array([D @ (c / n) for c, n in zip(counts, shots)])
     batched = (counts / shots[:, None]) @ D.T
     scale = (counts / shots[:, None]) @ np.abs(D).T
@@ -145,7 +168,7 @@ def test_mixed_sampling_matches_direct_distribution():
         values, vecs = np.linalg.eigh(point.rho)
         rows = np.array([[(v.conj() @ el @ v).real for el in povm.elements] for v in vecs.T])
         pooled = values @ rows
-        direct = outcome_probabilities(point, povm)
+        direct = outcome_probabilities(point.theta, povm)
         assert np.abs(pooled - direct).sum() < 1e-12
 
 
@@ -157,7 +180,7 @@ def test_quadratic_model_is_exact():
         (2, sic_two_copy()),
     ]
     for copies, povm in cases:
-        model = quadratic_probability_model(povm, copies)
+        model = quadratic_probability_model(povm)
         for _ in range(5):
             t = rng.normal(size=3)
             t *= rng.uniform(0, 0.8) / np.linalg.norm(t)
@@ -170,12 +193,12 @@ def test_quadratic_model_is_exact():
 
 def test_linear_estimator_unbiased_to_first_order():
     cases = [
-        (1, single_copy_optimal(WeightSpec.from_integers((1, 2, 3)))),
-        (2, two_copy_optimal(WeightSpec.from_integers((1, 1, 3)))),
-        (2, sic_two_copy()),
+        single_copy_optimal(WeightSpec.from_integers((1, 2, 3))),
+        two_copy_optimal(WeightSpec.from_integers((1, 1, 3))),
+        sic_two_copy(),
     ]
-    for copies, povm in cases:
-        model = quadratic_probability_model(povm, copies)
+    for povm in cases:
+        model = quadratic_probability_model(povm)
         assert np.abs(model.design @ model.G - np.eye(3)).max() < 1e-12
         assert np.abs(model.design @ model.q0).max() < 1e-12
 
@@ -190,8 +213,8 @@ def test_linear_estimator_closed_form_agrees():
     w = WeightSpec.from_integers((1, 2, 3))
     root = np.sqrt(w.array)
     for copies, povm in ((1, single_copy_optimal(w)), (2, two_copy_optimal(w))):
-        D = quadratic_probability_model(povm, copies).design
-        probs = outcome_probabilities(model_point(BlochVector(0.1, 0.05, -0.1), copies=copies), povm)
+        D = quadratic_probability_model(povm).design
+        probs = outcome_probabilities(BlochVector(0.1, 0.05, -0.1), povm)
         counts = sample_counts(probs, 500, rng)
         direct = np.empty(3)
         for i in range(3):
@@ -206,25 +229,20 @@ def test_linear_estimator_closed_form_agrees():
 
 
 def test_linear_estimator_origin_validation():
-    w = WeightSpec(1, 1, 1)
-    with pytest.raises(ValueError):
-        quadratic_probability_model(two_copy_optimal(w), 1)
-    with pytest.raises(ValueError):
-        quadratic_probability_model(two_copy_optimal(w), 3)
     # z-basis outcomes carry no information on x and y
     z_basis = Povm(
         (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)),
         name="z_basis", labels=("+z", "-z"),
     )
     # which has probabilities but no design
-    model = quadratic_probability_model(z_basis, 1)
+    model = quadratic_probability_model(z_basis)
     assert np.array_equal(model.probabilities(np.zeros(3)), [0.5, 0.5])
     with pytest.raises(ValueError, match="informationally complete"):
         model.design
 
 
 def test_run_experiment_deterministic():
-    plan = ShotPlan(ORIGIN, 2, two_copy_optimal(EQUAL), 100, 50, 5)
+    plan = ShotPlan(ORIGIN, two_copy_optimal(EQUAL), 100, 50, 5)
     a = run_experiment(plan, EQUAL)
     b = run_experiment(plan, EQUAL)
     assert a.weighted_trace == b.weighted_trace
@@ -234,7 +252,7 @@ def test_run_experiment_deterministic():
 
 
 def test_origin_linear_estimator_statistics():
-    plan = ShotPlan(ORIGIN, 2, two_copy_optimal(EQUAL), 309, 2000, 11)
+    plan = ShotPlan(ORIGIN, two_copy_optimal(EQUAL), 309, 2000, 11)
     rep = run_experiment(plan, EQUAL)
     # unbiased at the origin
     assert np.abs(rep.estimates_mean).max() < 5e-3
@@ -249,7 +267,7 @@ def test_origin_linear_estimator_statistics():
 def test_metadata_bounds_at_the_true_state():
     theta = (0.3, 0.3, 0.3)
     w = WeightSpec(1, 4, 9)
-    plan = ShotPlan(BlochVector(*theta), 2, two_copy_optimal(w), 196, 20, 3)
+    plan = ShotPlan(BlochVector(*theta), two_copy_optimal(w), 196, 20, 3)
     rep = run_experiment(plan, w)
     # Gill-Massar: (Tr sqrt(J^-1/2 W J^-1/2))^2 with J^-1 = I - theta theta^T
     vals, vecs = np.linalg.eigh(np.eye(3) - np.outer(theta, theta))
@@ -265,22 +283,22 @@ def test_metadata_bounds_at_the_true_state():
 
 def test_per_qubit_mse_independent_of_shots():
     povm = two_copy_optimal(EQUAL)
-    r1 = run_experiment(ShotPlan(ORIGIN, 2, povm, 500, 800, 12), EQUAL)
-    r2 = run_experiment(ShotPlan(ORIGIN, 2, povm, 2000, 800, 12), EQUAL)
+    r1 = run_experiment(ShotPlan(ORIGIN, povm, 500, 800, 12), EQUAL)
+    r2 = run_experiment(ShotPlan(ORIGIN, povm, 2000, 800, 12), EQUAL)
     err = np.hypot(r1.standard_error, r2.standard_error)
     assert abs(r1.weighted_trace - r2.weighted_trace) < 4 * err
 
 
 def test_mle_self_consistency_on_expected_counts():
     w = WeightSpec.from_integers((1, 2, 3))
-    for copies, povm in ((1, single_copy_optimal(w)), (2, two_copy_optimal(w)), (2, sic_two_copy())):
+    for povm in (single_copy_optimal(w), two_copy_optimal(w), sic_two_copy()):
+        model = quadratic_probability_model(povm)
         truth = np.array([0.3, 0.3, 0.3])
-        point = model_point(BlochVector(*truth), copies=copies)
-        counts = outcome_probabilities(point, povm) * 10000
-        est = mle_estimator(counts, copies, povm)
+        counts = outcome_probabilities(BlochVector(*truth), povm) * 10000
+        est = mle_estimator(counts, model)
         assert np.abs(est - truth).max() < 1e-5
-        origin_counts = outcome_probabilities(model_point(ORIGIN, copies=copies), povm) * 10000
-        assert np.abs(mle_estimator(origin_counts, copies, povm)).max() < 1e-6
+        origin_counts = outcome_probabilities(ORIGIN, povm) * 10000
+        assert np.abs(mle_estimator(origin_counts, model)).max() < 1e-6
 
 
 BALL = 1 - 1e-6
@@ -309,12 +327,11 @@ def _log_likelihood(counts, theta, model):
 def test_mle_satisfies_first_order_optimality():
     rng = np.random.default_rng(4)
     povm = two_copy_optimal(EQUAL)
-    model = quadratic_probability_model(povm, 2)
-    point = model_point(BlochVector(0.3, 0.3, 0.3), copies=2)
-    probs = outcome_probabilities(point, povm)
+    model = quadratic_probability_model(povm)
+    probs = outcome_probabilities(BlochVector(0.3, 0.3, 0.3), povm)
     for _ in range(20):
         counts = sample_counts(probs, 196, rng)
-        est = mle_estimator(counts, 2, povm)
+        est = mle_estimator(counts, model)
         assert np.linalg.norm(est) <= 1.0
         assert _projected_gradient_norm(counts, est, model) < 1e-6
 
@@ -324,7 +341,7 @@ def _near_sphere_batch():
     # the 131-shot repeats never see it and their maximum sits on the ball
     povm = two_copy_optimal(EQUAL)
     theta = 0.95 * np.array([1.0, -2.0, 2.0]) / 3.0
-    probs = outcome_probabilities(model_point(BlochVector(*theta), copies=2), povm)
+    probs = outcome_probabilities(BlochVector(*theta), povm)
     rng = np.random.default_rng(4)
     counts = np.array([sample_counts(probs, 131, rng) for _ in range(40)])
     return povm, theta, counts
@@ -332,9 +349,9 @@ def _near_sphere_batch():
 
 def test_mle_near_sphere_batch_is_optimal():
     povm, _, counts = _near_sphere_batch()
-    model = quadratic_probability_model(povm, 2)
+    model = quadratic_probability_model(povm)
     stats = {}
-    est = mle_estimator(counts, 2, povm, model=model, stats=stats)
+    est = mle_estimator(counts, model, stats=stats)
     assert est.shape == (40, 3)
     on_ball = np.abs(np.linalg.norm(est, axis=1) - BALL) < 1e-12
     assert on_ball.sum() >= 1
@@ -347,46 +364,49 @@ def test_mle_near_sphere_batch_is_optimal():
 
 def test_mle_rows_do_not_depend_on_their_batch():
     povm, _, counts = _near_sphere_batch()
+    model = quadratic_probability_model(povm)
     mixed = np.vstack([counts, np.round(counts[::-1] * 1.5)])
-    batched = mle_estimator(mixed, 2, povm)
+    batched = mle_estimator(mixed, model)
     for c, e in zip(mixed, batched):
-        assert np.abs(mle_estimator(c, 2, povm) - e).max() <= 1e-12
+        assert np.abs(mle_estimator(c, model) - e).max() <= 1e-12
 
 
 def test_mle_likelihood_beats_the_truth():
     povm, theta, counts = _near_sphere_batch()
-    model = quadratic_probability_model(povm, 2)
+    model = quadratic_probability_model(povm)
     cases = [(counts, theta)]
-    probs = outcome_probabilities(model_point(BlochVector(0.3, 0.3, 0.3), copies=2), povm)
+    probs = outcome_probabilities(BlochVector(0.3, 0.3, 0.3), povm)
     rng = np.random.default_rng(5)
     cases.append((np.array([sample_counts(probs, 196, rng) for _ in range(40)]),
                   np.array([0.3, 0.3, 0.3])))
     for batch, truth in cases:
-        for c, e in zip(batch, mle_estimator(batch, 2, povm, model=model)):
+        for c, e in zip(batch, mle_estimator(batch, model)):
             assert _log_likelihood(c, e, model) >= _log_likelihood(c, truth, model)
 
 
-def test_mle_failure_carries_state():
+def test_mle_failure_carries_state(monkeypatch):
     povm = two_copy_optimal(EQUAL)
-    probs = outcome_probabilities(model_point(BlochVector(0.3, 0.3, 0.3), copies=2), povm)
+    probs = outcome_probabilities(BlochVector(0.3, 0.3, 0.3), povm)
     counts = np.round(probs * 500)
     # a negative tolerance can never be met, forcing the failure path
+    monkeypatch.setattr(estimation, "MLE_MAX_ITER", 0)
+    monkeypatch.setattr(estimation, "MLE_KKT_TOL", -1.0)
     with pytest.raises(MleError) as err:
-        mle_estimator(counts, 2, povm, max_iter=0, kkt_tol=-1.0)
+        mle_estimator(counts, quadratic_probability_model(povm))
     assert err.value.theta.shape == (3,)
     assert err.value.grad_norm >= 0
     assert np.isfinite(err.value.grad_norm)
 
 
 def test_poisson_shots_smoke():
-    plan = ShotPlan(ORIGIN, 2, two_copy_optimal(EQUAL), 200, 40, 6, poisson_shots=True)
+    plan = ShotPlan(ORIGIN, two_copy_optimal(EQUAL), 200, 40, 6, poisson_shots=True)
     rep = run_experiment(plan, EQUAL)
     assert rep.weighted_trace > 0
     assert rep.metadata["plan"]["poisson_shots"] is True
 
 
 def test_run_experiment_rejects_unknown_estimator():
-    plan = ShotPlan(ORIGIN, 2, two_copy_optimal(EQUAL), 100, 10, 5)
+    plan = ShotPlan(ORIGIN, two_copy_optimal(EQUAL), 100, 10, 5)
     with pytest.raises(ValueError):
         run_experiment(plan, EQUAL, estimator="map")
 
@@ -394,7 +414,7 @@ def test_run_experiment_rejects_unknown_estimator():
 def test_mle_stays_above_collective_bound():
     w = WeightSpec.from_integers((1, 1, 3))
     theta = BlochVector(0.3, 0.3, 0.3)
-    plan = ShotPlan(theta, 2, two_copy_optimal(w), 196, 300, 13)
+    plan = ShotPlan(theta, two_copy_optimal(w), 196, 300, 13)
     rep = run_experiment(plan, w, estimator="mle")
     bound = nhcrb_sdp(model_point(theta, 2), w).value
     assert rep.weighted_trace >= bound - 3 * rep.standard_error
@@ -402,8 +422,8 @@ def test_mle_stays_above_collective_bound():
 
 def test_adapted_povm_beats_generic_sic():
     w = WeightSpec.from_integers((1, 1, 3))
-    adapted = run_experiment(ShotPlan(ORIGIN, 2, two_copy_optimal(w), 309, 2000, 7), w)
-    generic = run_experiment(ShotPlan(ORIGIN, 2, sic_two_copy(), 309, 2000, 7), w)
+    adapted = run_experiment(ShotPlan(ORIGIN, two_copy_optimal(w), 309, 2000, 7), w)
+    generic = run_experiment(ShotPlan(ORIGIN, sic_two_copy(), 309, 2000, 7), w)
     gap = generic.weighted_trace - adapted.weighted_trace
     err = np.hypot(adapted.standard_error, generic.standard_error)
     assert gap > 3 * err

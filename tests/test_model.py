@@ -8,7 +8,6 @@ from qtradeoff.model import (
     BlochVector,
     density_matrix,
     model_point,
-    model_qfi,
     qfi,
     qfi_from_slds,
     qfi_inverse,
@@ -146,13 +145,6 @@ def test_model_point_two_copy_derivatives():
         rm = density_matrix(BlochVector(*(arr - shift)))
         num = (np.kron(rp, rp) - np.kron(rm, rm)) / (2 * h)
         assert np.abs(point.drho[i] - num).max() < 1e-9
-
-
-def test_model_qfi_additivity():
-    theta = BlochVector(0.2, 0.1, -0.2)
-    single = model_qfi(model_point(theta))
-    double = model_qfi(model_point(theta, copies=2))
-    assert np.abs(double - 2.0 * single).max() < 1e-12
 
 
 @settings(max_examples=30, deadline=None)

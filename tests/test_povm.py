@@ -6,7 +6,7 @@ import pytest
 from qtradeoff import linalg
 from qtradeoff.bounds import convert_normalization, nhcrb_analytic
 from qtradeoff.cli import _complex_matrix_json
-from qtradeoff.model import PAULIS, BlochVector, model_point, model_qfi
+from qtradeoff.model import PAULIS, BlochVector, model_point, qfi
 from qtradeoff.povm import (
     Povm,
     SingularFisherError,
@@ -22,8 +22,9 @@ from qtradeoff.povm import (
 )
 from qtradeoff.tradeoff import integer_weight_triples
 
-ORIGIN_1 = model_point(BlochVector(0, 0, 0))
-ORIGIN_2 = model_point(BlochVector(0, 0, 0), copies=2)
+ORIGIN = BlochVector(0, 0, 0)
+ORIGIN_1 = model_point(ORIGIN)
+ORIGIN_2 = model_point(ORIGIN, copies=2)
 
 
 def random_weights(rng):
@@ -55,7 +56,7 @@ def test_batched_quadratic_model_equals_the_per_element_traces():
         for copies, povm in ((1, single_copy_optimal(w)), (2, two_copy_optimal(w)),
                              (2, sic_two_copy()), (1, reference_povm(1)),
                              (2, reference_povm(2))):
-            got = quadratic_probability_model(povm, copies)
+            got = quadratic_probability_model(povm)
             for a, b in zip((got.q0, got.G, got.Q), _model_by_element(povm, copies)):
                 assert np.array_equal(a, b)
 
@@ -101,7 +102,7 @@ def test_two_copy_completeness_and_psd():
 def test_single_copy_probabilities_closed_form():
     w = WeightSpec.from_integers((1, 2, 3))
     theta = BlochVector(0.2, -0.1, 0.3)
-    p = outcome_probabilities(model_point(theta), single_copy_optimal(w))
+    p = outcome_probabilities(theta, single_copy_optimal(w))
     root = np.sqrt(w.array)
     a2 = root / root.sum()
     arr = theta.array
@@ -114,7 +115,7 @@ def test_single_copy_probabilities_closed_form():
 def test_two_copy_origin_probabilities():
     w = WeightSpec.from_integers((1, 2, 3))
     povm = two_copy_optimal(w)
-    p = outcome_probabilities(ORIGIN_2, povm)
+    p = outcome_probabilities(ORIGIN, povm)
     assert abs(p.sum() - 1.0) < 1e-12
     assert abs(p[-1] - 0.25) < 1e-12  # singlet weight at the origin
     # pair outcomes (a^2 + b^2)/8 from the amplitude parametrization
@@ -127,21 +128,21 @@ def test_two_copy_origin_probabilities():
 
 
 def test_sic_origin_probabilities():
-    p = outcome_probabilities(ORIGIN_2, sic_two_copy())
+    p = outcome_probabilities(ORIGIN, sic_two_copy())
     assert np.abs(p - np.array([3 / 16, 3 / 16, 3 / 16, 3 / 16, 1 / 4])).max() < 1e-12
 
 
 def test_probability_derivatives_finite_difference():
     w = WeightSpec.from_integers((2, 1, 3))
-    for copies, povm in ((1, single_copy_optimal(w)), (2, two_copy_optimal(w)), (2, sic_two_copy())):
+    for povm in (single_copy_optimal(w), two_copy_optimal(w), sic_two_copy()):
         theta = np.array([0.15, -0.2, 0.25])
-        dp = quadratic_probability_model(povm, copies).jacobian(theta)
+        dp = quadratic_probability_model(povm).jacobian(theta)
         h = 1e-6
         for i in range(3):
             shift = np.zeros(3)
             shift[i] = h
-            pp = outcome_probabilities(model_point(BlochVector(*(theta + shift)), copies=copies), povm)
-            pm = outcome_probabilities(model_point(BlochVector(*(theta - shift)), copies=copies), povm)
+            pp = outcome_probabilities(BlochVector(*(theta + shift)), povm)
+            pm = outcome_probabilities(BlochVector(*(theta - shift)), povm)
             num = (pp - pm) / (2 * h)
             assert np.abs(dp[:, i] - num).max() < 1e-8
 
@@ -150,7 +151,7 @@ def test_single_copy_fisher_closed_form():
     rng = np.random.default_rng(9)
     for _ in range(20):
         w = random_weights(rng)
-        F = classical_fisher(ORIGIN_1, single_copy_optimal(w)).matrix
+        F = classical_fisher(ORIGIN, single_copy_optimal(w)).matrix
         root = np.sqrt(w.array)
         assert np.abs(F - np.diag(root / root.sum())).max() < 1e-12
 
@@ -159,7 +160,7 @@ def test_two_copy_fisher_closed_form():
     rng = np.random.default_rng(10)
     for _ in range(20):
         w = random_weights(rng)
-        F = classical_fisher(ORIGIN_2, two_copy_optimal(w)).matrix
+        F = classical_fisher(ORIGIN, two_copy_optimal(w)).matrix
         root = np.sqrt(w.array)
         expected = np.diag(4.0 * root / (root.sum() + root))
         assert np.abs(F - expected).max() < 1e-10
@@ -169,17 +170,17 @@ def test_optimal_povms_saturate_origin_bounds():
     rng = np.random.default_rng(11)
     for _ in range(25):
         w = random_weights(rng)
-        f1 = classical_fisher(ORIGIN_1, single_copy_optimal(w))
+        f1 = classical_fisher(ORIGIN, single_copy_optimal(w))
         wt1 = f1.weighted_trace_inverse(w, "per_measurement")
         assert abs(wt1 - nhcrb_analytic(ORIGIN_1, w).to("per_measurement").value) < 1e-10
-        f2 = classical_fisher(ORIGIN_2, two_copy_optimal(w))
+        f2 = classical_fisher(ORIGIN, two_copy_optimal(w))
         wt2 = f2.weighted_trace_inverse(w, "per_measurement")
         assert abs(wt2 - nhcrb_analytic(ORIGIN_2, w).to("per_measurement").value) < 1e-10
 
 
 def test_fisher_normalizations():
     w = WeightSpec(*(np.ones(3) / 3))
-    f2 = classical_fisher(ORIGIN_2, two_copy_optimal(w))
+    f2 = classical_fisher(ORIGIN, two_copy_optimal(w))
     pm = f2.weighted_trace_inverse(w, "per_measurement")
     pq = f2.weighted_trace_inverse(w, "per_qubit")
     assert abs(pq - 2.0 * pm) < 1e-12
@@ -200,9 +201,8 @@ def test_fisher_never_exceeds_quantum_limit():
             (2, two_copy_optimal(random_weights(rng))),
             (2, sic_two_copy()),
         ):
-            point = model_point(theta, copies=copies)
-            F = classical_fisher(point, povm)
-            gap = model_qfi(point) - F.matrix
+            F = classical_fisher(theta, povm)
+            gap = copies * qfi(theta) - F.matrix
             assert linalg.is_psd(gap, 1e-9)
 
 
@@ -212,7 +212,7 @@ def test_singular_fisher_raises():
         np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex),
     )
     povm = Povm(z_projectors, name="z_basis", labels=("+z", "-z"))
-    F = classical_fisher(ORIGIN_1, povm)
+    F = classical_fisher(ORIGIN, povm)
     with pytest.raises(SingularFisherError):
         F.weighted_trace_inverse(WeightSpec(1, 1, 1))
 
@@ -222,9 +222,10 @@ def test_singular_fisher_raises():
 def test_fisher_names_a_vanishing_outcome_with_a_slope(copies, build, outcome):
     # at the pure state theta = (0, 0, 1) the -z outcome of one copy and the
     # singlet of two have probability 0 but a nonzero z derivative
-    point = model_point(BlochVector(0, 0, 1), copies=copies)
+    povm = build(WeightSpec(1, 4, 9))
+    assert povm.copies == copies
     with pytest.raises(SingularFisherError, match=rf"^outcome {outcome} has probability 0\.00e\+00"):
-        classical_fisher(point, build(WeightSpec(1, 4, 9)))
+        classical_fisher(BlochVector(0, 0, 1), povm)
 
 
 def test_reference_povms_structure():
@@ -232,11 +233,13 @@ def test_reference_povms_structure():
     assert single.name == "reference_single_copy"
     assert single.n_outcomes == 4
     assert single.dim == 2
+    assert single.copies == 1
     assert single.completeness_deviation() < 2e-3
     two = reference_povm(2)
     assert two.name == "reference_two_copy"
     assert two.n_outcomes == 6
     assert two.dim == 4
+    assert two.copies == 2
     assert two.completeness_deviation() < 2e-3
     for p in (single, two):
         for el in p.elements:
@@ -273,7 +276,3 @@ def test_povm_json_round_trip():
     for a, b in zip(back.elements, povm.elements):
         assert np.abs(a - b).max() < 1e-15
 
-
-def test_probabilities_reject_mismatched_point():
-    with pytest.raises(ValueError):
-        outcome_probabilities(ORIGIN_1, sic_two_copy())
