@@ -33,9 +33,8 @@ from .model import (  # noqa: F401  (NORMALIZATIONS re-exported)
     ModelPoint,
     _check_normalization,
     convert_normalization,
-    model_point,
 )
-from .povm import WeightSpec, quadratic_probability_model, single_copy_optimal, two_copy_optimal
+from .povm import WeightSpec
 
 
 def as_bloch(theta) -> BlochVector:
@@ -368,66 +367,3 @@ def nhcrb_sdp(point: ModelPoint, weights) -> BoundValue:
         normalization="per_qubit", method="sdp", copies=copies,
         gap=convert_normalization(gap, copies, "per_measurement", "per_qubit"),
         iterations=iterations)
-
-
-@dataclass(frozen=True)
-class NhCertificate:
-    """Feasible primal matrices certifying the origin bound for a measurement.
-
-    Built from the weight-adapted optimal POVM and its unbiased linear
-    estimator: with estimator coefficients
-    c_i(m), the blocks L_jk = sum_m c_j(m) c_k(m) Pi_m and estimator
-    observables X_i = sum_m c_i(m) Pi_m make the lift a sum of outer products
-    and hence PSD, with objective `value` equal to the closed form per
-    measurement.
-    """
-
-    value: float
-    copies: int
-    L: np.ndarray
-    xs: tuple
-    lifted: np.ndarray
-    lifted_min_eig: float
-    constraint_residual: float
-
-
-def nh_optimal_certificate_origin(weights, copies: int = 1) -> NhCertificate:
-    """Primal feasible point attaining the analytic origin bound.
-
-    Certifies that the optimal measurement saturates the collective bound:
-    the returned lift is PSD, the observables are unbiased at theta = 0, and
-    the objective matches nhcrb_analytic at the origin.
-    """
-    w = as_weights(weights)
-    if copies == 1:
-        p = single_copy_optimal(w)
-    elif copies == 2:
-        p = two_copy_optimal(w)
-    else:
-        raise ValueError(f"copies must be 1 or 2, got {copies}")
-    # coefficients c_i(m) of the unbiased linear estimator, one row per outcome
-    coeff = quadratic_probability_model(p).design.T
-    point = model_point(BlochVector(0.0, 0.0, 0.0), copies)
-    d = point.dim
-
-    els = np.array(p.elements)
-    xs = np.einsum("mi,mab->iab", coeff, els)
-    L = np.einsum("mj,mk,mab->jakb", coeff, coeff, els).reshape(3 * d, 3 * d)
-
-    lifted = np.zeros((4 * d, 4 * d), dtype=complex)
-    lifted[: 3 * d, : 3 * d] = L
-    lifted[: 3 * d, 3 * d:] = xs.reshape(3 * d, d)
-    lifted[3 * d:, : 3 * d] = lifted[: 3 * d, 3 * d:].conj().T
-    lifted[3 * d:, 3 * d:] = np.eye(d)
-
-    min_eig = float(np.linalg.eigvalsh(lifted)[0])
-
-    # Tr[rho X_i] = 0 and Tr[d_j rho X_i] = delta_ij
-    centering = np.einsum("ab,iba->i", point.rho, xs).real
-    unbiased = np.einsum("jab,iba->ij", np.array(point.drho), xs).real
-    resid = float(max(np.abs(centering).max(), np.abs(unbiased - np.eye(3)).max()))
-
-    # sum_j w_j Tr[rho L_jj]
-    value = float(np.einsum("j,ab,jbja->", w.array, point.rho, L.reshape(3, d, 3, d)).real)
-    return NhCertificate(value=value, copies=copies, L=L, xs=tuple(xs), lifted=lifted,
-                         lifted_min_eig=min_eig, constraint_residual=resid)

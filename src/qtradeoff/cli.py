@@ -327,7 +327,9 @@ def _row_seed(seed, table, row):
 def _origin_rows(grid, shots, repeats, seed):
     """Origin trade-off demo: per-weight two-copy and SIC runs.
 
-    Each row draws from its own seed; its SIC twin shares that seed.
+    Each row draws from its own seed; its SIC twin shares that seed. A row
+    whose standard error is 0, as with one repetition, has no z-score and
+    raises CliError.
     """
     rows = []
     zs = []
@@ -337,6 +339,11 @@ def _origin_rows(grid, shots, repeats, seed):
         row_seed = _row_seed(seed, 0, row)
         plan = ShotPlan(origin, two_copy_optimal(w), shots, repeats, row_seed)
         rep = run_experiment(plan, w, estimator="linear")
+        if rep.standard_error == 0.0:
+            raise CliError(
+                f"trade-off demo row {row} has zero standard error over "
+                f"{repeats} repetition(s), so its z-score is undefined; raise --repeats"
+            )
         sic_plan = ShotPlan(origin, sic, shots, repeats, row_seed)
         sic_rep = run_experiment(sic_plan, w, estimator="linear")
         c1 = rep.metadata["single_copy_bound_per_qubit"]

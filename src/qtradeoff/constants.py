@@ -4,9 +4,6 @@ Every numerical threshold used across the package lives here so that tests
 and library code agree on one set of values.
 """
 
-# Hermiticity validation: max |A - A^dag| entry, relative to matrix scale.
-HERMITICITY_TOL = 1e-12
-
 # PSD check: min eigenvalue >= -PSD_TOL.
 PSD_TOL = 1e-9
 

@@ -53,11 +53,9 @@ class ShotPlan:
         the qubits measured jointly per shot.
     shots_per_repeat: measurements per repetition.
     repeats: independent repetitions, each yielding one estimate.
-    seed: root seed; the experiment draws every repetition's shot count
-        and outcome counts from the one stream [seed, 0], the counts
-        straight from the state's outcome probabilities.
-    poisson_shots: draw each repetition's shot count from a Poisson
-        distribution with the nominal mean instead of fixing it.
+    seed: root seed; the experiment draws every repetition's outcome
+        counts from the one stream [seed, 0], straight from the state's
+        outcome probabilities.
     """
 
     theta_true: BlochVector
@@ -65,7 +63,6 @@ class ShotPlan:
     shots_per_repeat: int
     repeats: int
     seed: int
-    poisson_shots: bool = False
 
     def __post_init__(self):
         self.povm.copies  # raises ValueError for a POVM on neither one nor two qubits
@@ -89,7 +86,6 @@ class ShotPlan:
             "shots_per_repeat": self.shots_per_repeat,
             "repeats": self.repeats,
             "seed": self.seed,
-            "poisson_shots": self.poisson_shots,
         }
 
 
@@ -363,20 +359,20 @@ def run_experiment(plan, weights, estimator="linear"):
     """Run the full Monte Carlo experiment described by a ShotPlan.
 
     The experiment builds one QuadraticModel of the POVM. One generator
-    seeded with the stream [seed, 0] draws, in order, the (R,) shot counts
-    when they are Poisson and then the (R, n) outcome counts of all R
-    repetitions as one batched multinomial draw from the model's checked
-    probabilities at theta_true, for every state, mixed or not. The linear
-    estimator maps all repetitions' frequencies through the model's
-    design in one product; the MLE solves each repetition's counts in its
-    own call on the same model, with the solves' convergence statistics
-    in metadata["mle"]. Per-axis squared errors are averaged over
-    repetitions and normalized per qubit. For positive
-    weights the metadata carries the closed-form collective bounds at
+    seeded with the stream [seed, 0] draws the (R, n) outcome counts of
+    all R repetitions, shots_per_repeat each, as one batched multinomial
+    draw from the model's checked probabilities at theta_true, for every
+    state, mixed or not. The linear estimator maps all repetitions'
+    frequencies through the model's design in one product; the MLE solves
+    each repetition's counts in its own call on the same model, with the
+    solves' convergence statistics in metadata["mle"]. Per-axis squared
+    errors are averaged over repetitions and normalized per qubit. For
+    positive weights the metadata carries the closed-form collective bounds at
     theta_true, per qubit: the single-copy bound everywhere and the
     two-copy bound at the origin, where its closed form exists;
     z_vs_single_copy measures the weighted trace against the single-copy
-    one in bootstrap standard errors, taken in their closed form.
+    one in bootstrap standard errors, taken in their closed form, and is
+    left out when that standard error is 0, as it is for one repetition.
     """
     w = as_weights(weights)
     if estimator not in ("linear", "mle"):
@@ -387,12 +383,7 @@ def run_experiment(plan, weights, estimator="linear"):
     rng = np.random.Generator(
         np.random.Philox(np.random.SeedSequence([plan.seed, REPEAT_STREAM]))
     )
-    if plan.poisson_shots:
-        shots = rng.poisson(plan.shots_per_repeat, size=plan.repeats)
-        if shots.min() <= 0:
-            raise RuntimeError("drew an empty repetition; raise the shot budget")
-    else:
-        shots = np.full(plan.repeats, plan.shots_per_repeat)
+    shots = np.full(plan.repeats, plan.shots_per_repeat)
     counts = sample_counts(model.checked_probabilities(theta_true), shots, rng)
     if estimator == "linear":
         estimates = (counts / shots[:, None]) @ model.design.T

@@ -116,17 +116,6 @@ def sld_operators(theta: BlochVector) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return tuple(PAULIS[i] + t[i] * corr for i in range(3))
 
 
-def sld_defining_residual(theta: BlochVector) -> float:
-    """Max residual of the SLD defining (Lyapunov) equation over the 3 parameters."""
-    rho = density_matrix(theta)
-    slds = sld_operators(theta)
-    worst = 0.0
-    for i, L in enumerate(slds):
-        resid = 0.5 * (L @ rho + rho @ L) - 0.5 * PAULIS[i]
-        worst = max(worst, float(np.abs(resid).max()))
-    return worst
-
-
 def qfi(theta: BlochVector) -> np.ndarray:
     """Single-qubit quantum Fisher information matrix.
 
@@ -144,17 +133,6 @@ def qfi_inverse(theta: BlochVector) -> np.ndarray:
     _require_interior(theta)
     t = theta.array
     return np.eye(3) - np.outer(t, t)
-
-
-def qfi_from_slds(theta: BlochVector) -> np.ndarray:
-    """QFI via J_ij = Tr[rho (L_i L_j + L_j L_i)]/2 (cross-check route)."""
-    rho = density_matrix(theta)
-    slds = sld_operators(theta)
-    J = np.empty((3, 3))
-    for i in range(3):
-        for j in range(3):
-            J[i, j] = 0.5 * np.trace(rho @ (slds[i] @ slds[j] + slds[j] @ slds[i])).real
-    return J
 
 
 def model_point(theta: BlochVector, copies: int = 1) -> ModelPoint:

@@ -15,7 +15,7 @@ as its coordinate cut.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,10 +62,6 @@ class SupportingPlane:
     def __post_init__(self):
         if not np.isfinite(self.offset) or self.offset <= 0.0:
             raise ValueError(f"plane offset must be positive, got {self.offset}")
-
-    def evaluate(self, v: np.ndarray) -> float:
-        """Signed feasibility w . v - offset (>= 0 on the allowed side)."""
-        return float(self.weights.array @ np.asarray(v, dtype=float) - self.offset)
 
 
 @dataclass(frozen=True)

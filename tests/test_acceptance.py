@@ -31,7 +31,6 @@ from qtradeoff.model import (
     BlochVector,
     model_point,
     qfi,
-    sld_defining_residual,
     sld_operators,
 )
 from qtradeoff.povm import (
@@ -76,12 +75,13 @@ def test_criterion_02_sld_residuals():
         direction = rng.normal(size=3)
         direction /= np.linalg.norm(direction)
         theta = BlochVector(*(direction * rng.uniform(0.0, 0.9)))
-        assert sld_defining_residual(theta) <= 1e-10
         point = model_point(theta)
         slds = sld_operators(theta)
         # independent route: solve the defining Lyapunov equation directly
         a = np.kron(point.rho, eye) + np.kron(eye, point.rho.T)
         for i in range(3):
+            residual = 0.5 * (slds[i] @ point.rho + point.rho @ slds[i]) - point.drho[i]
+            assert np.abs(residual).max() <= 1e-10
             vec = np.linalg.solve(a, 2.0 * point.drho[i].reshape(-1))
             assert np.abs(slds[i] - vec.reshape(2, 2)).max() <= 1e-10
     assert time.perf_counter() - start < 1.0

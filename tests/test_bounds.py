@@ -8,7 +8,6 @@ from qtradeoff.bounds import (
     BoundValue,
     convert_normalization,
     holevo,
-    nh_optimal_certificate_origin,
     nh_problem,
     nh_solution,
     nhcrb_analytic,
@@ -18,7 +17,12 @@ from qtradeoff.bounds import (
 from qtradeoff.estimation import DEMO_THETAS
 from qtradeoff.linalg import ConvergenceError
 from qtradeoff.model import PAULIS, BlochVector, model_point
-from qtradeoff.povm import WeightSpec
+from qtradeoff.povm import (
+    WeightSpec,
+    quadratic_probability_model,
+    single_copy_optimal,
+    two_copy_optimal,
+)
 from qtradeoff.tradeoff import integer_weight_triples
 
 # Interior-point values cross-checked once against an independent convex
@@ -476,15 +480,40 @@ def test_sdp_recovers_pauli_observables_at_origin():
         assert np.abs(xs[i] - PAULIS[i]).max() < 1e-5
 
 
+def _origin_certificate(povm, w):
+    """Primal feasible point of the origin SDP built from a measurement.
+
+    With the coefficients c_i(m) of the measurement's unbiased linear
+    estimator, the blocks L_jk = sum_m c_j(m) c_k(m) Pi_m and observables
+    X_i = sum_m c_i(m) Pi_m make the lift a sum of outer products, hence
+    PSD. Returns (objective per measurement, L, the lift's least
+    eigenvalue, the largest residual of Tr[rho X_i] = 0 and
+    Tr[d_j rho X_i] = delta_ij).
+    """
+    coeff = quadratic_probability_model(povm).design.T
+    point = model_point(ORIGIN, povm.copies)
+    d = point.dim
+    els = np.array(povm.elements)
+    xs = np.einsum("mi,mab->iab", coeff, els)
+    L = np.einsum("mj,mk,mab->jakb", coeff, coeff, els).reshape(3 * d, 3 * d)
+    stack = xs.reshape(3 * d, d)
+    lifted = np.block([[L, stack], [stack.conj().T, np.eye(d)]])
+    centering = np.einsum("ab,iba->i", point.rho, xs).real
+    unbiased = np.einsum("jab,iba->ij", np.array(point.drho), xs).real
+    resid = max(np.abs(centering).max(), np.abs(unbiased - np.eye(3)).max())
+    value = np.einsum("j,ab,jbja->", w.array, point.rho, L.reshape(3, d, 3, d)).real
+    return float(value), L, float(np.linalg.eigvalsh(lifted)[0]), float(resid)
+
+
 def test_certificate_single_copy():
     w = WeightSpec(1.0, 4.0, 9.0)
-    cert = nh_optimal_certificate_origin(w, copies=1)
+    value, L, min_eig, resid = _origin_certificate(single_copy_optimal(w), w)
     want = nhcrb_analytic(model_point(ORIGIN, copies=1), w).to("per_measurement").value
-    assert abs(cert.value - want) < 1e-12
-    assert cert.lifted_min_eig >= -1e-12
-    assert cert.constraint_residual < 1e-12
-    assert np.abs(np.diag(cert.L).real - np.array([6, 6, 3, 3, 2, 2])).max() < 1e-12
-    assert abs(cert.value - 36.0) < 1e-12
+    assert abs(value - want) < 1e-12
+    assert min_eig >= -1e-12
+    assert resid < 1e-12
+    assert np.abs(np.diag(L).real - np.array([6, 6, 3, 3, 2, 2])).max() < 1e-12
+    assert abs(value - 36.0) < 1e-12
 
 
 def test_certificate_two_copy():
@@ -492,17 +521,17 @@ def test_certificate_two_copy():
     for _ in range(5):
         raw = rng.uniform(0.05, 1.0, size=3)
         w = WeightSpec(*raw)
-        cert = nh_optimal_certificate_origin(w, copies=2)
+        value, L, min_eig, resid = _origin_certificate(two_copy_optimal(w), w)
         want = nhcrb_analytic(model_point(ORIGIN, copies=2), w).to("per_measurement").value
-        assert abs(cert.value - want) < 1e-10
-        assert cert.lifted_min_eig >= -1e-12
-        assert cert.constraint_residual < 1e-12
+        assert abs(value - want) < 1e-10
+        assert min_eig >= -1e-12
+        assert resid < 1e-12
         rw = np.sqrt(raw)
         d = 4
         for i in range(3):
             others = [j for j in range(3) if j != i]
             want_tr = 2.0 + (rw[others[0]] + rw[others[1]]) / rw[i]
-            block = cert.L[i * d:(i + 1) * d, i * d:(i + 1) * d]
+            block = L[i * d:(i + 1) * d, i * d:(i + 1) * d]
             assert abs(np.trace(block).real - want_tr) < 1e-10
 
 

@@ -280,6 +280,15 @@ def test_reproduce_writes_deterministic_artifacts(tmp_path, schema):
     assert len(sweep_lines) == 6
 
 
+def test_reproduce_with_one_repeat_is_a_validation_error(tmp_path, capsys):
+    # one repetition has zero standard error, so a row's z-score is undefined
+    out = tmp_path / "one"
+    assert cli.main(["reproduce", "--repeats", "1", "--grid", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "raise --repeats" in err
+    assert not out.exists()
+
+
 def test_reproduce_rows_draw_from_their_own_seeds():
     # at one seed, two rows with the same weights would be copies of each
     # other; with per-row seeds they draw different counts

@@ -120,11 +120,10 @@ def test_run_experiment_counts_come_from_one_stream(components):
     w = WeightSpec(1, 2, 3)
     theta = BlochVector(*components)
     povm = two_copy_optimal(w)
-    plan = ShotPlan(theta, povm, 200, 300, 9, poisson_shots=True)
+    plan = ShotPlan(theta, povm, 200, 300, 9)
     rep = run_experiment(plan, w)
-    rng = _philox(9, REPEAT_STREAM)
-    shots = rng.poisson(200, size=300)
-    counts = sample_counts(outcome_probabilities(theta, povm), shots, rng)
+    shots = np.full(300, 200)
+    counts = sample_counts(outcome_probabilities(theta, povm), shots, _philox(9, REPEAT_STREAM))
     D = quadratic_probability_model(povm).design
     per_row = np.array([D @ (c / n) for c, n in zip(counts, shots)])
     batched = (counts / shots[:, None]) @ D.T
@@ -396,13 +395,6 @@ def test_mle_failure_carries_state(monkeypatch):
     assert err.value.theta.shape == (3,)
     assert err.value.grad_norm >= 0
     assert np.isfinite(err.value.grad_norm)
-
-
-def test_poisson_shots_smoke():
-    plan = ShotPlan(ORIGIN, two_copy_optimal(EQUAL), 200, 40, 6, poisson_shots=True)
-    rep = run_experiment(plan, EQUAL)
-    assert rep.weighted_trace > 0
-    assert rep.metadata["plan"]["poisson_shots"] is True
 
 
 def test_run_experiment_rejects_unknown_estimator():

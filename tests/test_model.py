@@ -9,9 +9,7 @@ from qtradeoff.model import (
     density_matrix,
     model_point,
     qfi,
-    qfi_from_slds,
     qfi_inverse,
-    sld_defining_residual,
     sld_operators,
 )
 
@@ -33,6 +31,24 @@ def lyapunov_sld(theta):
         vec = np.linalg.solve(a, 2.0 * drho.reshape(-1))
         slds.append(vec.reshape(2, 2))
     return slds
+
+
+def sld_defining_residual(theta):
+    """Max residual of the SLD defining (Lyapunov) equation over the 3 parameters."""
+    rho = density_matrix(theta)
+    return max(
+        float(np.abs(0.5 * (L @ rho + rho @ L) - 0.5 * sigma).max())
+        for L, sigma in zip(sld_operators(theta), PAULIS)
+    )
+
+
+def qfi_from_slds(theta):
+    """QFI via J_ij = Tr[rho (L_i L_j + L_j L_i)]/2 (cross-check route)."""
+    rho = density_matrix(theta)
+    slds = sld_operators(theta)
+    return np.array([
+        [0.5 * np.trace(rho @ (a @ b + b @ a)).real for b in slds] for a in slds
+    ])
 
 
 def test_bloch_vector_validation():

@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from qtradeoff import linalg
 from qtradeoff.bounds import convert_normalization, nhcrb_analytic
 from qtradeoff.cli import _complex_matrix_json
+from qtradeoff.constants import PSD_TOL
 from qtradeoff.model import PAULIS, BlochVector, model_point, qfi
 from qtradeoff.povm import (
     Povm,
@@ -86,7 +86,7 @@ def test_single_copy_completeness_and_psd():
         assert p.n_outcomes == 6
         assert p.completeness_deviation() < 1e-12
         for el in p.elements:
-            assert linalg.is_psd(el, 1e-12)
+            assert np.linalg.eigvalsh(el)[0] >= -1e-12
 
 
 def test_two_copy_completeness_and_psd():
@@ -96,7 +96,7 @@ def test_two_copy_completeness_and_psd():
         assert p.n_outcomes == 7
         assert p.completeness_deviation() < 1e-12
         for el in p.elements:
-            assert linalg.is_psd(el, 1e-12)
+            assert np.linalg.eigvalsh(el)[0] >= -1e-12
 
 
 def test_single_copy_probabilities_closed_form():
@@ -203,7 +203,17 @@ def test_fisher_never_exceeds_quantum_limit():
         ):
             F = classical_fisher(theta, povm)
             gap = copies * qfi(theta) - F.matrix
-            assert linalg.is_psd(gap, 1e-9)
+            assert np.linalg.eigvalsh(gap)[0] >= -1e-9
+
+
+def test_fisher_above_the_quantum_limit_is_rejected():
+    # E+- = (I +- 1.5 sigma_x)/2 is no POVM (an element has eigenvalue -0.25),
+    # and its F_xx = 2.25 at the origin exceeds J_xx = 1
+    sx = PAULIS[0]
+    elements = tuple(0.5 * (np.eye(2) + s * 1.5 * sx) for s in (1, -1))
+    povm = Povm(elements, name="overshoot", labels=("+", "-"))
+    with pytest.raises(ValueError, match="exceeds the quantum limit beyond tolerance 1.0e-09"):
+        classical_fisher(ORIGIN, povm)
 
 
 def test_singular_fisher_raises():
@@ -243,25 +253,46 @@ def test_reference_povms_structure():
     assert two.completeness_deviation() < 2e-3
     for p in (single, two):
         for el in p.elements:
-            assert linalg.is_psd(el, 1e-12)
+            assert np.linalg.eigvalsh(el)[0] >= -1e-12
     with pytest.raises(ValueError):
         reference_povm(3)
+
+
+def validate(povm):
+    """Raise ValueError unless the POVM is labelled, Hermitian, PSD and complete.
+
+    Hermiticity: max |E - E^dag| within 1e-12 of max(1, max |E|); PSD: least
+    eigenvalue at least -PSD_TOL; completeness within the POVM's own budget.
+    """
+    if len(povm.labels) != len(povm.elements):
+        raise ValueError("labels and elements length mismatch")
+    for el in povm.elements:
+        if np.abs(el - el.conj().T).max() > 1e-12 * max(1.0, np.abs(el).max()):
+            raise ValueError(f"POVM '{povm.name}' has a non-Hermitian element")
+        if np.linalg.eigvalsh(el)[0] < -PSD_TOL:
+            raise ValueError(f"POVM '{povm.name}' has a non-PSD element")
+    if povm.completeness_deviation() > povm.completeness_tol:
+        raise ValueError(f"POVM '{povm.name}' is incomplete")
 
 
 def test_povm_validation_rejects_incomplete():
     half = (np.eye(2, dtype=complex) * 0.25,)
     with pytest.raises(ValueError):
-        Povm(half, name="broken", labels=("only",)).validate()
+        validate(Povm(half, name="broken", labels=("only",)))
     bad_labels = Povm((np.eye(2, dtype=complex),), name="broken", labels=("a", "b"))
     with pytest.raises(ValueError):
-        bad_labels.validate()
+        validate(bad_labels)
+    # complete, and PSD as eigvalsh reads it (one triangle), but not Hermitian
+    skew = tuple(np.array([[0.5, s], [0.0, 0.5]], dtype=complex) for s in (0.5, -0.5))
+    with pytest.raises(ValueError, match="non-Hermitian"):
+        validate(Povm(skew, name="skew", labels=("a", "b")))
     rng = np.random.default_rng(3)
     for w in (WeightSpec(1, 1, 1), random_weights(rng)):
-        single_copy_optimal(w).validate()
-        two_copy_optimal(w).validate()
-    sic_two_copy().validate()
-    reference_povm(1).validate()
-    reference_povm(2).validate()
+        validate(single_copy_optimal(w))
+        validate(two_copy_optimal(w))
+    validate(sic_two_copy())
+    validate(reference_povm(1))
+    validate(reference_povm(2))
 
 
 def test_povm_json_round_trip():
