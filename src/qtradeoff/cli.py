@@ -1,7 +1,8 @@
 """Command-line surface for bounds, POVMs, surface scans, and experiments.
 
-Every command is deterministic given its flags and seed: floats are
-printed with 12 significant digits, dictionaries are sorted, and no
+Every command is deterministic given its flags and seed. It hands its
+artifact, as raw values, to one writer, `_write`: floats get 12
+significant digits in JSON and CSV alike, dictionaries are sorted, and no
 timestamps enter the artifacts. JSON artifacts follow the schema shipped
 in qtradeoff/schemas/artifacts.schema.json.
 """
@@ -56,10 +57,6 @@ EXIT_VALIDATION = 2
 EXIT_SOLVER = 3
 
 
-class CliError(ValueError):
-    """Flag or input validation failure (exit code 2)."""
-
-
 def fmt(value) -> str:
     """Fixed 12-significant-digit rendering used in all artifacts."""
     return format(float(value), ".12g")
@@ -85,11 +82,12 @@ def render_json(payload) -> str:
 
 
 def render_csv(header, rows) -> str:
+    """CSV text; float cells get `fmt`, every other cell is written as is."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
-        writer.writerow(row)
+        writer.writerow([fmt(c) if isinstance(c, (float, np.floating)) else c for c in row])
     return buf.getvalue()
 
 
@@ -102,14 +100,21 @@ def _emit(text, out):
             fh.write(text)
 
 
+def _write(args, payload, header, rows) -> int:
+    """Emit a command's artifact: payload as JSON, or header and rows as CSV."""
+    text = render_json(payload) if args.format == "json" else render_csv(header, rows)
+    _emit(text, args.out)
+    return EXIT_OK
+
+
 def parse_triple(text, kind):
     parts = text.split(",")
     if len(parts) != 3:
-        raise CliError(f"{kind} needs three comma-separated numbers, got {text!r}")
+        raise ValueError(f"{kind} needs three comma-separated numbers, got {text!r}")
     try:
         return tuple(float(p) for p in parts)
     except ValueError:
-        raise CliError(f"could not parse {kind} {text!r}") from None
+        raise ValueError(f"could not parse {kind} {text!r}") from None
 
 
 def parse_theta(text) -> BlochVector:
@@ -117,20 +122,16 @@ def parse_theta(text) -> BlochVector:
     try:
         return BlochVector(*vals)
     except ValueError as exc:
-        raise CliError(f"unphysical state: {exc}") from None
+        raise ValueError(f"unphysical state: {exc}") from None
 
 
 def parse_weights(text):
-    vals = parse_triple(text, "weights")
-    try:
-        return as_weights(vals)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    return as_weights(parse_triple(text, "weights"))
 
 
 def _grid_triples(n):
     if n < 1:
-        raise CliError("grid size must be at least 1")
+        raise ValueError("grid size must be at least 1")
     return integer_weight_triples(tuple(range(1, n + 1)))
 
 
@@ -165,9 +166,8 @@ def cmd_bounds(args) -> int:
     )
     point = model_point(theta, copies=copies)
     named = [("qcrb", qcrb(point, weights)), ("holevo", holevo(point, weights)),
-             ("nhcrb_analytic", nhcrb_analytic(point, weights))]
-    weights.require_positive()
-    named.append(("nhcrb_sdp", nhcrb_sdp(point, weights)))
+             ("nhcrb_analytic", nhcrb_analytic(point, weights)),
+             ("nhcrb_sdp", nhcrb_sdp(point, weights))]
     records = [_bound_record(name, bound, norm) for name, bound in named
                if bound is not None for norm in normalizations]
     payload = {
@@ -177,31 +177,16 @@ def cmd_bounds(args) -> int:
         "weights": list(weights.array),
         "records": records,
     }
-    if args.format == "json":
-        _emit(render_json(payload), args.out)
-    else:
-        header = ["name", "normalization", "value", "method", "copies", "gap", "iterations"]
-        rows = [
-            [
-                r["name"],
-                r["normalization"],
-                fmt(r["value"]),
-                r["method"],
-                r["copies"],
-                fmt(r["gap"]) if "gap" in r else "",
-                r.get("iterations", ""),
-            ]
-            for r in records
-        ]
-        _emit(render_csv(header, rows), args.out)
-    return EXIT_OK
+    header = ["name", "normalization", "value", "method", "copies", "gap", "iterations"]
+    rows = [[r.get(key, "") for key in header] for r in records]
+    return _write(args, payload, header, rows)
 
 
 def build_povm(choice, copies, weights):
     """Construct the named measurement, checking the copies flag."""
     expected = {"opt1": 1, "opt2": 2, "sic": 2}.get(choice)
     if expected is not None and copies != expected:
-        raise CliError(f"povm {choice!r} measures {expected} copies, got --copies {copies}")
+        raise ValueError(f"povm {choice!r} measures {expected} copies, got --copies {copies}")
     if choice == "opt1":
         return single_copy_optimal(weights)
     if choice == "opt2":
@@ -210,7 +195,7 @@ def build_povm(choice, copies, weights):
         return sic_two_copy()
     if choice == "ref":
         return reference_povm(copies)
-    raise CliError(f"unknown povm {choice!r}")
+    raise ValueError(f"unknown povm {choice!r}")
 
 
 def cmd_povm(args) -> int:
@@ -241,16 +226,8 @@ def cmd_povm(args) -> int:
         payload["weighted_trace_inverse_per_qubit"] = (
             fisher.weighted_trace_inverse(weights, "per_qubit")
         )
-    if args.format == "json":
-        _emit(render_json(payload), args.out)
-    else:
-        header = ["outcome", "label", "probability"]
-        rows = [
-            [i, povm.labels[i], fmt(probs[i])]
-            for i in range(povm.n_outcomes)
-        ]
-        _emit(render_csv(header, rows), args.out)
-    return EXIT_OK
+    rows = [[i, label, p] for i, (label, p) in enumerate(zip(povm.labels, probs))]
+    return _write(args, payload, ["outcome", "label", "probability"], rows)
 
 
 def cmd_surface(args) -> int:
@@ -260,27 +237,20 @@ def cmd_surface(args) -> int:
     else:
         grid = _grid_triples(args.grid)
     scan = surface_scan(theta, args.copies, tuple(w for _, w in grid))
-    residual = (
-        single_copy_surface_residual if args.copies == 1 else two_copy_surface_residual
-    )
-    residuals = [residual(v) for v in scan.vertices] if theta.norm == 0.0 else None
     payload = {"kind": "surface", **scan.to_json_dict()}
     if all(u is not None for u, _ in grid):
         payload["grid"] = [list(u) for u, _ in grid]
-    if residuals is not None:
-        payload["vertex_residuals"] = residuals
-    if args.format == "json":
-        _emit(render_json(payload), args.out)
-    else:
-        header = ["vx", "vy", "vz"] + (["residual"] if residuals is not None else [])
-        rows = []
-        for i, v in enumerate(scan.vertices):
-            row = [fmt(v.vx), fmt(v.vy), fmt(v.vz)]
-            if residuals is not None:
-                row.append(fmt(residuals[i]))
-            rows.append(row)
-        _emit(render_csv(header, rows), args.out)
-    return EXIT_OK
+    header = ["vx", "vy", "vz"]
+    rows = [[v.vx, v.vy, v.vz] for v in scan.vertices]
+    if theta.norm == 0.0:
+        residual = (
+            single_copy_surface_residual if args.copies == 1 else two_copy_surface_residual
+        )
+        payload["vertex_residuals"] = [residual(v) for v in scan.vertices]
+        header.append("residual")
+        for row, r in zip(rows, payload["vertex_residuals"]):
+            row.append(r)
+    return _write(args, payload, header, rows)
 
 
 def cmd_simulate(args) -> int:
@@ -297,21 +267,11 @@ def cmd_simulate(args) -> int:
     )
     report = run_experiment(plan, weights, estimator=args.estimator)
     payload = {"kind": "simulate", **report.to_json_dict()}
-    if args.format == "json":
-        _emit(render_json(payload), args.out)
-    else:
-        header = [
-            "vx", "vy", "vz", "weighted_trace", "standard_error",
-            "mean_x", "mean_y", "mean_z",
-        ]
-        mean = report.estimates_mean
-        rows = [[
-            fmt(report.mse.vx), fmt(report.mse.vy), fmt(report.mse.vz),
-            fmt(report.weighted_trace), fmt(report.standard_error),
-            fmt(mean[0]), fmt(mean[1]), fmt(mean[2]),
-        ]]
-        _emit(render_csv(header, rows), args.out)
-    return EXIT_OK
+    header = ["vx", "vy", "vz", "weighted_trace", "standard_error",
+              "mean_x", "mean_y", "mean_z"]
+    row = [*report.mse.array, report.weighted_trace, report.standard_error,
+           *report.estimates_mean]
+    return _write(args, payload, header, [row])
 
 
 def _row_seed(seed, table, row):
@@ -327,9 +287,9 @@ def _row_seed(seed, table, row):
 def _origin_rows(grid, shots, repeats, seed):
     """Origin trade-off demo: per-weight two-copy and SIC runs.
 
-    Each row draws from its own seed; its SIC twin shares that seed. A row
-    whose standard error is 0, as with one repetition, has no z-score and
-    raises CliError.
+    Rows hold raw values in ORIGIN_HEADER order. Each row draws from its
+    own seed; its SIC twin shares that seed. A row whose standard error is
+    0, as with one repetition, has no z-score and raises ValueError.
     """
     rows = []
     zs = []
@@ -340,23 +300,20 @@ def _origin_rows(grid, shots, repeats, seed):
         plan = ShotPlan(origin, two_copy_optimal(w), shots, repeats, row_seed)
         rep = run_experiment(plan, w, estimator="linear")
         if rep.standard_error == 0.0:
-            raise CliError(
+            raise ValueError(
                 f"trade-off demo row {row} has zero standard error over "
                 f"{repeats} repetition(s), so its z-score is undefined; raise --repeats"
             )
         sic_plan = ShotPlan(origin, sic, shots, repeats, row_seed)
         sic_rep = run_experiment(sic_plan, w, estimator="linear")
-        c1 = rep.metadata["single_copy_bound_per_qubit"]
-        c2 = rep.metadata["two_copy_bound_per_qubit"]
         z = rep.metadata["z_vs_single_copy"]
         zs.append(z)
         rows.append([
-            u[0], u[1], u[2],
-            fmt(w.wx), fmt(w.wy), fmt(w.wz),
-            fmt(rep.mse.vx), fmt(rep.mse.vy), fmt(rep.mse.vz),
-            fmt(rep.weighted_trace), fmt(rep.standard_error),
-            fmt(sic_rep.weighted_trace), fmt(sic_rep.standard_error),
-            fmt(c1), fmt(c2), fmt(z),
+            *u, w.wx, w.wy, w.wz, rep.mse.vx, rep.mse.vy, rep.mse.vz,
+            rep.weighted_trace, rep.standard_error,
+            sic_rep.weighted_trace, sic_rep.standard_error,
+            rep.metadata["single_copy_bound_per_qubit"],
+            rep.metadata["two_copy_bound_per_qubit"], z,
         ])
     return rows, np.array(zs)
 
@@ -376,7 +333,12 @@ SWEEP_HEADER = [
 
 
 def _sweep_rows(grid, repeats, seed):
-    """MLE sweep over mixedness t with matched shot budgets, one seed per row."""
+    """MLE sweep over mixedness t with matched shot budgets, one seed per row.
+
+    Rows hold raw values in SWEEP_HEADER order. The single-copy bound has a
+    closed form at every t, which run_experiment stores; the two-copy bound
+    off the origin comes from the SDP.
+    """
     rows = []
     for t, shots in zip(DEMO_THETAS, DEMO_SHOTS):
         theta = BlochVector(t, t, t)
@@ -384,17 +346,12 @@ def _sweep_rows(grid, repeats, seed):
             row_seed = _row_seed(seed, 1, len(rows))
             plan = ShotPlan(theta, two_copy_optimal(w), shots, repeats, row_seed)
             rep = run_experiment(plan, w, estimator="mle")
-            # the single-copy bound has a closed form at every t; the
-            # two-copy bound off the origin comes from the SDP
-            b1 = nhcrb_analytic(model_point(theta, copies=1), w).value
-            b2 = nhcrb_sdp(model_point(theta, copies=2), w).value
             rows.append([
-                fmt(t), shots,
-                u[0], u[1], u[2],
-                fmt(w.wx), fmt(w.wy), fmt(w.wz),
-                fmt(rep.mse.vx), fmt(rep.mse.vy), fmt(rep.mse.vz),
-                fmt(rep.weighted_trace), fmt(rep.standard_error),
-                fmt(b1), fmt(b2),
+                t, shots, *u, w.wx, w.wy, w.wz,
+                rep.mse.vx, rep.mse.vy, rep.mse.vz,
+                rep.weighted_trace, rep.standard_error,
+                rep.metadata["single_copy_bound_per_qubit"],
+                nhcrb_sdp(model_point(theta, copies=2), w).value,
             ])
     return rows
 
@@ -425,14 +382,9 @@ def cmd_reproduce(args) -> int:
         },
     }
     os.makedirs(args.out, exist_ok=True)
-    artifacts = {
-        os.path.join(args.out, "trade_off_demo.csv"): render_csv(ORIGIN_HEADER, origin_rows),
-        os.path.join(args.out, "sweep.csv"): render_csv(SWEEP_HEADER, sweep_rows),
-        os.path.join(args.out, "summary.json"): render_json(summary),
-    }
-    for path, text in artifacts.items():
-        with open(path, "w") as fh:
-            fh.write(text)
+    _emit(render_csv(ORIGIN_HEADER, origin_rows), os.path.join(args.out, "trade_off_demo.csv"))
+    _emit(render_csv(SWEEP_HEADER, sweep_rows), os.path.join(args.out, "sweep.csv"))
+    _emit(render_json(summary), os.path.join(args.out, "summary.json"))
     return EXIT_OK
 
 
@@ -507,7 +459,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (ConvergenceError, MleError, SingularFisherError) as exc:

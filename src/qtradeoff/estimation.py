@@ -6,7 +6,7 @@ per-axis mean squared errors normalized per qubit so they are directly
 comparable to the analytic and SDP bounds.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -106,7 +106,7 @@ class ExperimentReport:
     weighted_trace: float
     standard_error: float
     estimates_mean: np.ndarray
-    metadata: dict = field(default_factory=dict)
+    metadata: dict
 
     def to_json_dict(self):
         return {
@@ -165,7 +165,7 @@ def _likelihood(theta, freqs, q0, G, S):
     return value, grad, hess
 
 
-def _ball_newton_step(theta, grad, hess, radius=MLE_BALL_RADIUS):
+def _ball_newton_step(theta, grad, hess, radius):
     """Projected-Newton direction d of each row; trials are P(theta + alpha d).
 
     A row on the sphere whose gradient pushes it outward takes the Newton
@@ -257,7 +257,7 @@ def _fit_mle(freqs, model):
             if not going.any():
                 break
             rows, t, f, g, h, freqs = rows[going], t[going], f[going], g[going], h[going], freqs[going]
-        d = _ball_newton_step(t, g, h)
+        d = _ball_newton_step(t, g, h, MLE_BALL_RADIUS)
         # the last Newton steps change the objective by less than its
         # rounding error, so a decrease may fall short by that much
         slack = 4 * _EPS * np.abs(f)

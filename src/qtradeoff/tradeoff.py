@@ -72,7 +72,7 @@ class SurfaceScan:
     copies: int
     planes: tuple
     vertices: tuple
-    clipped: int = 0
+    clipped: int
 
     def to_json_dict(self) -> dict:
         return {
@@ -202,8 +202,10 @@ def surface_scan(theta, copies: int, weight_grid) -> SurfaceScan:
     intersections of all plane triples with independent normals, solved as
     one batch per first plane; those feasible for every plane (within
     tolerance), above the per-parameter floor 1 - theta_i^2, and inside the
-    bounding box are kept, deduplicated, and returned sorted. Vertices
-    discarded by the box alone are counted in `clipped`.
+    bounding box are kept, raised to at least 0, deduplicated, and returned
+    sorted. Vertices discarded by the box alone are counted in `clipped`.
+    Raising to 0 matters at a pure state on an axis, where the floor is 0
+    and rounding in the intersection can put a kept coordinate just below it.
     """
     theta = bounds_mod.as_bloch(theta)
     grid = [bounds_mod.as_weights(w) for w in weight_grid]
@@ -242,7 +244,7 @@ def surface_scan(theta, copies: int, weight_grid) -> SurfaceScan:
         boxed = np.all(points <= VERTEX_BOX_LIMIT, axis=1)
         clipped += int(np.sum(feasible & ~boxed))
         chunks.append(points[feasible & boxed])
-    candidates = np.concatenate(chunks) if chunks else np.empty((0, 3))
+    candidates = np.maximum(np.concatenate(chunks) if chunks else np.empty((0, 3)), 0.0)
 
     merged = []
     for v in sorted(candidates, key=tuple):

@@ -248,6 +248,45 @@ def test_simulate_accepts_an_exact_axis_estimate(tmp_path, schema):
     assert all(v >= 0.0 for v in doc["mse"])
 
 
+def test_simulate_csv_cells_follow_the_json_artifact(tmp_path):
+    argv = ["simulate", "--povm", "opt2", "--copies", "2", "--shots", "100",
+            "--repeats", "30", "--seed", "9"]
+    doc = run_json(tmp_path, argv)
+    out = tmp_path / "simulate.csv"
+    assert cli.main(argv + ["--out", str(out), "--format", "csv"]) == 0
+    header, row, *rest = out.read_text().splitlines()
+    assert header == "vx,vy,vz,weighted_trace,standard_error,mean_x,mean_y,mean_z"
+    assert not rest
+    want = [*doc["mse"], doc["weighted_trace"], doc["standard_error"],
+            *doc["estimates_mean"]]
+    assert row.split(",") == [cli.fmt(v) for v in want]
+
+
+def test_render_csv_formats_floats_only():
+    text = cli.render_csv(["a", "b", "c", "d", "e", "f"], [
+        [1 / 3, np.float64(2 / 3), 7, np.int64(12345678901234), "label", ""],
+    ])
+    assert text == "a,b,c,d,e,f\n0.333333333333,0.666666666667,7,12345678901234,label,\n"
+
+
+def test_unwritable_out_is_a_validation_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.json"
+    assert cli.main(["bounds", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "No such file or directory" in err
+    assert not out.parent.exists()
+
+
+def test_reproduce_into_an_existing_file_is_a_validation_error(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("keep me\n")
+    assert cli.main(["reproduce", "--grid", "1", "--repeats", "5", "--shots", "50",
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "File exists" in err
+    assert out.read_text() == "keep me\n"
+
+
 def test_command_output_is_deterministic(tmp_path):
     args = ["simulate", "--povm", "opt2", "--copies", "2", "--shots", "80",
             "--repeats", "25", "--seed", "3", "--format", "json"]

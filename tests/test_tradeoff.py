@@ -146,6 +146,24 @@ def test_surface_scan_interior_point():
         assert abs(plane.offset - want) <= 1e-12 * want
 
 
+@pytest.mark.parametrize("theta", [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)])
+@pytest.mark.parametrize("n", [2, 3])
+def test_single_copy_scan_at_an_axis_pure_state(theta, n):
+    # the floor 1 - theta_i^2 is 0 on the pure axis, where rounding in the
+    # plane intersection can put a vertex coordinate just below it
+    grid = [w for _, w in integer_weight_triples(values=tuple(range(1, n + 1)))]
+    scan = surface_scan(theta, 1, grid)
+    assert scan.vertices
+    axis = theta.index(1.0)
+    for v in scan.vertices:
+        assert np.all(v.array >= 0.0)
+        assert np.all(v.array >= 1.0 - np.asarray(theta) ** 2 - SURFACE_FEAS_TOL)
+        for plane in scan.planes:
+            assert plane.weights.array @ v.array - plane.offset >= -1e-7
+    # the scan reaches the floor 0 of the pure axis
+    assert min(v.array[axis] for v in scan.vertices) < 1e-12
+
+
 @pytest.mark.parametrize("copies", [1, 2])
 def test_surface_scan_builds_one_model_point(monkeypatch, copies):
     calls = []
