@@ -9,6 +9,7 @@ in qtradeoff/schemas/artifacts.schema.json.
 
 import argparse
 import csv
+import errno
 import functools
 import io
 import json
@@ -129,7 +130,10 @@ def parse_weights(text):
     return as_weights(parse_triple(text, "weights"))
 
 
+@functools.cache
 def _grid_triples(n):
+    """The deduplicated integer weight grid 1..n, built once per n: its
+    WeightSpecs are frozen, so every command shares them."""
     if n < 1:
         raise ValueError("grid size must be at least 1")
     return integer_weight_triples(tuple(range(1, n + 1)))
@@ -357,6 +361,15 @@ def _sweep_rows(grid, repeats, seed):
 
 
 def cmd_reproduce(args) -> int:
+    # an --out at or under a file fails before any row is computed, with
+    # the error os.makedirs would raise; the directory itself is made only
+    # once the rows are
+    out = existing = os.path.abspath(args.out)
+    while not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        code = errno.EEXIST if existing == out else errno.ENOTDIR
+        raise OSError(code, os.strerror(code), args.out)
     grid = _grid_triples(args.grid)
     shots = args.shots if args.shots is not None else ORIGIN_SHOTS
     origin_rows, zs = _origin_rows(grid, shots, args.repeats, args.seed)

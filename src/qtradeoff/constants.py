@@ -38,6 +38,7 @@ SURFACE_FEAS_TOL = 1e-6
 VERTEX_MERGE_TOL = 1e-7
 PARALLEL_NORMAL_TOL = 1e-10
 VERTEX_BOX_LIMIT = 50.0
+SCAN_BATCH_ENTRIES = 1 << 19     # plane checks (triples x planes) per vertex-search batch
 BOUNDARY_RESIDUAL_TOL = 1e-6
 
 # Monte Carlo experiment defaults.

@@ -19,7 +19,7 @@ from .constants import (
     MLE_MAX_ITER,
 )
 from .model import BlochVector, convert_normalization, model_point
-from .povm import Povm, quadratic_probability_model
+from .povm import Povm
 from .tradeoff import MsePoint
 
 REPEAT_STREAM = 0
@@ -358,9 +358,9 @@ def _bootstrap_standard_error(squared_errors, weights, scale):
 def run_experiment(plan, weights, estimator="linear"):
     """Run the full Monte Carlo experiment described by a ShotPlan.
 
-    The experiment builds one QuadraticModel of the POVM. One generator
-    seeded with the stream [seed, 0] draws the (R, n) outcome counts of
-    all R repetitions, shots_per_repeat each, as one batched multinomial
+    The experiment reads the POVM's QuadraticModel, Povm.model. One
+    generator seeded with the stream [seed, 0] draws the (R, n) outcome
+    counts of all R repetitions, shots_per_repeat each, as one batched multinomial
     draw from the model's checked probabilities at theta_true, for every
     state, mixed or not. The linear estimator maps all repetitions'
     frequencies through the model's design in one product; the MLE solves
@@ -378,7 +378,7 @@ def run_experiment(plan, weights, estimator="linear"):
     if estimator not in ("linear", "mle"):
         raise ValueError("estimator must be 'linear' or 'mle'")
     theta_true = plan.theta_true.array
-    model = quadratic_probability_model(plan.povm)
+    model = plan.povm.model
 
     rng = np.random.Generator(
         np.random.Philox(np.random.SeedSequence([plan.seed, REPEAT_STREAM]))

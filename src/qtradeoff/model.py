@@ -18,6 +18,7 @@ SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
+_PAULI_STACK = np.array(PAULIS)
 IDENTITY_2 = np.eye(2, dtype=complex)
 
 AXIS_LABELS = ("x", "y", "z")
@@ -143,6 +144,10 @@ def model_point(theta: BlochVector, copies: int = 1) -> ModelPoint:
     if copies == 1:
         drho = tuple(0.5 * p for p in PAULIS)
         return ModelPoint(theta=theta, copies=1, rho=rho, drho=drho)
-    rho2 = np.kron(rho, rho)
-    drho = tuple(0.5 * (np.kron(p, rho) + np.kron(rho, p)) for p in PAULIS)
+    # a (x) b as the broadcast product a[i, j] b[k, l] laid out at
+    # (2i + k, 2j + l): np.kron's products, without its per-call set-up
+    rho2 = (rho[:, None, :, None] * rho[None, :, None, :]).reshape(4, 4)
+    left = (_PAULI_STACK[:, :, None, :, None] * rho[None, None, :, None, :]).reshape(3, 4, 4)
+    right = (rho[None, :, None, :, None] * _PAULI_STACK[:, None, :, None, :]).reshape(3, 4, 4)
+    drho = tuple(0.5 * (left + right))
     return ModelPoint(theta=theta, copies=2, rho=rho2, drho=drho)

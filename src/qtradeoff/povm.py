@@ -117,6 +117,13 @@ class Povm:
         total = sum(self.elements)
         return float(np.abs(total - np.eye(self.dim)).max())
 
+    @functools.cached_property
+    def model(self) -> QuadraticModel:
+        """The measurement's QuadraticModel, built on first use and kept, so
+        the probabilities, the Fisher information and an experiment on one
+        Povm share one build."""
+        return quadratic_probability_model(self)
+
 
 def _axis_eigenvectors() -> list[list[np.ndarray]]:
     # +1/-1 eigenvectors per Pauli axis; sigma_y pair fixed to (1, +/- i)/sqrt(2)
@@ -354,7 +361,7 @@ def quadratic_probability_model(povm: Povm) -> QuadraticModel:
 def outcome_probabilities(theta: BlochVector, povm: Povm) -> np.ndarray:
     """Born probabilities Tr[rho Pi_j] of the state theta on the POVM's
     copies, checked and clipped by QuadraticModel.checked_probabilities."""
-    return quadratic_probability_model(povm).checked_probabilities(theta.array)
+    return povm.model.checked_probabilities(theta.array)
 
 
 @dataclass(frozen=True)
@@ -387,7 +394,7 @@ def classical_fisher(theta: BlochVector, povm: Povm) -> FisherMatrix:
     The result is checked against the quantum information: F <= copies * J
     in the PSD order, with slack scaled to the POVM's completeness budget.
     """
-    model = quadratic_probability_model(povm)
+    model = povm.model
     p = model.checked_probabilities(theta.array)
     dp = model.jacobian(theta.array)
     kept = p > FISHER_PROB_CUTOFF

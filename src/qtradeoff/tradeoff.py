@@ -23,6 +23,7 @@ from . import bounds as bounds_mod
 from .constants import (
     BOUNDARY_RESIDUAL_TOL,
     PARALLEL_NORMAL_TOL,
+    SCAN_BATCH_ENTRIES,
     SURFACE_FEAS_TOL,
     VERTEX_BOX_LIMIT,
     VERTEX_MERGE_TOL,
@@ -192,6 +193,31 @@ def _plane_bound(point: ModelPoint, weights: WeightSpec) -> float:
     return bound.value
 
 
+def _merge_vertices(points: np.ndarray) -> np.ndarray:
+    """The rows of `points` in lexicographic order, each dropped when it lies
+    within VERTEX_MERGE_TOL of an earlier row that was kept.
+
+    Only earlier rows whose x lies within twice the tolerance can be that
+    close, so the distances are taken over those pairs alone, in one call,
+    each with the bits of np.linalg.norm(v - u). A row is kept when none of
+    its close earlier rows is, which the pass over the close pairs decides
+    in sorted order.
+    """
+    points = points[np.lexsort(points.T[::-1])]
+    x = points[:, 0]
+    window = np.arange(len(x)) - np.searchsorted(x, x - 2.0 * VERTEX_MERGE_TOL)
+    later = np.repeat(np.arange(len(x)), window)
+    earlier = later - (np.cumsum(window)[later] - np.arange(len(later)))
+    diff = points[later] - points[earlier]
+    # a stacked (1, 3) @ (3, 1) product is the dot product np.linalg.norm takes
+    close = np.sqrt((diff[:, None, :] @ diff[:, :, None])[:, 0, 0]) < VERTEX_MERGE_TOL
+    keep = np.ones(len(points), dtype=bool)
+    for a, b in zip(later[close], earlier[close]):
+        if keep[b]:
+            keep[a] = False
+    return points[keep]
+
+
 def surface_scan(theta, copies: int, weight_grid) -> SurfaceScan:
     """Reconstruct the trade-off surface from weighted bounds.
 
@@ -199,11 +225,13 @@ def surface_scan(theta, copies: int, weight_grid) -> SurfaceScan:
     halfspace w . V >= C(w), from its closed form where one exists and from
     the SDP otherwise. The model point depends on theta alone, so one is
     built per scan and shared by every plane. Candidate vertices are the
-    intersections of all plane triples with independent normals, solved as
-    one batch per first plane; those feasible for every plane (within
-    tolerance), above the per-parameter floor 1 - theta_i^2, and inside the
-    bounding box are kept, raised to at least 0, deduplicated, and returned
-    sorted. Vertices discarded by the box alone are counted in `clipped`.
+    intersections of all plane triples with independent normals, solved in
+    batches of at most P^2 triples for P planes, each triple by its own
+    LAPACK call; those feasible for every plane (within tolerance), above
+    the per-parameter floor 1 - theta_i^2, and inside the bounding box are
+    kept, raised to at least 0, deduplicated by `_merge_vertices`, and
+    returned sorted. Vertices discarded by the box alone are counted in
+    `clipped`.
     Raising to 0 matters at a pure state on an axis, where the floor is 0
     and rounding in the intersection can put a kept coordinate just below it.
     """
@@ -221,16 +249,28 @@ def surface_scan(theta, copies: int, weight_grid) -> SurfaceScan:
     offsets = np.array([p.offset for p in planes])
     # pairs of planes whose normals are not parallel
     apart = np.linalg.norm(np.cross(normals[:, None], normals[None, :]), axis=-1) >= PARALLEL_NORMAL_TOL
-    # the triples (i, j, k), i < j < k, one first plane i at a time, so
-    # memory grows as the cube of the plane count, not its fourth power
-    pair_j, pair_k = np.triu_indices(len(planes), 1)
-    chunks = []
+    # the triples (i, j, k), i < j < k, in lexicographic order: triu_indices
+    # lists the pairs j < k that way, so first plane i takes the tail with
+    # j > i, from tail[i], and its triples start at first[i]
+    n_planes = len(planes)
+    pair_j, pair_k = np.triu_indices(n_planes, 1)
+    tail = np.searchsorted(pair_j, np.arange(1, n_planes + 1))
+    count = len(pair_j) - tail
+    first = np.cumsum(count) - count
+    # batches of P^2 consecutive triples for P planes, so a grid-3 scan (25
+    # planes) takes four; the plane check compares each triple with every
+    # plane, and from 81 planes on SCAN_BATCH_ENTRIES caps that matrix, which
+    # would otherwise hold P^3 entries
+    batch = min(n_planes * n_planes, max(1, SCAN_BATCH_ENTRIES // n_planes))
+    total = int(count.sum())
+    chunks = [np.empty((0, 3))]
     clipped = 0
-    for i in range(len(planes) - 2):
-        # the pairs j < k are in lexicographic order, so those with j > i are a tail
-        start = np.searchsorted(pair_j, i + 1)
-        j, k = pair_j[start:], pair_k[start:]
-        triples = np.column_stack([np.full(len(j), i), j, k])
+    for start in range(0, total, batch):
+        t = np.arange(start, min(start + batch, total))
+        i = np.searchsorted(first, t, side="right") - 1
+        pair = tail[i] + t - first[i]
+        j, k = pair_j[pair], pair_k[pair]
+        triples = np.column_stack([i, j, k])
         n = normals[triples]
         independent = apart[i, j] & apart[i, k] & apart[j, k] & (
             np.abs(np.linalg.det(n)) >= PARALLEL_NORMAL_TOL
@@ -244,12 +284,7 @@ def surface_scan(theta, copies: int, weight_grid) -> SurfaceScan:
         boxed = np.all(points <= VERTEX_BOX_LIMIT, axis=1)
         clipped += int(np.sum(feasible & ~boxed))
         chunks.append(points[feasible & boxed])
-    candidates = np.maximum(np.concatenate(chunks) if chunks else np.empty((0, 3)), 0.0)
-
-    merged = []
-    for v in sorted(candidates, key=tuple):
-        if not any(np.linalg.norm(v - u) < VERTEX_MERGE_TOL for u in merged):
-            merged.append(v)
+    merged = _merge_vertices(np.maximum(np.concatenate(chunks), 0.0))
     vertices = tuple(MsePoint(*v) for v in merged)
     return SurfaceScan(theta=theta, copies=copies, planes=planes,
                        vertices=vertices, clipped=clipped)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import qtradeoff.cli as cli
+import qtradeoff.povm as povm_mod
 from qtradeoff import sdp
 from qtradeoff.linalg import ConvergenceError
 
@@ -87,6 +88,23 @@ def test_povm_artifact(tmp_path, schema):
     assert abs(sum(doc["probabilities"]) - 1.0) < 1e-9
     assert doc["completeness_deviation"] < 1e-10
     assert doc["weighted_trace_inverse_per_qubit"] > 0
+
+
+@pytest.mark.parametrize("povm, copies", [("opt1", 1), ("opt2", 2), ("sic", 2), ("ref", 2)])
+def test_povm_builds_the_quadratic_model_once(tmp_path, monkeypatch, povm, copies):
+    # the probabilities and the Fisher information share the Povm's model
+    calls = []
+    build = povm_mod.quadratic_probability_model
+
+    def counting(p):
+        calls.append(p.name)
+        return build(p)
+
+    monkeypatch.setattr(povm_mod, "quadratic_probability_model", counting)
+    doc = run_json(tmp_path, ["povm", "--povm", povm, "--copies", str(copies),
+                              "--theta", "0.1,-0.2,0.3"])
+    assert "fisher" in doc
+    assert calls == [doc["name"]]
 
 
 def test_povm_reference_artifact(tmp_path, schema):
@@ -277,7 +295,12 @@ def test_unwritable_out_is_a_validation_error(tmp_path, capsys):
     assert not out.parent.exists()
 
 
-def test_reproduce_into_an_existing_file_is_a_validation_error(tmp_path, capsys):
+def test_reproduce_into_an_existing_file_is_a_validation_error(tmp_path, capsys, monkeypatch):
+    # the path is checked before any row is computed
+    def no_experiment(*args, **kwargs):
+        raise AssertionError("run_experiment was called")
+
+    monkeypatch.setattr(cli, "run_experiment", no_experiment)
     out = tmp_path / "taken"
     out.write_text("keep me\n")
     assert cli.main(["reproduce", "--grid", "1", "--repeats", "5", "--shots", "50",
@@ -285,6 +308,19 @@ def test_reproduce_into_an_existing_file_is_a_validation_error(tmp_path, capsys)
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "File exists" in err
     assert out.read_text() == "keep me\n"
+
+
+def test_reproduce_under_a_file_is_a_validation_error(tmp_path, capsys, monkeypatch):
+    def no_experiment(*args, **kwargs):
+        raise AssertionError("run_experiment was called")
+
+    monkeypatch.setattr(cli, "run_experiment", no_experiment)
+    taken = tmp_path / "taken"
+    taken.write_text("keep me\n")
+    assert cli.main(["reproduce", "--grid", "1", "--out", str(taken / "sub" / "dir")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Not a directory" in err
+    assert taken.read_text() == "keep me\n"
 
 
 def test_command_output_is_deterministic(tmp_path):

@@ -163,6 +163,19 @@ def test_model_point_two_copy_derivatives():
         assert np.abs(point.drho[i] - num).max() < 1e-9
 
 
+def test_model_point_two_copies_has_the_bits_of_kron():
+    # the broadcast products are np.kron's, so the state and its derivatives
+    # are bit for bit those of the Kronecker-product formulas
+    rng = np.random.default_rng(16)
+    thetas = [random_interior_theta(rng, rmax=1.0) for _ in range(200)]
+    for theta in thetas + [BlochVector(0, 0, 0), BlochVector(0, 0, 1)]:
+        point = model_point(theta, copies=2)
+        rho = density_matrix(theta)
+        assert np.array_equal(point.rho, np.kron(rho, rho))
+        for sigma, drho in zip(PAULIS, point.drho):
+            assert np.array_equal(drho, 0.5 * (np.kron(sigma, rho) + np.kron(rho, sigma)))
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     st.tuples(

@@ -7,6 +7,7 @@ from qtradeoff import tradeoff
 from qtradeoff.bounds import nhcrb_sdp
 from qtradeoff.constants import (
     PARALLEL_NORMAL_TOL,
+    SCAN_BATCH_ENTRIES,
     SURFACE_FEAS_TOL,
     VERTEX_BOX_LIMIT,
     VERTEX_MERGE_TOL,
@@ -206,11 +207,17 @@ def _scan_one_triple_at_a_time(theta, planes):
             fired["box"] += 1
             continue
         candidates.append(v)
+    return _merge_one_at_a_time(np.maximum(candidates, 0.0)), fired
+
+
+def _merge_one_at_a_time(points):
+    """The greedy merge as a loop: in sorted order, keep a point unless it
+    lies within the merge tolerance of one already kept."""
     merged = []
-    for v in sorted(candidates, key=tuple):
+    for v in sorted(points, key=tuple):
         if not any(np.linalg.norm(v - u) < VERTEX_MERGE_TOL for u in merged):
             merged.append(v)
-    return np.array(merged), fired
+    return np.array(merged).reshape(-1, 3)
 
 
 @pytest.mark.parametrize("theta", [(0.0, 0.0, 0.0), (0.2, 0.1, 0.0)])
@@ -227,6 +234,67 @@ def test_batched_scan_matches_triple_loop(theta, copies):
     assert all(fired.values()), fired
     assert scan.clipped == fired["box"]
     assert np.array_equal(np.array([v.array for v in scan.vertices]), vertices)
+
+
+def test_batched_scan_matches_triple_loop_over_many_batches():
+    # the grid-4 weights: 55 planes and 26,235 triples, nine batches
+    grid = [w for _, w in integer_weight_triples(values=(1, 2, 3, 4))]
+    theta = (0.2, 0.1, 0.0)
+    scan = surface_scan(theta, 1, grid)
+    vertices, fired = _scan_one_triple_at_a_time(theta, scan.planes)
+    assert len(scan.planes) == 55
+    assert scan.clipped == fired["box"]
+    assert np.array_equal(np.array([v.array for v in scan.vertices]), vertices)
+
+
+@pytest.mark.parametrize("n, planes, batches", [(2, 7, 1), (3, 25, 4), (4, 55, 9), (5, 115, 55)])
+def test_vertex_search_batches(monkeypatch, n, planes, batches):
+    # at most P^2 triples a batch, and from 81 planes on at most
+    # SCAN_BATCH_ENTRIES plane checks (triples x planes)
+    sizes = []
+    det = np.linalg.det
+
+    def recording(a):
+        sizes.append(len(a))
+        return det(a)
+
+    monkeypatch.setattr(np.linalg, "det", recording)
+    grid = [w for _, w in integer_weight_triples(values=tuple(range(1, n + 1)))]
+    scan = surface_scan((0.0, 0.0, 0.0), 1, grid)
+    assert len(scan.planes) == planes and scan.vertices
+    assert len(sizes) == batches
+    assert max(sizes) <= min(planes ** 2, SCAN_BATCH_ENTRIES // planes)
+    assert sum(sizes) == planes * (planes - 1) * (planes - 2) // 6
+
+
+def test_merge_matches_the_greedy_loop():
+    tol = VERTEX_MERGE_TOL
+    a = np.array([1.0, 2.0, 3.0])
+    step = np.array([0.6 * tol, 0.0, 0.0])
+    cases = {
+        # a ~ b ~ c but a is not close to c: b goes, so c stays
+        "chain": np.array([a, a + step, a + 2 * step]),
+        "chain shuffled": np.array([a + 2 * step, a, a + step]),
+        # close in x, far apart in y or z: all stay
+        "x only": np.array([a, a + [0.1 * tol, 1.0, 0.0], a + [0.2 * tol, 0.0, 1.0],
+                            a + [0.3 * tol, 1.0, 0.0]]),
+        # equal x, y within the tolerance
+        "y chain": np.array([a, a + [0.0, 0.6 * tol, 0.0], a + [0.0, 1.2 * tol, 0.0]]),
+        # an exact duplicate and a point just beyond the tolerance in x
+        "edges": np.array([a, a, a + [1.0001 * tol, 0.0, 0.0], a + [2.1 * tol, 0.0, 0.0]]),
+        "one": a[None, :],
+        "none": np.empty((0, 3)),
+    }
+    rng = np.random.default_rng(16)
+    for k in range(20):
+        centres = rng.uniform(0.0, 5.0, size=(rng.integers(1, 8), 3))
+        picks = centres[rng.integers(0, len(centres), size=60)]
+        spread = tol * rng.uniform(0.1, 3.0)
+        cases[f"cloud {k}"] = picks + rng.normal(scale=spread, size=picks.shape)
+    for name, points in cases.items():
+        got = tradeoff._merge_vertices(points)
+        assert np.array_equal(got, _merge_one_at_a_time(points)), name
+    assert len(tradeoff._merge_vertices(cases["chain"])) == 2
 
 
 def test_mse_point_validation():
