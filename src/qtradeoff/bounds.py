@@ -20,7 +20,7 @@ moments; reported observables are recentred as X_i + theta_i I.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -51,7 +51,11 @@ def as_weights(weights) -> WeightSpec:
 
 @dataclass(frozen=True)
 class BoundValue:
-    """A scalar error bound together with its conventions and provenance."""
+    """A scalar error bound together with its conventions and provenance.
+
+    An SDP bound has a gap, with the optimum in [value - gap, value], and
+    the solver's iterations, None where the solver stopped short.
+    """
 
     value: float
     normalization: str
@@ -68,16 +72,13 @@ class BoundValue:
             raise ValueError(f"copies must be >= 1, got {self.copies}")
 
     def to(self, normalization: str) -> "BoundValue":
-        return BoundValue(
-            value=convert_normalization(
-                self.value, self.copies, self.normalization, normalization
-            ),
-            normalization=normalization,
-            method=self.method,
-            copies=self.copies,
-            gap=self.gap,
-            iterations=self.iterations,
-        )
+        def convert(x):
+            if x is None:
+                return None
+            return convert_normalization(x, self.copies, self.normalization, normalization)
+
+        return replace(self, value=convert(self.value), normalization=normalization,
+                       gap=convert(self.gap))
 
 
 def qcrb(point: ModelPoint, weights) -> BoundValue:
@@ -313,22 +314,28 @@ def nh_solution(problem: NhSdpProblem, y: np.ndarray, centered: bool = False):
 
 def _certified_bracket(problem: NhSdpProblem, w: np.ndarray, y: np.ndarray,
                        Z: np.ndarray):
-    """(lower, upper) on the optimum per measurement from a stopped iterate.
+    """(lower, upper) on the optimum per measurement from any iterate (y, Z).
 
-    upper = c.y at the primal iterate. Z is projected onto the dual affine
-    set, Z' = Z + sum_j u_j F_j with (A A^T) u = c - A vec(Z), so that
-    c.y = Tr[S(y) Z'] - Tr[F0 Z'] for every y. For PSD S,
-    Tr[S Z'] >= min(0, lambda_min(Z')) Tr S, and at the optimum
+    upper = c.y + delta d sum_i w_i, with delta = max(0, -lambda_min) of
+    L' - X' X'^dag, the Schur complement of the identity block of
+    S(y) = F0 + sum_j y_j F_j recomputed from y: raising every L'_ii by
+    delta I_d makes S(y) PSD, so upper is the objective at a feasible point.
+    Z is projected onto the dual affine set, Z' = Z + sum_j u_j F_j with
+    (A A^T) u = c - A vec(Z), so that c.y = Tr[S(y) Z'] - Tr[F0 Z'] for every
+    y. For PSD S, Tr[S Z'] >= min(0, lambda_min(Z')) Tr S, and at the optimum
     Tr S = sum_i Tr L'_ii + d <= upper sum_i 1/w_i + d, because
     sum_i w_i Tr L'_ii is the objective and every L'_ii is PSD (Jansson,
     Chaykin and Keil, SIAM J. Numer. Anal. 46, 2007).
     """
-    m, n = len(problem.Fs), len(problem.F0)
+    m, n, d = len(problem.Fs), len(problem.F0), problem.point.dim
+    S = problem.F0 + np.tensordot(y, problem.Fs, axes=1)
+    X = S[:3 * d, 3 * d:]
+    delta = max(0.0, -float(np.linalg.eigvalsh(S[:3 * d, :3 * d] - X @ X.conj().T)[0]))
+    upper = float(problem.c @ y) + delta * d * float(w.sum())
     A = problem.Fs.reshape(m, n * n).view(float)
     rd = problem.c - A @ Z.view(float).ravel()
     projected = Z + np.tensordot(np.linalg.solve(A @ A.T, rd), problem.Fs, axes=1)
-    upper = float(problem.c @ y)
-    trace_bound = upper * float(np.sum(1.0 / w)) + problem.point.dim
+    trace_bound = upper * float(np.sum(1.0 / w)) + d
     lam_min = float(np.linalg.eigvalsh(projected)[0])
     lower = -float(np.vdot(problem.F0, projected).real) + min(0.0, lam_min) * trace_bound
     return lower, upper
@@ -338,13 +345,11 @@ def nhcrb_sdp(point: ModelPoint, weights) -> BoundValue:
     """Collective bound per qubit at an arbitrary interior point, by SDP.
 
     Needs strictly positive weights (the dual start blockdiag(w_i I, t I) is
-    built from them). The reported gap is the absolute duality gap per
-    qubit; it certifies the value to within gap on either side. If the
-    solver stops short of its tolerances with a trusted iterate, the value
-    is the primal objective there and the gap reaches down to a certified
-    lower bound (_certified_bracket), so the optimum lies in
-    [value - gap, value]; such a value has no iteration count. A stop
-    without an iterate raises the solver's ConvergenceError unchanged.
+    built from them). The value and the gap come from one certified bracket
+    (_certified_bracket) at the solver's last iterate: the optimum lies in
+    [value - gap, value]. A stop with a trusted iterate differs only in
+    having no iteration count; a stop without one raises the solver's
+    ConvergenceError unchanged.
     """
     w = as_weights(weights).require_positive()
     if point.theta.norm > SDP_BLOCH_LIMIT:
@@ -353,17 +358,13 @@ def nhcrb_sdp(point: ModelPoint, weights) -> BoundValue:
         )
     problem = nh_problem(point, w)
     try:
-        result = sdp.solve_lmi(problem.c, problem.F0, problem.Fs, problem.y0,
-                               problem.Z0)
-        value, gap, iterations = result.primal, abs(result.gap), result.iterations
+        result = sdp.solve_lmi(problem.c, problem.F0, problem.Fs, problem.y0, problem.Z0)
+        (y, Z), iterations = (result.y, result.Z), result.iterations
     except ConvergenceError as exc:
         if exc.iterate is None:
             raise
-        lower, value = _certified_bracket(problem, w.array, *exc.iterate)
-        gap, iterations = abs(value - lower), None
-    copies = point.copies
-    return BoundValue(
-        value=convert_normalization(value, copies, "per_measurement", "per_qubit"),
-        normalization="per_qubit", method="sdp", copies=copies,
-        gap=convert_normalization(gap, copies, "per_measurement", "per_qubit"),
-        iterations=iterations)
+        (y, Z), iterations = exc.iterate, None
+    lower, value = _certified_bracket(problem, w.array, y, Z)
+    return BoundValue(value=value, normalization="per_measurement", method="sdp",
+                      copies=point.copies, gap=value - lower,
+                      iterations=iterations).to("per_qubit")

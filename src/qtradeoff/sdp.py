@@ -50,18 +50,12 @@ _STALL_WINDOW = 8
 
 @dataclass(frozen=True)
 class SdpResult:
-    """Converged primal-dual pair for an LMI-constrained linear program."""
+    """The pair (y, Z) at which solve_lmi met its tolerances, and its
+    iteration count; a caller certifies its values from y and Z."""
 
     y: np.ndarray
-    primal: float
-    dual: float
-    gap: float
-    rel_gap: float
-    iterations: int
-    S: np.ndarray
     Z: np.ndarray
-    primal_residual: float
-    dual_residual: float
+    iterations: int
 
 
 def _herm(a: np.ndarray) -> np.ndarray:
@@ -128,12 +122,14 @@ def solve_lmi(
     strictly positive definite S(y0) and Z0 must be strictly positive
     definite and (near-)feasible for the dual equality constraints; small
     dual infeasibility is folded into the Newton right-hand side and decays
-    with the step length. Raises ConvergenceError if an iterate loses
-    positive definiteness, the Schur complement is singular, the relative
-    gap and residuals stop falling for _STALL_WINDOW iterations, or they
-    fail to reach SDP_GAP_TOL and SDP_FEAS_TOL within SDP_MAX_ITER
-    iterations. The error's `iterate` is the last (y, Z) whose S and Z both
-    passed Cholesky, or None if no iterate did.
+    with the step length. Returns the pair (y, Z) at which the relative gap
+    and residuals met SDP_GAP_TOL and SDP_FEAS_TOL, and the iteration count.
+    Raises ConvergenceError if an iterate loses positive definiteness, the
+    Schur complement is singular, the relative gap and residuals stop
+    falling for _STALL_WINDOW iterations, or they fail to reach their
+    tolerances within SDP_MAX_ITER iterations. The error's `iterate` is the
+    last (y, Z) whose S and Z both passed Cholesky, or None if no iterate
+    did; a caller bounds the optimum from it as from a converged pair.
     """
     c = np.asarray(c, dtype=float)
     F0, Fs, Z0 = np.asarray(F0), np.asarray(Fs), np.asarray(Z0)
@@ -178,11 +174,7 @@ def solve_lmi(
             rp_inf = float(np.abs(rp).max())
             rd_inf = float(np.abs(rd).max()) / cscale
             if rel_gap < SDP_GAP_TOL and rp_inf < SDP_FEAS_TOL and rd_inf < SDP_FEAS_TOL:
-                return SdpResult(
-                    y=y, primal=primal, dual=dual, gap=gap, rel_gap=rel_gap,
-                    iterations=iterations - 1, S=S, Z=Z,
-                    primal_residual=rp_inf, dual_residual=rd_inf,
-                )
+                return SdpResult(y=y, Z=Z, iterations=iterations - 1)
             distance = max(rel_gap / SDP_GAP_TOL, rp_inf / SDP_FEAS_TOL,
                            rd_inf / SDP_FEAS_TOL)
             if distance < 0.5 * progress:

@@ -389,6 +389,22 @@ def test_certified_bracket_contains_the_optimum(monkeypatch):
     assert 0.0 < got.gap < 1e-4 * got.value
 
 
+def test_certified_upper_end_holds_at_an_infeasible_iterate(monkeypatch):
+    # every L'_ii lowered below the converged iterate: S(y) leaves the cone,
+    # and c.y alone would fall below the optimum
+    point = model_point(BlochVector(0.1, -0.2, 0.4), copies=2)
+    w = WeightSpec(1.0, 4.0, 9.0)
+    converged = nhcrb_sdp(point, w)
+    problem = nh_problem(point, w)
+    res = sdp.solve_lmi(problem.c, problem.F0, problem.Fs, problem.y0, problem.Z0)
+    y = res.y - 1e-6 * (problem.c > 0)
+    assert np.linalg.eigvalsh(problem.F0 + np.tensordot(y, problem.Fs, axes=1))[0] < 0.0
+    monkeypatch.setattr(sdp, "solve_lmi", _stalled_at((y, res.Z)))
+    got = nhcrb_sdp(point, w)
+    assert got.value >= converged.value - converged.gap
+    assert got.value - got.gap <= converged.value
+
+
 def test_bare_convergence_error_propagates(monkeypatch):
     monkeypatch.setattr(sdp, "solve_lmi", _stalled_at(None))
     with pytest.raises(ConvergenceError, match="step lengths collapsed"):
@@ -466,6 +482,38 @@ def test_two_copy_scan_never_raises(inputs):
        st.tuples(*[st.floats(-3.0, 3.0)] * 3).map(np.exp))
 def test_two_copy_between_holevo_and_gill_massar(theta, w):
     _assert_two_copy_between_holevo_and_gill_massar(theta, w)
+
+
+def _assert_bracket_contains(got, want, slack):
+    assert got.value - got.gap - slack <= want <= got.value + slack
+
+
+@pytest.mark.parametrize("inputs", [_sweep_inputs, _near_origin_inputs,
+                                    _random_interior_inputs])
+def test_single_copy_bracket_contains_the_closed_form(inputs):
+    for theta, weights in inputs():
+        point = model_point(BlochVector(*theta), copies=1)
+        w = WeightSpec(*weights)
+        want = nhcrb_analytic(point, w).value
+        _assert_bracket_contains(nhcrb_sdp(point, w), want, 1e-12 * want)
+
+
+def test_two_copy_bracket_contains_the_origin_closed_form():
+    rng = np.random.default_rng(300)
+    point = model_point(ORIGIN, copies=2)
+    for _ in range(100):
+        w = WeightSpec(*np.exp(rng.uniform(-3.0, 3.0, 3)))
+        want = nhcrb_analytic(point, w).value
+        _assert_bracket_contains(nhcrb_sdp(point, w), want, 1e-12 * want)
+
+
+def test_bracket_contains_the_frozen_values():
+    for theta, weights, c1, c2 in FROZEN_SDP:
+        for copies, want in ((1, c1), (2, c2)):
+            point = model_point(BlochVector(*theta), copies=copies)
+            got = nhcrb_sdp(point, WeightSpec(*weights)).to("per_measurement")
+            # the frozen values are rounded to 10 decimals
+            _assert_bracket_contains(got, want, 5e-11 + 1e-12 * want)
 
 
 def test_sdp_recovers_pauli_observables_at_origin():
@@ -549,6 +597,11 @@ def test_bound_value_validation_and_to():
     assert pq.value == 6.0
     assert pq.method == "analytic"
     assert pq.to("per_measurement").value == 3.0
+    assert pq.gap is None and pq.iterations is None
+    # the gap is an error quantity too, converted with the value
+    sdp_bound = BoundValue(value=6.0, normalization="per_qubit", method="sdp", copies=2,
+                           gap=2e-7, iterations=11).to("per_measurement")
+    assert (sdp_bound.value, sdp_bound.gap, sdp_bound.iterations) == (3.0, 1e-7, 11)
     with pytest.raises(ValueError):
         BoundValue(value=-1.0, normalization="per_qubit", method="qcrb", copies=1)
     with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -5,24 +7,50 @@ from qtradeoff.linalg import ConvergenceError
 from qtradeoff.sdp import solve_lmi
 
 
+def lambda_max_problem(a):
+    """(c, F0, Fs, y0, Z0) of min t s.t. t I - A >= 0."""
+    n = a.shape[0]
+    return (np.array([1.0]), -a, np.array([np.eye(n)]),
+            np.array([np.abs(a).sum() + 1.0]), np.eye(n) / n)
+
+
 def solve_lambda_max(a):
     """min t s.t. t I - A >= 0, solved through the LMI interface."""
-    n = a.shape[0]
-    c = np.array([1.0])
-    F0 = -a
-    Fs = np.array([np.eye(n)])
-    y0 = np.array([np.abs(a).sum() + 1.0])
-    Z0 = np.eye(n) / n
-    return solve_lmi(c, F0, Fs, y0, Z0)
+    return solve_lmi(*lambda_max_problem(a))
+
+
+def certificate(c, F0, Fs, res):
+    """What the pair (y, Z) certifies, computed from y and Z alone: S(y), the
+    primal value c.y, the dual value -Re Tr[F0 Z], the gap Re Tr[Z S(y)],
+    the primal residual max(0, -lambda_min(S(y))), and the dual residual
+    max_j |c_j - Re Tr[F_j Z]| over 1 + max |c|."""
+    S = F0 + np.tensordot(res.y, Fs, axes=1)
+    primal = float(c @ res.y)
+    dual = -float(np.vdot(F0, res.Z).real)
+    gap = float(np.vdot(res.Z, S).real)
+    primal_residual = max(0.0, -float(np.linalg.eigvalsh(S)[0]))
+    traces = np.array([np.vdot(F, res.Z).real for F in Fs])
+    dual_residual = float(np.abs(c - traces).max()) / (1.0 + np.abs(c).max())
+    return S, primal, dual, gap, primal_residual, dual_residual
+
+
+def test_result_is_the_pair_and_its_iteration_count():
+    res = solve_lambda_max(np.diag([1.0, -2.0, 3.5]))
+    assert [f.name for f in fields(res)] == ["y", "Z", "iterations"]
+    assert res.iterations > 0
 
 
 def test_lambda_max_diagonal():
     a = np.diag([1.0, -2.0, 3.5])
-    res = solve_lambda_max(a)
+    problem = lambda_max_problem(a)
+    res = solve_lmi(*problem)
     assert abs(res.y[0] - 3.5) < 1e-7
-    assert res.gap < 1e-6
-    assert res.primal_residual < 1e-8
-    assert res.dual_residual < 1e-8
+    _, primal, dual, gap, primal_residual, dual_residual = certificate(*problem[:3], res)
+    assert gap < 1e-6
+    assert primal >= dual - 1e-7
+    assert primal_residual < 1e-8
+    assert dual_residual < 1e-8
+    assert np.linalg.eigvalsh(res.Z)[0] > 0.0
 
 
 def test_lambda_max_random():
@@ -36,9 +64,11 @@ def test_lambda_max_random():
     for _ in range(5):
         m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         a = (m + m.conj().T) / 2
-        res = solve_lambda_max(a)
+        problem = lambda_max_problem(a)
+        res = solve_lmi(*problem)
         assert abs(res.y[0] - np.linalg.eigvalsh(a).max()) < 1e-6
-        assert res.S.dtype == complex and res.Z.dtype == complex
+        S = certificate(*problem[:3], res)[0]
+        assert S.dtype == complex and res.Z.dtype == complex
 
 
 def test_two_by_two_geometric_mean():
@@ -75,8 +105,9 @@ def test_weak_duality_and_agreement():
         if np.linalg.eigvalsh(Z0).min() <= 1e-6:
             continue
         res = solve_lmi(c, F0, Fs, y0, Z0)
-        assert res.primal >= res.dual - 1e-7
-        assert res.gap < 1e-6
+        _, primal, dual, gap, _, _ = certificate(c, F0, Fs, res)
+        assert primal >= dual - 1e-7
+        assert gap < 1e-6
 
 
 def test_singular_schur_complement_raises():
