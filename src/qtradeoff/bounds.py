@@ -123,22 +123,40 @@ def nhcrb_analytic(point: ModelPoint, weights) -> BoundValue | None:
     J^-1 = I - theta theta^T; at theta = 0 the value is (sum_i sqrt(w_i))^2.
     Two copies at theta = 0: (sum_i w_i + sum_{i<j} sqrt(w_i w_j))/2 per
     measurement. Two copies off the origin have no closed form: use
-    nhcrb_sdp.
+    nhcrb_sdp. The value is _closed_forms' for the one weight row.
     """
-    w = as_weights(weights).array
+    values = _closed_forms(point, as_weights(weights).array[None, :])
+    if values is None:
+        return None
+    return BoundValue(value=values[0], normalization="per_qubit", method="analytic",
+                      copies=point.copies)
+
+
+def _closed_forms(point: ModelPoint, w: np.ndarray) -> list | None:
+    """nhcrb_analytic's values per qubit, as floats, for each row of the
+    weight stack w (n x 3) at one point; None where no closed form exists.
+
+    One copy takes one eigvalsh over the stacked matrices W - u u^T. Each
+    sum of square roots is squared as a float, by libm pow, as the
+    single-row formula squares its numpy scalar; an array's ** 2 is x * x,
+    which rounds differently in about one case in a thousand.
+    """
     copies = point.copies
     if copies == 1:
         u = np.sqrt(w) * point.theta.array
-        lam = np.linalg.eigvalsh(np.diag(w) - np.outer(u, u))
-        pm = float(np.sqrt(np.clip(lam, 0.0, None)).sum() ** 2)
+        diagonal = np.arange(3)
+        m = np.zeros((len(w), 3, 3))
+        m[:, diagonal, diagonal] = w
+        m -= u[:, :, None] * u[:, None, :]
+        sums = np.sqrt(np.clip(np.linalg.eigvalsh(m), 0.0, None)).sum(axis=1)
+        pm = [s ** 2 for s in sums.tolist()]
     elif point.theta.norm == 0.0:
         rw = np.sqrt(w)
-        cross = rw[0] * rw[1] + rw[0] * rw[2] + rw[1] * rw[2]
-        pm = 0.5 * float(w.sum() + cross)
+        cross = rw[:, 0] * rw[:, 1] + rw[:, 0] * rw[:, 2] + rw[:, 1] * rw[:, 2]
+        pm = (0.5 * (w.sum(axis=1) + cross)).tolist()
     else:
         return None
-    return BoundValue(value=convert_normalization(pm, copies, "per_measurement", "per_qubit"),
-                      normalization="per_qubit", method="analytic", copies=copies)
+    return [convert_normalization(v, copies, "per_measurement", "per_qubit") for v in pm]
 
 
 def _hermitian_basis(sizes) -> np.ndarray:
@@ -196,7 +214,8 @@ class NhSdpProblem:
     scaled lift itself, with L'_jk at block (j, k) and X'_i = R X_i at block
     (i, 3). The objective is sum_i w_i Tr[L'_ii] = Tr[(W x rho) L], so
     objective values and gaps are those of the bound per measurement.
-    `unscale` is R^-1 in the frame.
+    `nl` counts the L' coefficients at the head of y, `unscale` is R^-1 in
+    the frame.
     """
 
     point: ModelPoint
@@ -205,6 +224,7 @@ class NhSdpProblem:
     Fs: np.ndarray
     y0: np.ndarray
     Z0: np.ndarray
+    nl: int
     unscale: np.ndarray
     frame: np.ndarray
 
@@ -287,7 +307,7 @@ def nh_problem(point: ModelPoint, weights: WeightSpec) -> NhSdpProblem:
     # exactly dual-feasible start: Z = blockdiag(w_i I_d, t I_d)
     Z0 = np.diag(np.append(np.repeat(w, d), np.full(d, np.mean(w)))).astype(complex)
 
-    return NhSdpProblem(point=point, c=c, F0=F0, Fs=Fs, y0=y0, Z0=Z0,
+    return NhSdpProblem(point=point, c=c, F0=F0, Fs=Fs, y0=y0, Z0=Z0, nl=nl,
                         unscale=unscale, frame=frame)
 
 
@@ -322,7 +342,11 @@ def _certified_bracket(problem: NhSdpProblem, w: np.ndarray, y: np.ndarray,
     delta I_d makes S(y) PSD, so upper is the objective at a feasible point.
     Z is projected onto the dual affine set, Z' = Z + sum_j u_j F_j with
     (A A^T) u = c - A vec(Z), so that c.y = Tr[S(y) Z'] - Tr[F0 Z'] for every
-    y. For PSD S, Tr[S Z'] >= min(0, lambda_min(Z')) Tr S, and at the optimum
+    y. A A^T needs no product: its L'-L' part is diagonal, with 1, 2 or 4
+    (the squared norm of a basis unit, placed once on a diagonal block and
+    twice off it), and its L'-X' part is zero, since the blocks do not
+    overlap, so only the X' rows take a solve. For PSD S,
+    Tr[S Z'] >= min(0, lambda_min(Z')) Tr S, and at the optimum
     Tr S = sum_i Tr L'_ii + d <= upper sum_i 1/w_i + d, because
     sum_i w_i Tr L'_ii is the objective and every L'_ii is PSD (Jansson,
     Chaykin and Keil, SIAM J. Numer. Anal. 46, 2007).
@@ -334,7 +358,11 @@ def _certified_bracket(problem: NhSdpProblem, w: np.ndarray, y: np.ndarray,
     upper = float(problem.c @ y) + delta * d * float(w.sum())
     A = problem.Fs.reshape(m, n * n).view(float)
     rd = problem.c - A @ Z.view(float).ravel()
-    projected = Z + np.tensordot(np.linalg.solve(A @ A.T, rd), problem.Fs, axes=1)
+    nl = problem.nl
+    ax = A[nl:]
+    u = np.concatenate([rd[:nl] / np.einsum("ij,ij->i", A[:nl], A[:nl]),
+                        np.linalg.solve(ax @ ax.T, rd[nl:])])
+    projected = Z + np.tensordot(u, problem.Fs, axes=1)
     trace_bound = upper * float(np.sum(1.0 / w)) + d
     lam_min = float(np.linalg.eigvalsh(projected)[0])
     lower = -float(np.vdot(problem.F0, projected).real) + min(0.0, lam_min) * trace_bound

@@ -64,7 +64,12 @@ def fmt(value) -> str:
 
 
 def _rounded(obj):
-    """Round every float in a JSON-ready structure to 12 significant digits."""
+    """Round every float in a JSON-ready structure to 12 significant digits.
+
+    Floats come first, as the most common leaf; np.float64 is a float.
+    """
+    if isinstance(obj, float):
+        return float(fmt(obj))
     if isinstance(obj, dict):
         return {key: _rounded(val) for key, val in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -73,7 +78,7 @@ def _rounded(obj):
         return bool(obj)
     if isinstance(obj, (int, np.integer)):
         return int(obj)
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, np.floating):
         return float(fmt(obj))
     return obj
 

@@ -39,6 +39,19 @@ VERTEX_MERGE_TOL = 1e-7
 PARALLEL_NORMAL_TOL = 1e-10
 VERTEX_BOX_LIMIT = 50.0
 SCAN_BATCH_ENTRIES = 1 << 19     # plane checks (triples x planes) per vertex-search batch
+# The vertex screen's width in eps * kappa * (1 + |x|_inf) for the Cramer
+# point x of the normals n_i, n_j, n_k, with
+# kappa = (|n_i|_1 + |n_j|_1 + |n_k|_1)(|n_i||n_j| + |n_j||n_k| + |n_k||n_i|) / |det|.
+# This kappa is at least |n_i||n_j||n_k| / |det|, which bounds Cramer's rule
+# (cross products off by 2 eps |n_a||n_b|, three-term sums by 3 eps, against
+# |b_l| <= |n_l| |x|_2), and at least |N|_inf |N^-1|_inf, which bounds
+# LAPACK's partially pivoted 3 x 3 LU (growth at most 4) and det's relative
+# error; the first alone does not once the rows differ in scale. Each of the
+# two solutions lands within about 40 eps kappa |x|_inf of the exact one;
+# twice their sum covers reading |x| off the Cramer point while
+# SCREEN_WIDTH eps kappa <= 1/2 (beyond, the screen passes the triple), and
+# the rest is margin for rounding in the test products and thresholds.
+SCREEN_WIDTH = 256.0
 BOUNDARY_RESIDUAL_TOL = 1e-6
 
 # Monte Carlo experiment defaults.

@@ -15,6 +15,7 @@ as its coordinate cut.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,12 +25,15 @@ from .constants import (
     BOUNDARY_RESIDUAL_TOL,
     PARALLEL_NORMAL_TOL,
     SCAN_BATCH_ENTRIES,
+    SCREEN_WIDTH,
     SURFACE_FEAS_TOL,
     VERTEX_BOX_LIMIT,
     VERTEX_MERGE_TOL,
 )
-from .model import AXIS_LABELS, BlochVector, ModelPoint, model_point
+from .model import AXIS_LABELS, BlochVector, model_point
 from .povm import WeightSpec
+
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -44,9 +48,11 @@ class MsePoint:
     vz: float
 
     def __post_init__(self):
-        arr = self.array
-        if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
-            raise ValueError(f"MSE coordinates must be finite and >= 0, got {tuple(arr)}")
+        # one comparison per coordinate: NaN and inf fail it, as does a
+        # negative value
+        if not (0.0 <= self.vx < math.inf and 0.0 <= self.vy < math.inf
+                and 0.0 <= self.vz < math.inf):
+            raise ValueError(f"MSE coordinates must be finite and >= 0, got {tuple(self.array)}")
 
     @property
     def array(self) -> np.ndarray:
@@ -61,7 +67,7 @@ class SupportingPlane:
     offset: float
 
     def __post_init__(self):
-        if not np.isfinite(self.offset) or self.offset <= 0.0:
+        if not 0.0 < self.offset < math.inf:
             raise ValueError(f"plane offset must be positive, got {self.offset}")
 
 
@@ -184,15 +190,6 @@ def integer_weight_triples(values=(1, 2, 3)) -> tuple:
     return tuple(seen.values())
 
 
-def _plane_bound(point: ModelPoint, weights: WeightSpec) -> float:
-    """Per-qubit collective bound at `point` for one weight triple: the
-    closed form where one exists, the SDP otherwise."""
-    bound = bounds_mod.nhcrb_analytic(point, weights)
-    if bound is None:
-        bound = bounds_mod.nhcrb_sdp(point, weights)
-    return bound.value
-
-
 def _merge_vertices(points: np.ndarray) -> np.ndarray:
     """The rows of `points` in lexicographic order, each dropped when it lies
     within VERTEX_MERGE_TOL of an earlier row that was kept.
@@ -225,13 +222,18 @@ def surface_scan(theta, copies: int, weight_grid) -> SurfaceScan:
     halfspace w . V >= C(w), from its closed form where one exists and from
     the SDP otherwise. The model point depends on theta alone, so one is
     built per scan and shared by every plane. Candidate vertices are the
-    intersections of all plane triples with independent normals, solved in
-    batches of at most P^2 triples for P planes, each triple by its own
-    LAPACK call; those feasible for every plane (within tolerance), above
-    the per-parameter floor 1 - theta_i^2, and inside the bounding box are
-    kept, raised to at least 0, deduplicated by `_merge_vertices`, and
-    returned sorted. Vertices discarded by the box alone are counted in
-    `clipped`.
+    intersections of all plane triples with independent normals, taken in
+    batches of at most P^2 triples for P planes. Each candidate is screened
+    by its Cramer's-rule point, and only those the screen cannot reject get
+    LAPACK's solve; the solved points feasible for every plane (within
+    tolerance), above the per-parameter floor 1 - theta_i^2, and inside the
+    bounding box are kept, raised to at least 0, deduplicated by
+    `_merge_vertices`, and returned sorted. Vertices discarded by the box
+    alone are counted in `clipped`.
+    The screen widens the floor and plane tests by a bound on the distance
+    between the Cramer point and LAPACK's, so it rejects only triples whose
+    solved point would fail them too: the vertices and `clipped` are those
+    of solving every triple.
     Raising to 0 matters at a pure state on an axis, where the floor is 0
     and rounding in the intersection can put a kept coordinate just below it.
     """
@@ -240,51 +242,95 @@ def surface_scan(theta, copies: int, weight_grid) -> SurfaceScan:
     if not grid:
         raise ValueError("weight grid is empty")
     point = model_point(theta, copies)
-    planes = tuple(
-        SupportingPlane(weights=w, offset=_plane_bound(point, w)) for w in grid
-    )
+    normals = np.array([(w.wx, w.wy, w.wz) for w in grid], dtype=float)
+    # the closed forms in one stacked pass where they exist, else the SDP
+    # one weight at a time
+    bounds = bounds_mod._closed_forms(point, normals)
+    if bounds is None:
+        bounds = [bounds_mod.nhcrb_sdp(point, w).value for w in grid]
+    planes = tuple(SupportingPlane(weights=w, offset=b) for w, b in zip(grid, bounds))
 
     floor = 1.0 - theta.array ** 2
-    normals = np.array([p.weights.array for p in planes])
-    offsets = np.array([p.offset for p in planes])
-    # pairs of planes whose normals are not parallel
-    apart = np.linalg.norm(np.cross(normals[:, None], normals[None, :]), axis=-1) >= PARALLEL_NORMAL_TOL
-    # the triples (i, j, k), i < j < k, in lexicographic order: triu_indices
-    # lists the pairs j < k that way, so first plane i takes the tail with
-    # j > i, from tail[i], and its triples start at first[i]
+    offsets = np.array(bounds)
     n_planes = len(planes)
-    pair_j, pair_k = np.triu_indices(n_planes, 1)
-    tail = np.searchsorted(pair_j, np.arange(1, n_planes + 1))
-    count = len(pair_j) - tail
+    # the pairs (a, b), a < b, in the order of triu_indices: those of first
+    # plane a start at pair_start[a], so (a, b) is pair_start[a] + b - a - 1
+    pair_a, pair_b = np.triu_indices(n_planes, 1)
+    pair_start = np.searchsorted(pair_a, np.arange(n_planes + 1))
+    # a pair is apart when its normals are not parallel; the cross products,
+    # one row per component, also build the Cramer points
+    cross = np.cross(normals[pair_a], normals[pair_b])
+    apart = np.linalg.norm(cross, axis=-1) >= PARALLEL_NORMAL_TOL
+    cross = np.ascontiguousarray(cross.T)
+    # the screen's width is SCREEN_WIDTH eps kappa (1 + |x|_inf), with kappa
+    # from the three normals' 1-norms and the products of their lengths
+    lengths = np.linalg.norm(normals, axis=1)
+    taxicab = np.abs(normals).sum(axis=1)
+    # the screen's tests, the floor's three and the planes', are the rows
+    # u . x >= c of one matrix, each in units of its 1-norm so that one width
+    # serves them all
+    tests = np.vstack([np.eye(3), normals / taxicab[:, None]])
+    thresholds = np.concatenate(
+        [floor - SURFACE_FEAS_TOL, (offsets - SURFACE_FEAS_TOL) / taxicab]
+    )[:, None]
+    # the triples (i, j, k), i < j < k, in lexicographic order: first plane i
+    # takes the pairs (j, k) with j > i, from tail[i], and its triples start
+    # at first[i]
+    tail = pair_start[1:]
+    count = len(pair_a) - tail
     first = np.cumsum(count) - count
     # batches of P^2 consecutive triples for P planes, so a grid-3 scan (25
-    # planes) takes four; the plane check compares each triple with every
-    # plane, and from 81 planes on SCAN_BATCH_ENTRIES caps that matrix, which
-    # would otherwise hold P^3 entries
+    # planes) takes four; the screen compares each triple with every plane,
+    # and from 81 planes on SCAN_BATCH_ENTRIES caps that matrix, which would
+    # otherwise hold P^3 entries
     batch = min(n_planes * n_planes, max(1, SCAN_BATCH_ENTRIES // n_planes))
     total = int(count.sum())
-    chunks = [np.empty((0, 3))]
-    clipped = 0
+    survivors = [np.empty((0, 3), dtype=np.intp)]
+    # one buffer holds each batch's slack matrix (tests x triples) in turn,
+    # so the scan's peak memory is that of one such matrix
+    buffer = np.empty(len(tests) * batch)
     for start in range(0, total, batch):
         t = np.arange(start, min(start + batch, total))
         i = np.searchsorted(first, t, side="right") - 1
-        pair = tail[i] + t - first[i]
-        j, k = pair_j[pair], pair_k[pair]
-        triples = np.column_stack([i, j, k])
-        n = normals[triples]
-        independent = apart[i, j] & apart[i, k] & apart[j, k] & (
-            np.abs(np.linalg.det(n)) >= PARALLEL_NORMAL_TOL
-        )
-        triples = triples[independent]
-        points = np.linalg.solve(n[independent], offsets[triples][..., None])[..., 0]
-        feasible = (
-            np.all(points >= floor - SURFACE_FEAS_TOL, axis=1)
-            & np.all(points @ normals.T >= offsets - SURFACE_FEAS_TOL, axis=1)
-        )
-        boxed = np.all(points <= VERTEX_BOX_LIMIT, axis=1)
-        clipped += int(np.sum(feasible & ~boxed))
-        chunks.append(points[feasible & boxed])
-    merged = _merge_vertices(np.maximum(np.concatenate(chunks), 0.0))
-    vertices = tuple(MsePoint(*v) for v in merged)
+        jk = tail[i] + t - first[i]
+        j, k = pair_a[jk], pair_b[jk]
+        det = np.linalg.det(normals[np.column_stack([i, j, k])])
+        ij = pair_start[i] + j - i - 1
+        ik = pair_start[i] + k - i - 1
+        keep = apart[jk] & apart[ij] & apart[ik] & (np.abs(det) >= PARALLEL_NORMAL_TOL)
+        i, j, k, jk, ij, ik, det = (a[keep] for a in (i, j, k, jk, ij, ik, det))
+        # Cramer's rule, b_i n_j x n_k + b_j n_k x n_i + b_k n_i x n_j over
+        # det (take keeps the gathered rows contiguous, where cross[:, jk]
+        # would not), and the width that bounds its distance from LAPACK's
+        # point in the max norm (SCREEN_WIDTH); a triple fails the screen
+        # when its smallest slack is below minus its width, and a NaN point,
+        # whose smallest slack is NaN, goes through, as an infinite width does
+        cramer = (
+            offsets[i] * cross.take(jk, axis=1)
+            - offsets[j] * cross.take(ik, axis=1)
+            + offsets[k] * cross.take(ij, axis=1)
+        ) / det
+        li, lj, lk = lengths[i], lengths[j], lengths[k]
+        kappa = (taxicab[i] + taxicab[j] + taxicab[k]) * (
+            lj * lk + li * lk + li * lj
+        ) / np.abs(det)
+        scale = SCREEN_WIDTH * _EPS * kappa
+        delta = np.where(scale <= 0.5, scale * (1.0 + np.abs(cramer).max(axis=0)), np.inf)
+        slack = buffer[:len(tests) * len(det)].reshape(len(tests), len(det))
+        np.matmul(tests, cramer, out=slack)
+        slack -= thresholds
+        passed = ~(slack.min(axis=0) < -delta)
+        survivors.append(np.column_stack([i, j, k])[passed])
+    # the exact tests, on LAPACK's points of the triples the screen let through
+    triples = np.concatenate(survivors)
+    points = np.linalg.solve(normals[triples], offsets[triples][..., None])[..., 0]
+    feasible = (
+        np.all(points >= floor - SURFACE_FEAS_TOL, axis=1)
+        & np.all(points @ normals.T >= offsets - SURFACE_FEAS_TOL, axis=1)
+    )
+    boxed = np.all(points <= VERTEX_BOX_LIMIT, axis=1)
+    clipped = int(np.sum(feasible & ~boxed))
+    merged = _merge_vertices(np.maximum(points[feasible & boxed], 0.0))
+    vertices = tuple(MsePoint(*v) for v in merged.tolist())
     return SurfaceScan(theta=theta, copies=copies, planes=planes,
                        vertices=vertices, clipped=clipped)

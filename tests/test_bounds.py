@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qtradeoff import sdp
+from qtradeoff import bounds, sdp
 from qtradeoff.bounds import (
     BoundValue,
     convert_normalization,
@@ -239,6 +239,52 @@ def test_analytic_matches_gill_massar():
         assert abs(got.value - want) / want < 1e-12
         # two copies have a closed form at the origin only
         assert nhcrb_analytic(model_point(BlochVector(*theta), copies=2), WeightSpec(*w)) is None
+
+
+def _scalar_closed_form(point, w):
+    """nhcrb_analytic's value per qubit for one weight row, computed as it
+    was before the closed forms were stacked; None where there is none."""
+    copies = point.copies
+    if copies == 1:
+        u = np.sqrt(w) * point.theta.array
+        lam = np.linalg.eigvalsh(np.diag(w) - np.outer(u, u))
+        pm = float(np.sqrt(np.clip(lam, 0.0, None)).sum() ** 2)
+    elif point.theta.norm == 0.0:
+        rw = np.sqrt(w)
+        cross = rw[0] * rw[1] + rw[0] * rw[2] + rw[1] * rw[2]
+        pm = 0.5 * float(w.sum() + cross)
+    else:
+        return None
+    return convert_normalization(pm, copies, "per_measurement", "per_qubit")
+
+
+def test_stacked_closed_forms_equal_the_scalar_formula_bitwise():
+    # 48 points with 50 weight rows each: one copy anywhere in the closed
+    # ball, a third of them at the origin; two copies at the origin and, at
+    # four points, off it, where there is no closed form. Weights are
+    # log-uniform over six decades, and every fifth row has a zero weight.
+    rng = np.random.default_rng(18)
+    compared = 0
+    for n in range(48):
+        copies = 1 + n % 2
+        v = rng.normal(size=3)
+        radius = 0.0 if copies == 2 or n % 6 == 0 else rng.uniform(0.0, 1.0)
+        theta = BlochVector(*(radius * v / np.linalg.norm(v)))
+        if copies == 2 and n % 12 == 3:
+            theta = BlochVector(0.1, -0.2, 0.3)
+        point = model_point(theta, copies=copies)
+        w = 10.0 ** rng.uniform(-3.0, 3.0, size=(50, 3))
+        w[::5, n % 3] = 0.0
+        want = [_scalar_closed_form(point, row) for row in w]
+        got = bounds._closed_forms(point, w)
+        if want[0] is None:
+            assert got is None
+            assert all(nhcrb_analytic(point, WeightSpec(*row)) is None for row in w)
+            continue
+        assert got == want
+        assert [nhcrb_analytic(point, WeightSpec(*row)).value for row in w] == want
+        compared += len(w)
+    assert compared >= 2000
 
 
 # Two-copy inputs on which the interior-point solver used to stop with "lost

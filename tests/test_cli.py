@@ -382,3 +382,20 @@ def test_rendered_floats_are_short():
     assert doc["x"] == float(format(0.1234567890123456789, ".12g"))
     assert doc["n"][0] == float(format(1 / 3, ".12g"))
     assert text.endswith("\n")
+
+
+def test_render_json_bytes_over_every_leaf_type():
+    # np.float64 is a float and takes the float branch; np.float32 is not and
+    # takes the np.floating one; bools stay bools ahead of the integers
+    payload = {
+        "f": 1 / 3, "g": np.float64(2 / 3), "h": np.float32(0.1), "i": np.int64(7),
+        "b": True, "nb": np.bool_(False), "s": "text", "n": None,
+        "nest": (1.0, (np.float64(1e-20), [np.float32(2.5), 3]), {"z": -0.0, "a": 1e300}),
+    }
+    assert cli.render_json(payload) == (
+        '{\n  "b": true,\n  "f": 0.333333333333,\n  "g": 0.666666666667,\n'
+        '  "h": 0.10000000149,\n  "i": 7,\n  "n": null,\n  "nb": false,\n'
+        '  "nest": [\n    1.0,\n    [\n      1e-20,\n      [\n        2.5,\n'
+        '        3\n      ]\n    ],\n    {\n      "a": 1e+300,\n      "z": -0.0\n'
+        '    }\n  ],\n  "s": "text"\n}\n'
+    )

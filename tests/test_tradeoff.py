@@ -2,9 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtradeoff import tradeoff
-from qtradeoff.bounds import nhcrb_sdp
+from qtradeoff.bounds import nhcrb_analytic, nhcrb_sdp
 from qtradeoff.constants import (
     PARALLEL_NORMAL_TOL,
     SCAN_BATCH_ENTRIES,
@@ -220,20 +222,73 @@ def _merge_one_at_a_time(points):
     return np.array(merged).reshape(-1, 3)
 
 
-@pytest.mark.parametrize("theta", [(0.0, 0.0, 0.0), (0.2, 0.1, 0.0)])
+# a repeated triple (parallel normals), three coplanar normals (zero
+# determinant), a near-degenerate triple, and three nearly flat in V_z whose
+# common vertex lies beyond the box
+EVERY_BRANCH_GRID = [WeightSpec(1, 1, 1), WeightSpec(1, 1, 1), WeightSpec(2, 3, 4),
+                     WeightSpec(1, 2, 3), WeightSpec(1, 1e-8, 1e-8), WeightSpec(1, 1, 1e-4),
+                     WeightSpec(1, 4, 1e-4), WeightSpec(4, 1, 1e-4)]
+GRID_3 = [w for _, w in integer_weight_triples()]
+
+
+@pytest.mark.parametrize("theta, grid", [
+    pytest.param((0.0, 0.0, 0.0), EVERY_BRANCH_GRID, id="theta0"),
+    pytest.param((0.2, 0.1, 0.0), EVERY_BRANCH_GRID, id="theta1"),
+    pytest.param((0.0, 0.0, 0.0), GRID_3, id="grid3-origin"),
+])
 @pytest.mark.parametrize("copies", [1, 2])
-def test_batched_scan_matches_triple_loop(theta, copies):
-    # a repeated triple (parallel normals), three coplanar normals (zero
-    # determinant), a near-degenerate triple, and three nearly flat in V_z
-    # whose common vertex lies beyond the box
-    grid = [WeightSpec(1, 1, 1), WeightSpec(1, 1, 1), WeightSpec(2, 3, 4),
-            WeightSpec(1, 2, 3), WeightSpec(1, 1e-8, 1e-8), WeightSpec(1, 1, 1e-4),
-            WeightSpec(1, 4, 1e-4), WeightSpec(4, 1, 1e-4)]
+def test_batched_scan_matches_triple_loop(theta, grid, copies):
     scan = surface_scan(theta, copies, grid)
     vertices, fired = _scan_one_triple_at_a_time(theta, scan.planes)
-    assert all(fired.values()), fired
+    if grid is EVERY_BRANCH_GRID:
+        assert all(fired.values()), fired
     assert scan.clipped == fired["box"]
     assert np.array_equal(np.array([v.array for v in scan.vertices]), vertices)
+
+
+def _near_degenerate_grid(seed, n):
+    """n positive weight rows, each free, a near-parallel copy of an earlier
+    row, or near the plane of two earlier rows, nudged by 1e-9 to 1e-3 of
+    their size, and then scaled by 1e-3 to 1e3."""
+    rng = np.random.default_rng(seed)
+    rows = rng.uniform(0.01, 1.0, size=(n, 3))
+    for r in range(1, n):
+        kind = rng.integers(3)
+        nudge = 10.0 ** rng.uniform(-9.0, -3.0)
+        if kind == 1:
+            rows[r] = rows[rng.integers(r)] * (1.0 + nudge * rng.uniform(-1.0, 1.0, size=3))
+        elif kind == 2 and r >= 2:
+            a, b = rng.choice(r, size=2, replace=False)
+            s, t = rng.uniform(0.1, 1.0, size=2)
+            rows[r] = s * rows[a] + t * rows[b] + nudge * rng.uniform(0.0, 1.0, size=3)
+    rows *= 10.0 ** rng.uniform(-3.0, 3.0, size=(n, 1))
+    return [WeightSpec(*row) for row in rows]
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(3, 12),
+       direction=st.tuples(*[st.floats(-1.0, 1.0)] * 3), radius=st.floats(0.0, 1.0))
+def test_screened_scan_matches_triple_loop(seed, n, direction, radius):
+    # the screen rejects only triples whose solved point fails a test: the
+    # scan keeps the vertices, in order and to the bit, and the clipped count
+    # of solving every triple, whatever the scale and conditioning of the rows
+    norm = np.linalg.norm(direction)
+    theta = tuple(radius * np.asarray(direction) / norm) if norm > 1e-3 else (0.0, 0.0, 0.0)
+    scan = surface_scan(theta, 1, _near_degenerate_grid(seed, n))
+    vertices, fired = _scan_one_triple_at_a_time(theta, scan.planes)
+    assert scan.clipped == fired["box"]
+    assert np.array_equal(np.array([v.array for v in scan.vertices]).reshape(-1, 3), vertices)
+
+
+@pytest.mark.parametrize("theta, copies", [((0.0, 0.0, 0.0), 1), ((0.0, 0.0, 0.0), 2),
+                                           ((0.2, 0.1, 0.0), 1), ((0.0, 0.0, 1.0), 1)])
+def test_scan_offsets_are_the_closed_form_values(theta, copies):
+    # the grid's offsets come from one stacked pass, bit for bit the value
+    # of nhcrb_analytic for each weight on its own
+    grid = [w for _, w in integer_weight_triples(values=(1, 2, 3, 4))]
+    scan = surface_scan(theta, copies, grid)
+    point = model_point(BlochVector(*theta), copies)
+    assert [p.offset for p in scan.planes] == [nhcrb_analytic(point, w).value for w in grid]
 
 
 def test_batched_scan_matches_triple_loop_over_many_batches():
@@ -304,9 +359,17 @@ def test_mse_point_validation():
         MsePoint(1, -2, 1)
     with pytest.raises(ValueError):
         MsePoint(1, np.inf, 1)
+    with pytest.raises(ValueError):
+        MsePoint(1, 1, np.nan)
+    with pytest.raises(ValueError):
+        MsePoint(np.float64(np.nan), 1, 1)
 
 
 def test_supporting_plane_validation():
     with pytest.raises(ValueError):
         SupportingPlane(weights=WeightSpec(1, 1, 1), offset=0.0)
+    with pytest.raises(ValueError):
+        SupportingPlane(weights=WeightSpec(1, 1, 1), offset=np.nan)
+    with pytest.raises(ValueError):
+        SupportingPlane(weights=WeightSpec(1, 1, 1), offset=np.inf)
     assert SupportingPlane(weights=WeightSpec(1, 1, 1), offset=3.0).offset == 3.0
