@@ -1,0 +1,20 @@
+"""Validate a CLI artifact against the package's JSON schema.
+
+    python3 .github/check_artifact.py ARTIFACT [MAX_RELATIVE_GAP]
+
+With MAX_RELATIVE_GAP, the artifact must also hold one per-qubit
+`nhcrb_sdp` record whose certified bracket (the optimum lies in
+[value - gap, value]) has 0 <= gap <= MAX_RELATIVE_GAP * value.
+"""
+
+import json
+import sys
+
+import jsonschema
+
+artifact = json.load(open(sys.argv[1]))
+jsonschema.validate(artifact, json.load(open("src/qtradeoff/schemas/artifacts.schema.json")))
+if len(sys.argv) > 2:
+    rec, = [r for r in artifact["records"]
+            if r["name"] == "nhcrb_sdp" and r["normalization"] == "per_qubit"]
+    assert 0.0 <= rec["gap"] <= float(sys.argv[2]) * rec["value"], rec

@@ -16,7 +16,7 @@ from .bounds import (
     nhcrb_sdp,
     qcrb,
 )
-from .model import BlochVector, density_matrix, model_point, qfi, qfi_inverse, sld_operators
+from .model import BlochVector, density_matrix, model_point, qfi, sld_operators
 from .povm import Povm, WeightSpec, classical_fisher, outcome_probabilities
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "outcome_probabilities",
     "qcrb",
     "qfi",
-    "qfi_inverse",
     "sld_operators",
     "__version__",
 ]

@@ -26,7 +26,6 @@ import numpy as np
 
 from . import sdp
 from .constants import SDP_BLOCH_LIMIT
-from .linalg import ConvergenceError
 from .model import (  # noqa: F401  (NORMALIZATIONS re-exported)
     NORMALIZATIONS,
     BlochVector,
@@ -345,10 +344,13 @@ def _certified_bracket(problem: NhSdpProblem, w: np.ndarray, y: np.ndarray,
     y. A A^T needs no product: its L'-L' part is diagonal, with 1, 2 or 4
     (the squared norm of a basis unit, placed once on a diagonal block and
     twice off it), and its L'-X' part is zero, since the blocks do not
-    overlap, so only the X' rows take a solve. For PSD S,
-    Tr[S Z'] >= min(0, lambda_min(Z')) Tr S, and at the optimum
-    Tr S = sum_i Tr L'_ii + d <= upper sum_i 1/w_i + d, because
-    sum_i w_i Tr L'_ii is the objective and every L'_ii is PSD (Jansson,
+    overlap, so only the X' rows take a solve. With
+    D = blockdiag(w_1 I_d, w_2 I_d, w_3 I_d, I_d), every PSD S has
+    Tr[S Z'] = Tr[(D^1/2 S D^1/2)(D^-1/2 Z' D^-1/2)]
+    >= min(0, lambda_min(D^-1/2 Z' D^-1/2)) Tr[D S], and
+    Tr[D S(y)] = sum_i w_i Tr L'_ii + d = c.y + d for every y, which is at
+    most upper + d at the optimum. Scaling Z' by the weights keeps this
+    factor the objective's own size however lopsided they are (Jansson,
     Chaykin and Keil, SIAM J. Numer. Anal. 46, 2007).
     """
     m, n, d = len(problem.Fs), len(problem.F0), problem.point.dim
@@ -363,9 +365,9 @@ def _certified_bracket(problem: NhSdpProblem, w: np.ndarray, y: np.ndarray,
     u = np.concatenate([rd[:nl] / np.einsum("ij,ij->i", A[:nl], A[:nl]),
                         np.linalg.solve(ax @ ax.T, rd[nl:])])
     projected = Z + np.tensordot(u, problem.Fs, axes=1)
-    trace_bound = upper * float(np.sum(1.0 / w)) + d
-    lam_min = float(np.linalg.eigvalsh(projected)[0])
-    lower = -float(np.vdot(problem.F0, projected).real) + min(0.0, lam_min) * trace_bound
+    unweight = 1.0 / np.sqrt(np.append(np.repeat(w, d), np.ones(d)))
+    lam_min = float(np.linalg.eigvalsh(projected * np.outer(unweight, unweight))[0])
+    lower = -float(np.vdot(problem.F0, projected).real) + min(0.0, lam_min) * (upper + d)
     return lower, upper
 
 
@@ -373,11 +375,10 @@ def nhcrb_sdp(point: ModelPoint, weights) -> BoundValue:
     """Collective bound per qubit at an arbitrary interior point, by SDP.
 
     Needs strictly positive weights (the dual start blockdiag(w_i I, t I) is
-    built from them). The value and the gap come from one certified bracket
-    (_certified_bracket) at the solver's last iterate: the optimum lies in
-    [value - gap, value]. A stop with a trusted iterate differs only in
-    having no iteration count; a stop without one raises the solver's
-    ConvergenceError unchanged.
+    built from them). The value and the gap come from the certified bracket
+    (_certified_bracket) at the iterate solve_lmi returns, converged or not:
+    the optimum lies in [value - gap, value]. `iterations` is None where the
+    solver stopped short.
     """
     w = as_weights(weights).require_positive()
     if point.theta.norm > SDP_BLOCH_LIMIT:
@@ -385,14 +386,8 @@ def nhcrb_sdp(point: ModelPoint, weights) -> BoundValue:
             f"Bloch norm {point.theta.norm:.8f} too close to the sphere for the SDP"
         )
     problem = nh_problem(point, w)
-    try:
-        result = sdp.solve_lmi(problem.c, problem.F0, problem.Fs, problem.y0, problem.Z0)
-        (y, Z), iterations = (result.y, result.Z), result.iterations
-    except ConvergenceError as exc:
-        if exc.iterate is None:
-            raise
-        (y, Z), iterations = exc.iterate, None
-    lower, value = _certified_bracket(problem, w.array, y, Z)
+    result = sdp.solve_lmi(problem.c, problem.F0, problem.Fs, problem.y0, problem.Z0)
+    lower, value = _certified_bracket(problem, w.array, result.y, result.Z)
     return BoundValue(value=value, normalization="per_measurement", method="sdp",
                       copies=point.copies, gap=value - lower,
-                      iterations=iterations).to("per_qubit")
+                      iterations=result.iterations).to("per_qubit")

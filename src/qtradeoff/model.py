@@ -129,13 +129,6 @@ def qfi(theta: BlochVector) -> np.ndarray:
     return np.eye(3) + np.outer(t, t) / (1.0 - r2)
 
 
-def qfi_inverse(theta: BlochVector) -> np.ndarray:
-    """Inverse quantum Fisher information, I - theta theta^T."""
-    _require_interior(theta)
-    t = theta.array
-    return np.eye(3) - np.outer(t, t)
-
-
 def model_point(theta: BlochVector, copies: int = 1) -> ModelPoint:
     """Model state and parameter derivatives for one or two copies."""
     if copies not in (1, 2):

@@ -15,13 +15,13 @@ dual starting points. The Lagrangian dual is
 and the duality gap of a feasible pair is Re Tr[Z S(y)] >= 0.
 
 Each iteration takes a Mehrotra predictor-corrector step in the
-Nesterov-Todd scaling. The scaling comes from the Cholesky factors of S and Z
-and one SVD (Todd, Toh and Tutuncu, SIAM J. Optim. 8, 1998), so the scaled
-iterate lam is diagonal: its Lyapunov equations and step-length tests are
-elementwise. The scaled constraints F~_j = G^-1 F_j G^-H come from two
-matrix products over the whole stack, and the Schur complement
-M_ij = Re Tr[F~_i F~_j] is the real Gram matrix of their stacked real and
-imaginary parts.
+Nesterov-Todd scaling, from the Cholesky factors of S and Z and one SVD
+(Todd, Toh and Tutuncu, SIAM J. Optim. 8, 1998), so the scaled iterate lam
+is diagonal and its Lyapunov equations and step-length tests are
+elementwise. The Schur complement M_ij = Re Tr[F~_i F~_j] of the scaled
+constraints F~_j = G^-1 F_j G^-H is the real Gram matrix of their stacked
+real and imaginary parts. The solver returns an iterate, converged or not;
+the caller certifies what it bounds.
 """
 
 from __future__ import annotations
@@ -43,19 +43,19 @@ from .linalg import ConvergenceError
 # and the two residuals, each over its tolerance) falling below half its
 # value at the last progress. A converging solve almost always halves it
 # every iteration or two; a stalled one creeps, with the gap stuck just above
-# SDP_GAP_TOL and the dual residual above SDP_FEAS_TOL, and its iterate goes
-# to the caller's certified bracket 8 iterations later.
+# SDP_GAP_TOL and the dual residual above SDP_FEAS_TOL, and stops 8
+# iterations later.
 _STALL_WINDOW = 8
 
 
 @dataclass(frozen=True)
 class SdpResult:
-    """The pair (y, Z) at which solve_lmi met its tolerances, and its
-    iteration count; a caller certifies its values from y and Z."""
+    """The pair (y, Z) solve_lmi returned, and its iteration count, None
+    where it stopped short of its tolerances."""
 
     y: np.ndarray
     Z: np.ndarray
-    iterations: int
+    iterations: int | None
 
 
 def _herm(a: np.ndarray) -> np.ndarray:
@@ -97,15 +97,13 @@ def _max_steps(lam: np.ndarray, dlamS: np.ndarray, dlamZ: np.ndarray):
         return np.where(beta < -1e-14, -1.0 / beta, np.inf)
 
 
-def _solve_gram(M: np.ndarray, rhs: np.ndarray, iteration: int) -> np.ndarray:
+def _solve_gram(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     try:
         sol = np.linalg.solve(M, rhs)
     except np.linalg.LinAlgError:
         sol = None
     if sol is None or not np.all(np.isfinite(sol)):
-        raise ConvergenceError(
-            f"singular Schur complement at iteration {iteration}"
-        )
+        raise ConvergenceError("singular Schur complement")
     return sol
 
 
@@ -123,13 +121,12 @@ def solve_lmi(
     definite and (near-)feasible for the dual equality constraints; small
     dual infeasibility is folded into the Newton right-hand side and decays
     with the step length. Returns the pair (y, Z) at which the relative gap
-    and residuals met SDP_GAP_TOL and SDP_FEAS_TOL, and the iteration count.
-    Raises ConvergenceError if an iterate loses positive definiteness, the
-    Schur complement is singular, the relative gap and residuals stop
-    falling for _STALL_WINDOW iterations, or they fail to reach their
-    tolerances within SDP_MAX_ITER iterations. The error's `iterate` is the
-    last (y, Z) whose S and Z both passed Cholesky, or None if no iterate
-    did; a caller bounds the optimum from it as from a converged pair.
+    and residuals met SDP_GAP_TOL and SDP_FEAS_TOL, with the iteration
+    count. On any other stop (no progress for _STALL_WINDOW iterations,
+    collapsed steps, SDP_MAX_ITER reached, an iterate losing positive
+    definiteness, a singular Schur complement) it returns the last (y, Z)
+    whose S and Z both passed Cholesky, with iterations None. Raises
+    ConvergenceError only if no iterate did.
     """
     c = np.asarray(c, dtype=float)
     F0, Fs, Z0 = np.asarray(F0), np.asarray(Fs), np.asarray(Z0)
@@ -157,13 +154,11 @@ def solve_lmi(
     Fcols = np.ascontiguousarray(Fs.transpose(1, 0, 2)).reshape(n, m * n)
     cscale = 1.0 + np.abs(c).max()
 
-    # the last (y, Z) whose S and Z passed Cholesky, handed on with any
-    # ConvergenceError so that the caller can bound the optimum from it
+    # the last (y, Z) whose S and Z passed Cholesky, returned on any stop
     trusted = None
     # the stopping test's distance at the last progress, and its iteration
     progress, progressed = np.inf, 0
     try:
-        iterations = 0
         for iterations in range(1, SDP_MAX_ITER + 1):
             rp = _herm(F0 + (y @ A).reshape(n, n) - S)
             rd = c - Ar @ Z.view(float).ravel()
@@ -180,11 +175,7 @@ def solve_lmi(
             if distance < 0.5 * progress:
                 progress, progressed = distance, iterations
             elif iterations - progressed >= _STALL_WINDOW:
-                raise ConvergenceError(
-                    f"stalled at iteration {iterations}: no progress in "
-                    f"{_STALL_WINDOW} iterations, relative gap {rel_gap:.3e}, "
-                    f"residuals {rp_inf:.3e}/{rd_inf:.3e}"
-                )
+                break
 
             Ginv, lam = _nt_scaling(S, Z)
             trusted = (y, Z)
@@ -200,7 +191,7 @@ def solve_lmi(
 
             def direction(V):
                 rhs = Atr @ (V - Rpt).view(float).ravel() - rd
-                dy = _solve_gram(M, rhs, iterations)
+                dy = _solve_gram(M, rhs)
                 dlamS = _herm((dy @ At).reshape(n, n) + Rpt)
                 return dy, dlamS, V - dlamS
 
@@ -227,22 +218,14 @@ def solve_lmi(
                 dy, dlamS, dlamZ = direction(centering / denom)
                 ap, ad = np.minimum(1.0, SDP_STEP_FRACTION * _max_steps(lam, dlamS, dlamZ))
             if ap < 1e-13 and ad < 1e-13:
-                raise ConvergenceError(
-                    f"step lengths collapsed at iteration {iterations}, "
-                    f"relative gap {rel_gap:.3e}"
-                )
+                break
 
             # S moves by the unscaled direction, so that it tracks S(y) to
             # rounding even when G and G^-1 are only approximately inverse
             y = y + ap * dy
             S = _herm(S + ap * ((dy @ A).reshape(n, n) + rp))
             Z = _herm(Z + ad * (GinvH @ dlamZ @ Ginv))
-
-        raise ConvergenceError(
-            f"no convergence in {iterations} iterations: primal {primal:.12g}, "
-            f"dual {dual:.12g}, relative gap {rel_gap:.3e}, "
-            f"residuals {rp_inf:.3e}/{rd_inf:.3e}"
-        )
-    except ConvergenceError as exc:
-        exc.iterate = trusted
-        raise
+    except ConvergenceError:
+        if trusted is None:
+            raise
+    return SdpResult(*trusted, iterations=None)

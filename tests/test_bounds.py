@@ -410,9 +410,10 @@ def test_reduced_two_copy_sdp_matches_the_full_basis(theta, weights, value, gap)
     assert abs(got.value - value) <= gap + got.gap + 1e-10 * value
 
 
-def _stalled_at(iterate):
+def _stalled_at(y, Z):
+    """A solve_lmi that stops short at the pair (y, Z)."""
     def solve(*args):
-        raise ConvergenceError("step lengths collapsed", iterate=iterate)
+        return sdp.SdpResult(y, Z, None)
     return solve
 
 
@@ -428,7 +429,7 @@ def test_certified_bracket_contains_the_optimum(monkeypatch):
     y = res.y + 1e-6 * (problem.c > 0)
     noise = rng.normal(size=res.Z.shape) + 1j * rng.normal(size=res.Z.shape)
     Z = res.Z + 1e-7 * (noise + noise.conj().T)
-    monkeypatch.setattr(sdp, "solve_lmi", _stalled_at((y, Z)))
+    monkeypatch.setattr(sdp, "solve_lmi", _stalled_at(y, Z))
     got = nhcrb_sdp(point, w)
     assert got.iterations is None and got.method == "sdp"
     assert got.value - got.gap <= converged.value <= got.value
@@ -445,15 +446,18 @@ def test_certified_upper_end_holds_at_an_infeasible_iterate(monkeypatch):
     res = sdp.solve_lmi(problem.c, problem.F0, problem.Fs, problem.y0, problem.Z0)
     y = res.y - 1e-6 * (problem.c > 0)
     assert np.linalg.eigvalsh(problem.F0 + np.tensordot(y, problem.Fs, axes=1))[0] < 0.0
-    monkeypatch.setattr(sdp, "solve_lmi", _stalled_at((y, res.Z)))
+    monkeypatch.setattr(sdp, "solve_lmi", _stalled_at(y, res.Z))
     got = nhcrb_sdp(point, w)
     assert got.value >= converged.value - converged.gap
     assert got.value - got.gap <= converged.value
 
 
 def test_bare_convergence_error_propagates(monkeypatch):
-    monkeypatch.setattr(sdp, "solve_lmi", _stalled_at(None))
-    with pytest.raises(ConvergenceError, match="step lengths collapsed"):
+    def no_iterate(*args):
+        raise ConvergenceError("primal iterate lost positive definiteness")
+
+    monkeypatch.setattr(sdp, "solve_lmi", no_iterate)
+    with pytest.raises(ConvergenceError, match="primal iterate"):
         nhcrb_sdp(model_point(BlochVector(0.1, 0.1, 0.1), copies=2), WeightSpec(1, 2, 3))
 
 
@@ -472,9 +476,8 @@ def test_stalled_solve_stops_early_with_a_certified_bracket(monkeypatch):
     point = model_point(BlochVector(*theta), copies=2)
     w = WeightSpec(*weights)
     problem = nh_problem(point, w)
-    with pytest.raises(ConvergenceError, match="stalled") as stop:
-        sdp.solve_lmi(problem.c, problem.F0, problem.Fs, problem.y0, problem.Z0)
-    assert stop.value.iterate is not None
+    stop = sdp.solve_lmi(problem.c, problem.F0, problem.Fs, problem.y0, problem.Z0)
+    assert stop.iterations is None
     assert len(iterations) <= 40
     got = nhcrb_sdp(point, w)
     assert got.iterations is None
@@ -560,6 +563,26 @@ def test_bracket_contains_the_frozen_values():
             got = nhcrb_sdp(point, WeightSpec(*weights)).to("per_measurement")
             # the frozen values are rounded to 10 decimals
             _assert_bracket_contains(got, want, 5e-11 + 1e-12 * want)
+
+
+# One weight 10^-k below the others, in each position: the bracket's lower
+# end must scale with the weights, not with sum_i 1/w_i.
+_LOPSIDED_WEIGHTS = [tuple(10.0 ** -k if i == small else 1.0 for i in range(3))
+                     for k in (4, 8, 12) for small in range(3)]
+
+
+@pytest.mark.parametrize("copies", [1, 2])
+@pytest.mark.parametrize("theta", [(0.0, 0.0, 0.0), (0.3, -0.2, 0.1)])
+@pytest.mark.parametrize("weights", _LOPSIDED_WEIGHTS,
+                         ids=lambda w: "-".join(f"{x:g}" for x in w))
+def test_bracket_is_tight_at_lopsided_weights(weights, theta, copies):
+    point = model_point(BlochVector(*theta), copies=copies)
+    w = WeightSpec(*weights)
+    got = nhcrb_sdp(point, w)
+    assert 0.0 <= got.gap <= 1e-6 * got.value
+    closed = nhcrb_analytic(point, w)
+    if closed is not None:
+        assert got.value - got.gap <= closed.value <= got.value
 
 
 def test_sdp_recovers_pauli_observables_at_origin():

@@ -3,7 +3,11 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from qtradeoff import cli, sdp
+from qtradeoff.bounds import nh_problem, nhcrb_sdp
 from qtradeoff.linalg import ConvergenceError
+from qtradeoff.model import BlochVector, model_point
+from qtradeoff.povm import WeightSpec
 from qtradeoff.sdp import solve_lmi
 
 
@@ -110,13 +114,59 @@ def test_weak_duality_and_agreement():
         assert gap < 1e-6
 
 
-def test_singular_schur_complement_raises():
+def test_singular_schur_complement_returns_the_start():
     # two identical constraint matrices make the Schur complement singular
+    # at the first step, after the start passed Cholesky
     c = np.array([0.5, 0.5])
     F0 = -np.diag([1.0, 2.0])
     Fs = np.array([np.eye(2), np.eye(2)])
-    with pytest.raises(ConvergenceError, match="iteration 1"):
-        solve_lmi(c, F0, Fs, np.array([3.0, 3.0]), np.eye(2) / 2)
+    res = solve_lmi(c, F0, Fs, np.array([3.0, 3.0]), np.eye(2) / 2)
+    assert res.iterations is None
+    assert np.array_equal(res.y, [3.0, 3.0])
+    assert np.array_equal(res.Z, np.eye(2) / 2)
+
+
+def _stalling_problem():
+    """The two-copy collective-bound SDP at an input where the solver stalls:
+    its gap creeps at 1.3e-8 and its dual residual at 4e-8, just above their
+    tolerances."""
+    point = model_point(BlochVector(0.0252, 0.0252, 0.0252), copies=2)
+    problem = nh_problem(point, WeightSpec(2.0, 2.0, 2.0))
+    return point, (problem.c, problem.F0, problem.Fs, problem.y0, problem.Z0)
+
+
+def test_stall_returns_the_last_pair_that_passed_cholesky(monkeypatch):
+    _, problem = _stalling_problem()
+    scaled = []
+    scaling = sdp._nt_scaling
+
+    def recording(S, Z):
+        out = scaling(S, Z)
+        scaled.append((S, Z))
+        return out
+
+    monkeypatch.setattr(sdp, "_nt_scaling", recording)
+    res = solve_lmi(*problem)
+    assert res.iterations is None
+    S, Z = scaled[-1]
+    assert res.Z is Z
+    F0, Fs = problem[1:3]
+    # the solver's S tracks S(y) to rounding
+    assert np.abs(F0 + np.tensordot(res.y, Fs, axes=1) - S).max() < 1e-12 * np.abs(S).max()
+
+
+def test_failure_before_any_trusted_iterate_raises(monkeypatch):
+    def no_scaling(S, Z):
+        raise ConvergenceError("scaled iterate lost positive definiteness")
+
+    monkeypatch.setattr(sdp, "_nt_scaling", no_scaling)
+    point, problem = _stalling_problem()
+    with pytest.raises(ConvergenceError, match="scaled iterate"):
+        solve_lmi(*problem)
+    with pytest.raises(ConvergenceError, match="scaled iterate"):
+        nhcrb_sdp(point, WeightSpec(2.0, 2.0, 2.0))
+    assert cli.main(["bounds", "--theta", "0.0252,0.0252,0.0252", "--weights", "2,2,2",
+                     "--copies", "2"]) == cli.EXIT_SOLVER == 3
 
 
 def test_rejects_infeasible_start():
