@@ -20,6 +20,7 @@ moments; reported observables are recentred as X_i + theta_i I.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -375,19 +376,28 @@ def nhcrb_sdp(point: ModelPoint, weights) -> BoundValue:
     """Collective bound per qubit at an arbitrary interior point, by SDP.
 
     Needs strictly positive weights (the dual start blockdiag(w_i I, t I) is
-    built from them). The value and the gap come from the certified bracket
-    (_certified_bracket) at the iterate solve_lmi returns, converged or not:
-    the optimum lies in [value - gap, value]. `iterations` is None where the
-    solver stopped short.
+    built from them). The bound is linear in W, so the SDP is solved at
+    2^-k W with k = round(log2 sum_i w_i), whose weights sum to about one,
+    and value and gap are scaled back by 2^k: both are exact, the solver's
+    stopping test sees the same problem at every scale, and weights that sum
+    to one are solved as given. The value and the gap come from the
+    certified bracket (_certified_bracket) at the iterate solve_lmi returns,
+    converged or not: the optimum lies in [value - gap, value]. `iterations`
+    is None where the solver stopped short.
     """
     w = as_weights(weights).require_positive()
     if point.theta.norm > SDP_BLOCH_LIMIT:
         raise ValueError(
             f"Bloch norm {point.theta.norm:.8f} too close to the sphere for the SDP"
         )
-    problem = nh_problem(point, w)
+    # summing quarters keeps the sum finite at weights near the largest
+    # float, where the scaled-back value may overflow to inf
+    k = round(math.log2(np.sum(0.25 * w.array)) + 2.0)
+    scaled = WeightSpec(*np.ldexp(w.array, -k))
+    problem = nh_problem(point, scaled)
     result = sdp.solve_lmi(problem.c, problem.F0, problem.Fs, problem.y0, problem.Z0)
-    lower, value = _certified_bracket(problem, w.array, result.y, result.Z)
+    lower, value = _certified_bracket(problem, scaled.array, result.y, result.Z)
+    value, gap = (float(np.ldexp(x, k)) for x in (value, value - lower))
     return BoundValue(value=value, normalization="per_measurement", method="sdp",
-                      copies=point.copies, gap=value - lower,
+                      copies=point.copies, gap=gap,
                       iterations=result.iterations).to("per_qubit")

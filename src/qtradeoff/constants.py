@@ -33,24 +33,32 @@ MLE_ARMIJO = 1e-4
 MLE_BALL_RADIUS = 1 - 1e-6
 MLE_EIG_FLOOR = 1e-8            # Hessian eigenvalues floored to this fraction of the largest
 
-# Trade-off surface scans.
-SURFACE_FEAS_TOL = 1e-6
+# Trade-off surface scans. Every tolerance on a weight normal n is relative
+# to its size, so a scan depends only on the weights' ratios.
+SURFACE_FEAS_TOL = 1e-6          # slack of w . V >= C(w), in units of |w|_1; of V_i >= floor
 VERTEX_MERGE_TOL = 1e-7
+# A sine and a normalized volume: two normals are parallel below
+# |n_a x n_b| / (|n_a||n_b|), three are singular below
+# |n_i . (n_j x n_k)| / (|n_i||n_j||n_k|).
 PARALLEL_NORMAL_TOL = 1e-10
 VERTEX_BOX_LIMIT = 50.0
 SCAN_BATCH_ENTRIES = 1 << 19     # plane checks (triples x planes) per vertex-search batch
 # The vertex screen's width in eps * kappa * (1 + |x|_inf) for the Cramer
 # point x of the normals n_i, n_j, n_k, with
 # kappa = (|n_i|_1 + |n_j|_1 + |n_k|_1)(|n_i||n_j| + |n_j||n_k| + |n_k||n_i|) / |det|.
-# This kappa is at least |n_i||n_j||n_k| / |det|, which bounds Cramer's rule
-# (cross products off by 2 eps |n_a||n_b|, three-term sums by 3 eps, against
-# |b_l| <= |n_l| |x|_2), and at least |N|_inf |N^-1|_inf, which bounds
-# LAPACK's partially pivoted 3 x 3 LU (growth at most 4) and det's relative
-# error; the first alone does not once the rows differ in scale. Each of the
-# two solutions lands within about 40 eps kappa |x|_inf of the exact one;
-# twice their sum covers reading |x| off the Cramer point while
-# SCREEN_WIDTH eps kappa <= 1/2 (beyond, the screen passes the triple), and
-# the rest is margin for rounding in the test products and thresholds.
+# This kappa is at least 3 |n_i||n_j||n_k| / |det|, which bounds Cramer's
+# rule: its cross products are off by 2 eps |n_a||n_b|, its three-term sums
+# by 3 eps, against |b_l| <= |n_l| |x|_2, and its det, the triple product
+# n_i . (n_j x n_k) from the same cross products, by about 6 eps
+# |n_i||n_j||n_k| (five roundings on each term of the permanent of |N|, at
+# most 1.16 |n_i||n_j||n_k|), which is at most 2 eps kappa |det|. It is also
+# at least |N|_inf |N^-1|_inf, which bounds LAPACK's partially pivoted 3 x 3
+# LU (growth at most 4); the first alone does not once the rows differ in
+# scale. Each of the two solutions lands within about 40 eps kappa |x|_inf
+# of the exact one; twice their sum covers reading |x| off the Cramer point
+# while SCREEN_WIDTH eps kappa <= 1/2 (beyond, the screen passes the
+# triple), and the rest is margin for rounding in the test products and
+# thresholds.
 SCREEN_WIDTH = 256.0
 BOUNDARY_RESIDUAL_TOL = 1e-6
 

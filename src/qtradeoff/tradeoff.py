@@ -223,13 +223,18 @@ def surface_scan(theta, copies: int, weight_grid) -> SurfaceScan:
     the SDP otherwise. The model point depends on theta alone, so one is
     built per scan and shared by every plane. Candidate vertices are the
     intersections of all plane triples with independent normals, taken in
-    batches of at most P^2 triples for P planes. Each candidate is screened
-    by its Cramer's-rule point, and only those the screen cannot reject get
-    LAPACK's solve; the solved points feasible for every plane (within
-    tolerance), above the per-parameter floor 1 - theta_i^2, and inside the
-    bounding box are kept, raised to at least 0, deduplicated by
-    `_merge_vertices`, and returned sorted. Vertices discarded by the box
-    alone are counted in `clipped`.
+    batches of at most P^2 triples for P planes: no two normals parallel
+    and the triple product n_i . (n_j x n_k), from the pairs' cross
+    products, not singular, both relative to the normals' lengths
+    (PARALLEL_NORMAL_TOL). Each candidate is screened by its Cramer's-rule
+    point, and only those the screen cannot reject get LAPACK's solve; the
+    solved points feasible for every plane (w . V >= C(w) - SURFACE_FEAS_TOL
+    |w|_1), above the per-parameter floor 1 - theta_i^2 (within
+    SURFACE_FEAS_TOL), and inside the bounding box are kept, raised to at
+    least 0, deduplicated by `_merge_vertices`, and returned sorted.
+    Vertices discarded by the box alone are counted in `clipped`. Every test
+    on a normal is relative to its size, so the scan depends only on the
+    weights' ratios.
     The screen widens the floor and plane tests by a bound on the distance
     between the Cramer point and LAPACK's, so it rejects only triples whose
     solved point would fail them too: the vertices and `clipped` are those
@@ -257,21 +262,24 @@ def surface_scan(theta, copies: int, weight_grid) -> SurfaceScan:
     # plane a start at pair_start[a], so (a, b) is pair_start[a] + b - a - 1
     pair_a, pair_b = np.triu_indices(n_planes, 1)
     pair_start = np.searchsorted(pair_a, np.arange(n_planes + 1))
-    # a pair is apart when its normals are not parallel; the cross products,
-    # one row per component, also build the Cramer points
+    # a pair is apart when its normals are not parallel, |n_a x n_b| at least
+    # PARALLEL_NORMAL_TOL |n_a||n_b|; the cross products, one row per
+    # component, also build the triple products and the Cramer points
+    lengths = np.linalg.norm(normals, axis=1)
+    pair_lengths = lengths[pair_a] * lengths[pair_b]
     cross = np.cross(normals[pair_a], normals[pair_b])
-    apart = np.linalg.norm(cross, axis=-1) >= PARALLEL_NORMAL_TOL
+    apart = np.linalg.norm(cross, axis=-1) >= PARALLEL_NORMAL_TOL * pair_lengths
     cross = np.ascontiguousarray(cross.T)
+    columns = np.ascontiguousarray(normals.T)
     # the screen's width is SCREEN_WIDTH eps kappa (1 + |x|_inf), with kappa
     # from the three normals' 1-norms and the products of their lengths
-    lengths = np.linalg.norm(normals, axis=1)
     taxicab = np.abs(normals).sum(axis=1)
     # the screen's tests, the floor's three and the planes', are the rows
     # u . x >= c of one matrix, each in units of its 1-norm so that one width
     # serves them all
     tests = np.vstack([np.eye(3), normals / taxicab[:, None]])
     thresholds = np.concatenate(
-        [floor - SURFACE_FEAS_TOL, (offsets - SURFACE_FEAS_TOL) / taxicab]
+        [floor - SURFACE_FEAS_TOL, offsets / taxicab - SURFACE_FEAS_TOL]
     )[:, None]
     # the triples (i, j, k), i < j < k, in lexicographic order: first plane i
     # takes the pairs (j, k) with j > i, from tail[i], and its triples start
@@ -294,10 +302,15 @@ def surface_scan(theta, copies: int, weight_grid) -> SurfaceScan:
         i = np.searchsorted(first, t, side="right") - 1
         jk = tail[i] + t - first[i]
         j, k = pair_a[jk], pair_b[jk]
-        det = np.linalg.det(normals[np.column_stack([i, j, k])])
         ij = pair_start[i] + j - i - 1
         ik = pair_start[i] + k - i - 1
-        keep = apart[jk] & apart[ij] & apart[ik] & (np.abs(det) >= PARALLEL_NORMAL_TOL)
+        # the triple product n_i . (n_j x n_k) is the determinant of the
+        # rows; a triple is singular when it is below PARALLEL_NORMAL_TOL
+        # |n_i||n_j||n_k|
+        det = (columns[0, i] * cross[0, jk] + columns[1, i] * cross[1, jk]
+               + columns[2, i] * cross[2, jk])
+        keep = (apart[jk] & apart[ij] & apart[ik]
+                & (np.abs(det) >= PARALLEL_NORMAL_TOL * lengths[i] * pair_lengths[jk]))
         i, j, k, jk, ij, ik, det = (a[keep] for a in (i, j, k, jk, ij, ik, det))
         # Cramer's rule, b_i n_j x n_k + b_j n_k x n_i + b_k n_i x n_j over
         # det (take keeps the gathered rows contiguous, where cross[:, jk]
@@ -326,7 +339,7 @@ def surface_scan(theta, copies: int, weight_grid) -> SurfaceScan:
     points = np.linalg.solve(normals[triples], offsets[triples][..., None])[..., 0]
     feasible = (
         np.all(points >= floor - SURFACE_FEAS_TOL, axis=1)
-        & np.all(points @ normals.T >= offsets - SURFACE_FEAS_TOL, axis=1)
+        & np.all(points @ normals.T >= offsets - SURFACE_FEAS_TOL * taxicab, axis=1)
     )
     boxed = np.all(points <= VERTEX_BOX_LIMIT, axis=1)
     clipped = int(np.sum(feasible & ~boxed))

@@ -331,6 +331,20 @@ def test_sdp_scale_covariance():
     assert abs(a - 14.0 * b) / a < 1e-6
 
 
+@pytest.mark.parametrize("copies", [1, 2])
+@settings(max_examples=15, deadline=None)
+@given(theta=_interior_theta.filter(lambda t: np.linalg.norm(t) <= 0.95),
+       w=st.tuples(*[st.floats(-3.0, 3.0)] * 3).map(np.exp), k=st.integers(-40, 40))
+def test_sdp_depends_only_on_weight_ratios(copies, theta, w, k):
+    # c(theta, 2^k W) = 2^k c(theta, W) within the summed gaps, and the
+    # bracket stays as tight at weights far from one as near it
+    point = model_point(BlochVector(*theta), copies=copies)
+    base = nhcrb_sdp(point, WeightSpec(*w))
+    scaled = nhcrb_sdp(point, WeightSpec(*np.ldexp(w, k)))
+    assert abs(scaled.value - np.ldexp(base.value, k)) <= scaled.gap + np.ldexp(base.gap, k)
+    assert 0.0 <= scaled.gap <= 1e-6 * scaled.value
+
+
 def test_sdp_ordering_qcrb_below_collective():
     theta = BlochVector(0.3, 0.3, 0.3)
     w = WeightSpec.from_integers((1, 2, 3))
@@ -417,9 +431,14 @@ def _stalled_at(y, Z):
     return solve
 
 
+# Weights that sum to about one, which nhcrb_sdp solves as given, so that an
+# iterate of nh_problem(point, w) is one of the problem it solves.
+_UNIT_SUM_WEIGHTS = WeightSpec(1 / 16, 4 / 16, 9 / 16)
+
+
 def test_certified_bracket_contains_the_optimum(monkeypatch):
     point = model_point(BlochVector(0.1, -0.2, 0.4), copies=2)
-    w = WeightSpec(1.0, 4.0, 9.0)
+    w = _UNIT_SUM_WEIGHTS
     converged = nhcrb_sdp(point, w)
     problem = nh_problem(point, w)
     res = sdp.solve_lmi(problem.c, problem.F0, problem.Fs, problem.y0, problem.Z0)
@@ -440,7 +459,7 @@ def test_certified_upper_end_holds_at_an_infeasible_iterate(monkeypatch):
     # every L'_ii lowered below the converged iterate: S(y) leaves the cone,
     # and c.y alone would fall below the optimum
     point = model_point(BlochVector(0.1, -0.2, 0.4), copies=2)
-    w = WeightSpec(1.0, 4.0, 9.0)
+    w = _UNIT_SUM_WEIGHTS
     converged = nhcrb_sdp(point, w)
     problem = nh_problem(point, w)
     res = sdp.solve_lmi(problem.c, problem.F0, problem.Fs, problem.y0, problem.Z0)
@@ -462,9 +481,10 @@ def test_bare_convergence_error_propagates(monkeypatch):
 
 
 def test_stalled_solve_stops_early_with_a_certified_bracket(monkeypatch):
-    # the gap creeps at 1.3e-8 and the dual residual at 4e-8 here, just above
-    # their tolerances; the solver used to run all SDP_MAX_ITER iterations
-    theta, weights = (0.0252, 0.0252, 0.0252), (2.0, 2.0, 2.0)
+    # the dual residual creeps at about 2.4e-8 here, just above its
+    # tolerance; the weights sum to about one, so nhcrb_sdp solves them as
+    # given (at W = 2I the scaled solve converges)
+    theta, weights = (0.0252, 0.0252, 0.0252), (0.375, 0.375, 0.375)
     iterations = []
     scaling = sdp._nt_scaling
 

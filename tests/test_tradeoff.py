@@ -184,25 +184,29 @@ def test_surface_scan_builds_one_model_point(monkeypatch, copies):
 
 def _scan_one_triple_at_a_time(theta, planes):
     """The scan's vertex search as a loop over plane triples, counting the
-    triples each branch discards."""
+    triples each branch discards. The tolerances are relative to the normals'
+    sizes: a sine for parallel pairs, a normalized volume for singular
+    triples, and the plane tests in units of each normal's 1-norm."""
     floor = 1.0 - np.asarray(theta) ** 2
     normals = np.array([p.weights.array for p in planes])
     offsets = np.array([p.offset for p in planes])
+    lengths = np.linalg.norm(normals, axis=1)
     fired = dict(parallel=0, singular=0, floor=0, plane=0, box=0)
     candidates = []
     for i, j, k in itertools.combinations(range(len(planes)), 3):
         n = normals[[i, j, k]]
-        if min(np.linalg.norm(np.cross(n[a], n[b])) for a, b in ((0, 1), (0, 2), (1, 2))) < PARALLEL_NORMAL_TOL:
+        if any(np.linalg.norm(np.cross(normals[a], normals[b])) < PARALLEL_NORMAL_TOL * lengths[a] * lengths[b]
+               for a, b in ((i, j), (i, k), (j, k))):
             fired["parallel"] += 1
             continue
-        if abs(np.linalg.det(n)) < PARALLEL_NORMAL_TOL:
+        if abs(np.linalg.det(n)) < PARALLEL_NORMAL_TOL * lengths[i] * lengths[j] * lengths[k]:
             fired["singular"] += 1
             continue
         v = np.linalg.solve(n, offsets[[i, j, k]])
         if np.any(v < floor - SURFACE_FEAS_TOL):
             fired["floor"] += 1
             continue
-        if np.any(normals @ v < offsets - SURFACE_FEAS_TOL):
+        if np.any(normals @ v < offsets - SURFACE_FEAS_TOL * np.abs(normals).sum(axis=1)):
             fired["plane"] += 1
             continue
         if np.any(v > VERTEX_BOX_LIMIT):
@@ -302,18 +306,38 @@ def test_batched_scan_matches_triple_loop_over_many_batches():
     assert np.array_equal(np.array([v.array for v in scan.vertices]), vertices)
 
 
+@settings(max_examples=30, deadline=None)
+@given(k=st.integers(-20, 20).map(lambda m: 2 * m), n=st.integers(2, 4),
+       theta_copies=st.sampled_from([((0.0, 0.0, 0.0), 1), ((0.0, 0.0, 0.0), 2),
+                                     ((0.2, 0.1, 0.0), 1), ((-0.3, 0.2, 0.4), 1)]))
+def test_scan_depends_only_on_weight_ratios(k, n, theta_copies):
+    # every tolerance is relative to the normals' sizes, so scaling the grid
+    # by 4^m keeps the vertices and the clipped count; an even power keeps
+    # the closed forms' square roots exact
+    theta, copies = theta_copies
+    grid = [w for _, w in integer_weight_triples(values=tuple(range(1, n + 1)))]
+    scan = surface_scan(theta, copies, grid)
+    scaled = surface_scan(theta, copies, [WeightSpec(*np.ldexp(w.array, k)) for w in grid])
+    assert scaled.clipped == scan.clipped
+    assert len(scaled.vertices) == len(scan.vertices) > 0
+    assert np.allclose([v.array for v in scaled.vertices], [v.array for v in scan.vertices],
+                       rtol=1e-12, atol=0.0)
+
+
 @pytest.mark.parametrize("n, planes, batches", [(2, 7, 1), (3, 25, 4), (4, 55, 9), (5, 115, 55)])
 def test_vertex_search_batches(monkeypatch, n, planes, batches):
     # at most P^2 triples a batch, and from 81 planes on at most
     # SCAN_BATCH_ENTRIES plane checks (triples x planes)
+    # (each batch decodes its triple indices with one right-sided searchsorted)
     sizes = []
-    det = np.linalg.det
+    searchsorted = np.searchsorted
 
-    def recording(a):
-        sizes.append(len(a))
-        return det(a)
+    def recording(a, v, side="left", sorter=None):
+        if side == "right":
+            sizes.append(len(v))
+        return searchsorted(a, v, side=side, sorter=sorter)
 
-    monkeypatch.setattr(np.linalg, "det", recording)
+    monkeypatch.setattr(np, "searchsorted", recording)
     grid = [w for _, w in integer_weight_triples(values=tuple(range(1, n + 1)))]
     scan = surface_scan((0.0, 0.0, 0.0), 1, grid)
     assert len(scan.planes) == planes and scan.vertices
