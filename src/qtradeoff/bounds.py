@@ -20,8 +20,8 @@ moments; reported observables are recentred as X_i + theta_i I.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 import numpy as np
 
@@ -82,20 +82,32 @@ class BoundValue:
 
 
 def qcrb(point: ModelPoint, weights) -> BoundValue:
-    """Weighted quantum Cramer-Rao bound Tr[W J^-1] = Tr[W] - theta.W theta.
+    """Weighted quantum Cramer-Rao bound Tr[W J^-1] = sum_i w_i (1 - theta_i^2).
 
     The inverse single-qubit information is exactly I - theta theta^T, and
     information is additive over copies, so the per-qubit value does not
-    depend on the copy count.
+    depend on the copy count. Each 1 - theta_i^2 is taken as
+    (1 - theta_i)(1 + theta_i), accurate however close theta_i is to +-1.
     """
     t = point.theta.array
     w = as_weights(weights).array
-    return BoundValue(value=float(w.sum() - t @ (w * t)), normalization="per_qubit",
-                      method="qcrb", copies=point.copies)
+    return BoundValue(value=float((w * ((1.0 - t) * (1.0 + t))).sum()),
+                      normalization="per_qubit", method="qcrb", copies=point.copies)
+
+
+def _weight_scale(w: np.ndarray):
+    """(k, 2^-k w) for the even k, per row of w (... x 3), at which the weights
+    sum to within [1/2, 2). Every bound is linear in W, so its value at
+    2^-k W scaled back by 2^k is exact, and an even k keeps square roots
+    exact: each bound depends only on the weights' ratios, bit for bit, and
+    their products stay finite. Summing quarters keeps the sum finite.
+    """
+    k = 2 * (np.frexp(np.sum(0.25 * w, axis=-1))[1] // 2 + 1)
+    return k, np.ldexp(w, -k[..., None])
 
 
 def holevo(point: ModelPoint, weights) -> BoundValue:
-    """Holevo bound per qubit, Tr[W] - theta.W theta + 2 |v|.
+    """Holevo bound per qubit, the QCRB plus 2 |v|.
 
     The locally unbiased observables of one qubit are unique,
     X_i = sigma_i - theta_i I, so the bound is the QCRB plus the trace norm
@@ -103,13 +115,14 @@ def holevo(point: ModelPoint, weights) -> BoundValue:
     Z_ij = Tr[rho X_i X_j] = delta_ij - theta_i theta_j + i eps_ijk theta_k.
     That trace norm is 2 |v| with v_k = sqrt(w_i w_j) theta_k over cyclic (i, j, k),
     which equals 2 sqrt(wx wy wz) |W^-1/2 theta| without dividing by a weight.
-    The bound is additive, so the per-qubit value is also the many-copy
-    collective limit and does not depend on the copy count.
+    It is evaluated at the weights of _weight_scale. The bound is additive,
+    so the per-qubit value is also the many-copy collective limit and does
+    not depend on the copy count.
     """
     t = point.theta.array
-    w = as_weights(weights).array
+    k, w = _weight_scale(as_weights(weights).array)
     v = np.sqrt(w[[1, 2, 0]] * w[[2, 0, 1]]) * t
-    value = float(w.sum() - t @ (w * t) + 2.0 * np.linalg.norm(v))
+    value = float(np.ldexp(qcrb(point, WeightSpec(*w)).value + 2.0 * np.linalg.norm(v), k))
     return BoundValue(value=value, normalization="per_qubit", method="holevo",
                       copies=point.copies)
 
@@ -117,13 +130,12 @@ def holevo(point: ModelPoint, weights) -> BoundValue:
 def nhcrb_analytic(point: ModelPoint, weights) -> BoundValue | None:
     """Closed form of the collective bound per qubit, where one exists; else None.
 
-    One copy, any theta: the Gill-Massar value (sum_k sqrt(lambda_k))^2 per
-    measurement, with lambda the eigenvalues of W - u u^T, u = W^1/2 theta.
-    That matrix has the spectrum of J^-1/2 W J^-1/2, since
-    J^-1 = I - theta theta^T; at theta = 0 the value is (sum_i sqrt(w_i))^2.
-    Two copies at theta = 0: (sum_i w_i + sum_{i<j} sqrt(w_i w_j))/2 per
-    measurement. Two copies off the origin have no closed form: use
-    nhcrb_sdp. The value is _closed_forms' for the one weight row.
+    One copy, any theta: the Gill-Massar value (sum_k sqrt(lambda_k))^2,
+    with lambda the eigenvalues of W - u u^T, u = W^1/2 theta, the spectrum
+    of J^-1/2 W J^-1/2, since J^-1 = I - theta theta^T. Two copies at
+    theta = 0: sum_i w_i + sum_{i<j} sqrt(w_i w_j) per qubit (Gill and
+    Massar, PRA 61, 042312, 2000). Two copies off the origin have no closed
+    form: use nhcrb_sdp. The value is _closed_forms' for the one weight row.
     """
     values = _closed_forms(point, as_weights(weights).array[None, :])
     if values is None:
@@ -136,27 +148,39 @@ def _closed_forms(point: ModelPoint, w: np.ndarray) -> list | None:
     """nhcrb_analytic's values per qubit, as floats, for each row of the
     weight stack w (n x 3) at one point; None where no closed form exists.
 
-    One copy takes one eigvalsh over the stacked matrices W - u u^T. Each
-    sum of square roots is squared as a float, by libm pow, as the
-    single-row formula squares its numpy scalar; an array's ** 2 is x * x,
-    which rounds differently in about one case in a thousand.
+    Both are e1 + m q (m = 2 for one copy, 1 for two) at the weights of
+    _weight_scale, with e1 = sum_i w_i (1 - theta_i^2), the QCRB, and
+    q = sum_{i<j} sqrt(lambda_i lambda_j) over the eigenvalues of W - u u^T,
+    lambda = w at theta = 0. Elsewhere q is the root of f(q) = q^2 - e2 -
+    2 sqrt(e3 (e1 + 2 q)), with e2 = sum_{i<j} w_i w_j (theta_k^2 + mixed),
+    k the third index, e3 = w_1 w_2 w_3 mixed and mixed = 1 - |theta|^2,
+    rounded once from its exact rational value. f is convex, so Newton descends
+    monotonically from the smaller of two upper bounds on q, the origin's
+    value (interlacing) and sqrt(e2 + 2 sqrt(3 e1 e3)) (Cauchy-Schwarz),
+    until a step no longer lowers q. The root is double only at q = 0,
+    where e2 = e3 = 0 and the second start is exact.
     """
-    copies = point.copies
-    if copies == 1:
-        u = np.sqrt(w) * point.theta.array
-        diagonal = np.arange(3)
-        m = np.zeros((len(w), 3, 3))
-        m[:, diagonal, diagonal] = w
-        m -= u[:, :, None] * u[:, None, :]
-        sums = np.sqrt(np.clip(np.linalg.eigvalsh(m), 0.0, None)).sum(axis=1)
-        pm = [s ** 2 for s in sums.tolist()]
-    elif point.theta.norm == 0.0:
-        rw = np.sqrt(w)
-        cross = rw[:, 0] * rw[:, 1] + rw[:, 0] * rw[:, 2] + rw[:, 1] * rw[:, 2]
-        pm = (0.5 * (w.sum(axis=1) + cross)).tolist()
-    else:
+    t = point.theta.array
+    if point.copies == 2 and t.any():
         return None
-    return [convert_normalization(v, copies, "per_measurement", "per_qubit") for v in pm]
+    k, w = _weight_scale(w)
+    r = np.sqrt(w)
+    q = r[:, 0] * r[:, 1] + r[:, 0] * r[:, 2] + r[:, 1] * r[:, 2]
+    e1 = (w * ((1.0 - t) * (1.0 + t))).sum(axis=1)
+    if t.any():
+        mixed = max(0.0, float(1 - sum(Fraction(x) ** 2 for x in t)))
+        e2 = (w[:, [0, 0, 1]] * w[:, [1, 2, 2]] * (t[::-1] ** 2 + mixed)).sum(axis=1)
+        g = np.sqrt(w[:, 0] * w[:, 1] * w[:, 2] * mixed)
+        q = np.minimum(q, np.sqrt(e2 + 2.0 * np.sqrt(3.0 * e1) * g))
+        while True:
+            # f / f' = p f / 2 (q p - g), p = sqrt(e1 + 2 q); q p - g > 0 where
+            # q > 0, as at the root it is a product of sums of sqrt(lambda_k)
+            p = np.sqrt(e1 + 2.0 * q)
+            lower = q - p * (q * q - e2 - 2.0 * g * p) / np.where(q > 0.0, 2.0 * (q * p - g), 1.0)
+            if not (lower < q).any():
+                break
+            q = np.minimum(q, lower)
+    return np.ldexp(e1 + (3 - point.copies) * q, k).tolist()
 
 
 def _hermitian_basis(sizes) -> np.ndarray:
@@ -376,12 +400,11 @@ def nhcrb_sdp(point: ModelPoint, weights) -> BoundValue:
     """Collective bound per qubit at an arbitrary interior point, by SDP.
 
     Needs strictly positive weights (the dual start blockdiag(w_i I, t I) is
-    built from them). The bound is linear in W, so the SDP is solved at
-    2^-k W with k = round(log2 sum_i w_i), whose weights sum to about one,
-    and value and gap are scaled back by 2^k: both are exact, the solver's
+    built from them). The SDP is solved at 2^-k W, k from _weight_scale, and
+    value and gap are scaled back by 2^k: both are exact, the solver's
     stopping test sees the same problem at every scale, and weights that sum
-    to one are solved as given. The value and the gap come from the
-    certified bracket (_certified_bracket) at the iterate solve_lmi returns,
+    to within [1/2, 2) are solved as given. The value and the gap come from
+    the certified bracket (_certified_bracket) at the iterate solve_lmi returns,
     converged or not: the optimum lies in [value - gap, value]. `iterations`
     is None where the solver stopped short.
     """
@@ -390,13 +413,10 @@ def nhcrb_sdp(point: ModelPoint, weights) -> BoundValue:
         raise ValueError(
             f"Bloch norm {point.theta.norm:.8f} too close to the sphere for the SDP"
         )
-    # summing quarters keeps the sum finite at weights near the largest
-    # float, where the scaled-back value may overflow to inf
-    k = round(math.log2(np.sum(0.25 * w.array)) + 2.0)
-    scaled = WeightSpec(*np.ldexp(w.array, -k))
-    problem = nh_problem(point, scaled)
+    k, scaled = _weight_scale(w.array)
+    problem = nh_problem(point, WeightSpec(*scaled))
     result = sdp.solve_lmi(problem.c, problem.F0, problem.Fs, problem.y0, problem.Z0)
-    lower, value = _certified_bracket(problem, scaled.array, result.y, result.Z)
+    lower, value = _certified_bracket(problem, scaled, result.y, result.Z)
     value, gap = (float(np.ldexp(x, k)) for x in (value, value - lower))
     return BoundValue(value=value, normalization="per_measurement", method="sdp",
                       copies=point.copies, gap=gap,

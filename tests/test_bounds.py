@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -241,21 +242,40 @@ def test_analytic_matches_gill_massar():
         assert nhcrb_analytic(model_point(BlochVector(*theta), copies=2), WeightSpec(*w)) is None
 
 
-def _scalar_closed_form(point, w):
-    """nhcrb_analytic's value per qubit for one weight row, computed as it
-    was before the closed forms were stacked; None where there is none."""
-    copies = point.copies
-    if copies == 1:
-        u = np.sqrt(w) * point.theta.array
-        lam = np.linalg.eigvalsh(np.diag(w) - np.outer(u, u))
-        pm = float(np.sqrt(np.clip(lam, 0.0, None)).sum() ** 2)
-    elif point.theta.norm == 0.0:
-        rw = np.sqrt(w)
-        cross = rw[0] * rw[1] + rw[0] * rw[2] + rw[1] * rw[2]
-        pm = 0.5 * float(w.sum() + cross)
-    else:
-        return None
-    return convert_normalization(pm, copies, "per_measurement", "per_qubit")
+def _mp_closed_form(theta, w, copies):
+    """The closed form per qubit at 60 digits from mpmath's eigenvalues
+    lambda of W - u u^T, u = W^1/2 theta: sum_k lambda_k + (3 - copies) q with
+    q = sum_{i<j} sqrt(lambda_i lambda_j), which is (sum_k sqrt(lambda_k))^2
+    for one copy and sum_i w_i + sum_{i<j} sqrt(w_i w_j) for two at the origin."""
+    with mpmath.workdps(60):
+        t = [mpmath.mpf(float(x)) for x in theta]
+        u = [mpmath.sqrt(mpmath.mpf(float(x))) * y for x, y in zip(w, t)]
+        m = mpmath.matrix([[(float(w[i]) if i == j else 0) - u[i] * u[j] for j in range(3)]
+                           for i in range(3)])
+        lam = [max(x, 0) for x in mpmath.eigsy(m, eigvals_only=True)]
+        s = [mpmath.sqrt(x) for x in lam]
+        return sum(lam) + (3 - copies) * (s[0] * s[1] + s[0] * s[2] + s[1] * s[2])
+
+
+def _mp_qcrb(theta, w):
+    """The QCRB per qubit at 60 digits, sum_i w_i (1 - theta_i^2)."""
+    with mpmath.workdps(60):
+        return sum(mpmath.mpf(float(x)) * (1 - mpmath.mpf(float(y)) ** 2)
+                   for x, y in zip(w, theta))
+
+
+def _mp_holevo(theta, w):
+    """The Holevo bound per qubit at 60 digits, the QCRB plus
+    2 (sum_k w_i w_j theta_k^2)^1/2 over cyclic (i, j, k)."""
+    with mpmath.workdps(60):
+        t = [mpmath.mpf(float(x)) for x in theta]
+        v = [mpmath.mpf(float(x)) for x in w]
+        return _mp_qcrb(theta, w) + 2 * mpmath.sqrt(
+            sum(v[(k + 1) % 3] * v[(k + 2) % 3] * t[k] ** 2 for k in range(3)))
+
+
+def _relative_error(got, want):
+    return float(abs(got - want) / want) if want else abs(got)
 
 
 def test_stacked_closed_forms_equal_the_scalar_formula_bitwise():
@@ -263,6 +283,8 @@ def test_stacked_closed_forms_equal_the_scalar_formula_bitwise():
     # ball, a third of them at the origin; two copies at the origin and, at
     # four points, off it, where there is no closed form. Weights are
     # log-uniform over six decades, and every fifth row has a zero weight.
+    # The stack is bit for bit nhcrb_analytic row by row, and within 2e-15
+    # of 60-digit mpmath.
     rng = np.random.default_rng(18)
     compared = 0
     for n in range(48):
@@ -275,16 +297,77 @@ def test_stacked_closed_forms_equal_the_scalar_formula_bitwise():
         point = model_point(theta, copies=copies)
         w = 10.0 ** rng.uniform(-3.0, 3.0, size=(50, 3))
         w[::5, n % 3] = 0.0
-        want = [_scalar_closed_form(point, row) for row in w]
         got = bounds._closed_forms(point, w)
-        if want[0] is None:
+        if copies == 2 and theta.norm > 0.0:
             assert got is None
             assert all(nhcrb_analytic(point, WeightSpec(*row)) is None for row in w)
             continue
-        assert got == want
-        assert [nhcrb_analytic(point, WeightSpec(*row)).value for row in w] == want
+        assert got == [nhcrb_analytic(point, WeightSpec(*row)).value for row in w]
+        for value, row in zip(got, w):
+            assert _relative_error(value, _mp_closed_form(theta.array, row, copies)) <= 2e-15
         compared += len(w)
     assert compared >= 2000
+
+
+def _mpmath_oracle_inputs():
+    """1000 seeded points with |theta| <= 0.999, 200 of them within 0.01 of
+    the sphere near an axis, with log-uniform weights over 16 decades, then
+    the input on which an eigvalsh-based closed form was off by 1.5e-8."""
+    rng = np.random.default_rng(22)
+    for n in range(1000):
+        v = rng.normal(size=3)
+        radius = rng.uniform(0.0, 0.999)
+        if n % 5 == 0:
+            v[rng.permutation(3)[:2]] *= 10.0 ** rng.uniform(-6.0, 0.0, size=2)
+            radius = rng.uniform(0.99, 0.999)
+        yield radius * v / np.linalg.norm(v), 10.0 ** rng.uniform(-8.0, 8.0, size=3)
+    yield np.array([-0.2705, -0.4537, -0.3660]), np.array([3.46e-6, 1e-16, 1.0])
+
+
+def test_closed_forms_holevo_and_qcrb_match_60_digit_mpmath():
+    for n, (theta, w) in enumerate(_mpmath_oracle_inputs()):
+        point = model_point(BlochVector(*theta))
+        got = nhcrb_analytic(point, WeightSpec(*w)).value
+        assert _relative_error(got, _mp_closed_form(theta, w, 1)) <= 2e-15
+        assert _relative_error(holevo(point, WeightSpec(*w)).value, _mp_holevo(theta, w)) <= 2e-15
+        assert _relative_error(qcrb(point, WeightSpec(*w)).value, _mp_qcrb(theta, w)) <= 2e-15
+        if n % 10 == 0:
+            for copies in (1, 2):
+                got = nhcrb_analytic(model_point(ORIGIN, copies), WeightSpec(*w)).value
+                assert _relative_error(got, _mp_closed_form(np.zeros(3), w, copies)) <= 2e-15
+
+
+@pytest.mark.parametrize("theta, copies", [((0.0, 0.0, 0.0), 1), ((0.0, 0.0, 0.0), 2),
+                                           ((0.3, -0.2, 0.1), 1), ((-0.2705, -0.4537, -0.366), 1),
+                                           ((0.0, 0.0, 1.0), 1), ((0.6, 0.0, -0.79), 1)])
+@pytest.mark.parametrize("weights", [(1.0, 4.0, 9.0), (3.46e-6, 1e-16, 1.0), (0.3, 0.3, 0.4),
+                                     (1e8, 1.0, 1e-8)])
+def test_closed_forms_and_holevo_scale_bitwise_by_powers_of_four(theta, copies, weights):
+    # c(theta, 4^j W) = 4^j c(theta, W) to the bit for j in [-250, 250]:
+    # every bound is evaluated at the weights scaled to sum to within [1/2, 2)
+    point = model_point(BlochVector(*theta), copies)
+    w = np.array(weights)
+    j = np.arange(-250, 251)
+    rows = np.ldexp(w, 2 * j[:, None])
+    base = bounds._closed_forms(point, w[None, :])[0]
+    assert bounds._closed_forms(point, rows) == np.ldexp(base, 2 * j).tolist()
+    base = holevo(point, WeightSpec(*w)).value
+    scaled = [holevo(point, WeightSpec(*row)).value for row in rows]
+    assert scaled == np.ldexp(base, 2 * j).tolist()
+
+
+@pytest.mark.parametrize("copies", [1, 2])
+@pytest.mark.parametrize("theta", [(0.0, 0.0, 0.0), (0.1, 0.2, 0.1)])
+def test_every_bound_is_finite_at_weights_near_the_largest_float(theta, copies):
+    # products of the weights would overflow; the scaled ones do not
+    point = model_point(BlochVector(*theta), copies)
+    w = WeightSpec(1e300, 1e300, 1e300)
+    got = nhcrb_sdp(point, w)
+    assert np.isfinite([qcrb(point, w).value, holevo(point, w).value, got.value, got.gap]).all()
+    assert 0.0 <= got.gap <= 1e-6 * got.value
+    closed = nhcrb_analytic(point, w)
+    if closed is not None:
+        assert got.value - got.gap <= closed.value <= got.value
 
 
 # Two-copy inputs on which the interior-point solver used to stop with "lost

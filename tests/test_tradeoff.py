@@ -167,6 +167,21 @@ def test_single_copy_scan_at_an_axis_pure_state(theta, n):
     assert min(v.array[axis] for v in scan.vertices) < 1e-12
 
 
+def test_single_copy_scan_at_a_pure_axis_state_has_exact_planes():
+    # at theta = (0, 0, 1), W - u u^T = diag(wx, wy, 0), so each offset is
+    # (sqrt(wx) + sqrt(wy))^2; an offset off by the square root of a
+    # rounding error splits each vertex into a cluster of near copies
+    grid = [w for _, w in integer_weight_triples(values=(1, 2, 3, 4))]
+    scan = surface_scan((0.0, 0.0, 1.0), 1, grid)
+    for plane in scan.planes:
+        wx, wy, _ = plane.weights.array
+        want = (np.sqrt(wx) + np.sqrt(wy)) ** 2
+        assert abs(plane.offset - want) <= 1e-15 * want
+    v = np.array([v.array for v in scan.vertices])
+    apart = np.linalg.norm(v[:, None] - v[None, :], axis=-1)[np.triu_indices(len(v), 1)]
+    assert apart.min() > 1e-3
+
+
 @pytest.mark.parametrize("copies", [1, 2])
 def test_surface_scan_builds_one_model_point(monkeypatch, copies):
     calls = []
