@@ -135,15 +135,6 @@ def parse_weights(text):
     return as_weights(parse_triple(text, "weights"))
 
 
-@functools.cache
-def _grid_triples(n):
-    """The deduplicated integer weight grid 1..n, built once per n: its
-    WeightSpecs are frozen, so every command shares them."""
-    if n < 1:
-        raise ValueError("grid size must be at least 1")
-    return integer_weight_triples(tuple(range(1, n + 1)))
-
-
 def _complex_matrix_json(mat):
     return [[[z.real, z.imag] for z in row] for row in np.asarray(mat)]
 
@@ -241,14 +232,10 @@ def cmd_povm(args) -> int:
 
 def cmd_surface(args) -> int:
     theta = parse_theta(args.theta)
-    if args.weights is not None:
-        grid = ((None, parse_weights(args.weights)),)
-    else:
-        grid = _grid_triples(args.grid)
-    scan = surface_scan(theta, args.copies, tuple(w for _, w in grid))
-    payload = {"kind": "surface", **scan.to_json_dict()}
-    if all(u is not None for u, _ in grid):
-        payload["grid"] = [list(u) for u, _ in grid]
+    grid = integer_weight_triples(args.grid)
+    scan = surface_scan(theta, args.copies, [w for _, w in grid])
+    payload = {"kind": "surface", **scan.to_json_dict(),
+               "grid": [list(u) for u, _ in grid]}
     header = ["vx", "vy", "vz"]
     rows = [[v.vx, v.vy, v.vz] for v in scan.vertices]
     if theta.norm == 0.0:
@@ -375,7 +362,7 @@ def cmd_reproduce(args) -> int:
     if not os.path.isdir(existing):
         code = errno.EEXIST if existing == out else errno.ENOTDIR
         raise OSError(code, os.strerror(code), args.out)
-    grid = _grid_triples(args.grid)
+    grid = integer_weight_triples(args.grid)
     shots = args.shots if args.shots is not None else ORIGIN_SHOTS
     origin_rows, zs = _origin_rows(grid, shots, args.repeats, args.seed)
     sweep_rows = _sweep_rows(grid, args.repeats, args.seed)
@@ -444,7 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("surface", help="scan a trade-off surface")
     common(p, weights=False)
-    p.add_argument("--weights", default=None, help="single weight triple a,b,c")
     p.add_argument("--grid", type=int, default=3, help="integer grid 1..n per axis")
     p.set_defaults(func=cmd_surface)
 

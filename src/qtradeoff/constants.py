@@ -37,12 +37,12 @@ MLE_EIG_FLOOR = 1e-8            # Hessian eigenvalues floored to this fraction o
 # to its size, so a scan depends only on the weights' ratios.
 SURFACE_FEAS_TOL = 1e-6          # slack of w . V >= C(w), in units of |w|_1; of V_i >= floor
 VERTEX_MERGE_TOL = 1e-7
-# A sine and a normalized volume: two normals are parallel below
-# |n_a x n_b| / (|n_a||n_b|), three are singular below
-# |n_i . (n_j x n_k)| / (|n_i||n_j||n_k|).
+# A normalized volume: three normals are singular below
+# |n_i . (n_j x n_k)| / (|n_i||n_j||n_k|), as are any three with two of
+# them parallel.
 PARALLEL_NORMAL_TOL = 1e-10
 VERTEX_BOX_LIMIT = 50.0
-SCAN_BATCH_ENTRIES = 1 << 19     # plane checks (triples x planes) per vertex-search batch
+SCAN_BATCH_ENTRIES = 1 << 19     # screen tests (triples x (planes + 3)) per vertex-search batch
 # The vertex screen's width in eps * kappa * (1 + |x|_inf) for the Cramer
 # point x of the normals n_i, n_j, n_k, with
 # kappa = (|n_i|_1 + |n_j|_1 + |n_k|_1)(|n_i||n_j| + |n_j||n_k| + |n_k||n_i|) / |det|.

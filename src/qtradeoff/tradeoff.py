@@ -14,6 +14,7 @@ as its coordinate cut.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -176,18 +177,18 @@ def weights_from_boundary_point(p: MsePoint) -> WeightSpec:
     return WeightSpec(s * s, t * t, (1.0 - s - t) ** 2)
 
 
-def integer_weight_triples(values=(1, 2, 3)) -> tuple:
-    """Pairs (u, weights) with weights = Diag(u^2)/sum(u^2), deduplicated.
-
-    Proportional triples give the same normalized weights; the first
-    representative in lexicographic cube order is kept, so the default
-    (1,2,3) cube yields 25 distinct entries out of 27 raw triples.
+@functools.cache
+def integer_weight_triples(n: int = 3) -> tuple:
+    """Pairs (u, weights) with weights = Diag(u^2)/sum(u^2) for the triples
+    u in {1..n}^3 with gcd(u) = 1, in product order: one per ray, as the
+    first triple of a ray in that order is its primitive one, so n = 3 gives
+    25 of 27. Built once per n and shared, as WeightSpecs are frozen.
     """
-    seen = {}
-    for u in itertools.product(values, repeat=3):
-        w = WeightSpec.from_integers(u)
-        seen.setdefault(tuple(np.round(w.array, 12)), (tuple(int(v) for v in u), w))
-    return tuple(seen.values())
+    if n < 1:
+        raise ValueError(f"grid size must be at least 1, got {n}")
+    return tuple((u, WeightSpec.from_integers(u))
+                 for u in itertools.product(range(1, n + 1), repeat=3)
+                 if math.gcd(*u) == 1)
 
 
 def _merge_vertices(points: np.ndarray) -> np.ndarray:
@@ -223,15 +224,16 @@ def surface_scan(theta, copies: int, weight_grid) -> SurfaceScan:
     the SDP otherwise. The model point depends on theta alone, so one is
     built per scan and shared by every plane. Candidate vertices are the
     intersections of all plane triples with independent normals, taken in
-    batches of at most P^2 triples for P planes: no two normals parallel
-    and the triple product n_i . (n_j x n_k), from the pairs' cross
-    products, not singular, both relative to the normals' lengths
-    (PARALLEL_NORMAL_TOL). Each candidate is screened by its Cramer's-rule
-    point, and only those the screen cannot reject get LAPACK's solve; the
-    solved points feasible for every plane (w . V >= C(w) - SURFACE_FEAS_TOL
-    |w|_1), above the per-parameter floor 1 - theta_i^2 (within
-    SURFACE_FEAS_TOL), and inside the bounding box are kept, raised to at
-    least 0, deduplicated by `_merge_vertices`, and returned sorted.
+    batches of at most SCAN_BATCH_ENTRIES screen tests: the triple product
+    n_i . (n_j x n_k), from the pairs' cross products, is at least
+    PARALLEL_NORMAL_TOL |n_i||n_j||n_k|, which no triple with two parallel
+    normals meets, as |n_c . (n_a x n_b)| <= |n_c||n_a x n_b|. Each is
+    screened by its Cramer's-rule point, and only those the screen cannot
+    reject get LAPACK's solve; the solved points feasible for every plane
+    (w . V >= C(w) - SURFACE_FEAS_TOL |w|_1), above the per-parameter floor
+    1 - theta_i^2 (within SURFACE_FEAS_TOL), and inside the bounding box are
+    kept, raised to at least 0, deduplicated by `_merge_vertices`, and
+    returned sorted.
     Vertices discarded by the box alone are counted in `clipped`. Every test
     on a normal is relative to its size, so the scan depends only on the
     weights' ratios.
@@ -262,14 +264,11 @@ def surface_scan(theta, copies: int, weight_grid) -> SurfaceScan:
     # plane a start at pair_start[a], so (a, b) is pair_start[a] + b - a - 1
     pair_a, pair_b = np.triu_indices(n_planes, 1)
     pair_start = np.searchsorted(pair_a, np.arange(n_planes + 1))
-    # a pair is apart when its normals are not parallel, |n_a x n_b| at least
-    # PARALLEL_NORMAL_TOL |n_a||n_b|; the cross products, one row per
-    # component, also build the triple products and the Cramer points
+    # the pairs' cross products, one row per component, build the triple
+    # products and the Cramer points
     lengths = np.linalg.norm(normals, axis=1)
     pair_lengths = lengths[pair_a] * lengths[pair_b]
-    cross = np.cross(normals[pair_a], normals[pair_b])
-    apart = np.linalg.norm(cross, axis=-1) >= PARALLEL_NORMAL_TOL * pair_lengths
-    cross = np.ascontiguousarray(cross.T)
+    cross = np.ascontiguousarray(np.cross(normals[pair_a], normals[pair_b]).T)
     columns = np.ascontiguousarray(normals.T)
     # the screen's width is SCREEN_WIDTH eps kappa (1 + |x|_inf), with kappa
     # from the three normals' 1-norms and the products of their lengths
@@ -287,15 +286,12 @@ def surface_scan(theta, copies: int, weight_grid) -> SurfaceScan:
     tail = pair_start[1:]
     count = len(pair_a) - tail
     first = np.cumsum(count) - count
-    # batches of P^2 consecutive triples for P planes, so a grid-3 scan (25
-    # planes) takes four; the screen compares each triple with every plane,
-    # and from 81 planes on SCAN_BATCH_ENTRIES caps that matrix, which would
-    # otherwise hold P^3 entries
-    batch = min(n_planes * n_planes, max(1, SCAN_BATCH_ENTRIES // n_planes))
+    # batches of consecutive triples whose slack matrix (tests x triples),
+    # held in turn by one buffer, has at most SCAN_BATCH_ENTRIES entries: a
+    # grid-3 scan (25 planes) takes one batch and a grid-4 scan (55) three
+    batch = max(1, SCAN_BATCH_ENTRIES // len(tests))
     total = int(count.sum())
     survivors = [np.empty((0, 3), dtype=np.intp)]
-    # one buffer holds each batch's slack matrix (tests x triples) in turn,
-    # so the scan's peak memory is that of one such matrix
     buffer = np.empty(len(tests) * batch)
     for start in range(0, total, batch):
         t = np.arange(start, min(start + batch, total))
@@ -309,8 +305,7 @@ def surface_scan(theta, copies: int, weight_grid) -> SurfaceScan:
         # |n_i||n_j||n_k|
         det = (columns[0, i] * cross[0, jk] + columns[1, i] * cross[1, jk]
                + columns[2, i] * cross[2, jk])
-        keep = (apart[jk] & apart[ij] & apart[ik]
-                & (np.abs(det) >= PARALLEL_NORMAL_TOL * lengths[i] * pair_lengths[jk]))
+        keep = np.abs(det) >= PARALLEL_NORMAL_TOL * lengths[i] * pair_lengths[jk]
         i, j, k, jk, ij, ik, det = (a[keep] for a in (i, j, k, jk, ij, ik, det))
         # Cramer's rule, b_i n_j x n_k + b_j n_k x n_i + b_k n_i x n_j over
         # det (take keeps the gathered rows contiguous, where cross[:, jk]

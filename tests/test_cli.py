@@ -36,6 +36,19 @@ def test_exit_codes_for_bad_input(capsys):
     assert cli.main(["bounds", "--theta", "a,b,c"]) == 2
 
 
+def test_surface_takes_no_weights(capsys):
+    # a scan over one plane has no vertices; its offset is what bounds prints
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["surface", "--weights", "1,1,1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --weights" in capsys.readouterr().err
+
+
+def test_build_povm_rejects_an_unknown_choice():
+    with pytest.raises(ValueError, match="unknown povm 'bogus'"):
+        cli.build_povm("bogus", 1, povm_mod.WeightSpec(1, 1, 1))
+
+
 def test_exit_code_for_solver_failure(monkeypatch):
     def explode(*args, **kwargs):
         raise ConvergenceError("solver broke")
@@ -142,14 +155,6 @@ def test_surface_artifact_grid_dedup(tmp_path, schema):
     assert doc["clipped"] == 0
     # origin vertices sit on the forbidden side of the curved surface
     assert max(doc["vertex_residuals"]) < 1e-9
-
-
-def test_surface_single_plane(tmp_path, schema):
-    doc = run_json(tmp_path, ["surface", "--weights", "1,1,1", "--copies", "2"])
-    jsonschema.validate(doc, schema)
-    assert len(doc["planes"]) == 1
-    assert "grid" not in doc
-    assert abs(doc["planes"][0]["offset"] - 6.0) < 1e-9
 
 
 def _gill_massar(theta, weights):
@@ -367,7 +372,7 @@ def test_reproduce_with_one_repeat_is_a_validation_error(tmp_path, capsys):
 def test_reproduce_rows_draw_from_their_own_seeds():
     # at one seed, two rows with the same weights would be copies of each
     # other; with per-row seeds they draw different counts
-    u, w = cli.integer_weight_triples((1, 2))[1]
+    u, w = cli.integer_weight_triples(2)[1]
     origin, _ = cli._origin_rows(((u, w), (u, w)), 50, 5, 21)
     assert origin[0][6:11] != origin[1][6:11]
     sweep = cli._sweep_rows(((u, w), (u, w)), 5, 21)

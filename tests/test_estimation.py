@@ -81,6 +81,59 @@ def test_checked_probabilities():
     assert PROB_SUM_TOL < abs(p.sum() - 1.0) <= model.sum_tol
 
 
+def test_mle_counts_are_checked():
+    model = quadratic_probability_model(two_copy_optimal(EQUAL))
+    n = len(model.q0)
+    with pytest.raises(ValueError, match="shape"):
+        mle_estimator(np.ones((2, 2, n)), model)
+    with pytest.raises(ValueError, match="at least one shot"):
+        mle_estimator(np.zeros(n), model)
+    with pytest.raises(ValueError, match="at least one shot"):
+        mle_estimator(np.array([np.ones(n), np.zeros(n)]), model)
+    negative = np.ones(n)
+    negative[0] = -1.0
+    with pytest.raises(ValueError, match="nonnegative"):
+        mle_estimator(negative, model)
+    # an outcome whose element is zero, q0 = 0, cannot be observed
+    blind = QuadraticModel(np.append(model.q0, 0.0), np.vstack([model.G, np.zeros(3)]),
+                           np.concatenate([model.Q, np.zeros((1, 3, 3))]), model.sum_tol)
+    with pytest.raises(ValueError, match="POVM element is zero"):
+        mle_estimator(np.ones(n + 1), blind)
+
+
+def test_mle_start_is_halved_until_every_observed_outcome_is_possible(monkeypatch):
+    # six outcomes p = (1 +- theta_i)/6, with -+3 theta_x^2/6 on the x pair:
+    # all counts on +x put the linear start at the ball's edge on x, where
+    # p_+x = (1 + theta_x - 3 theta_x^2)/6 < 0; halved once, it is positive,
+    # and the likelihood p_+x peaks at theta_x = 1/6
+    eye = np.eye(3)
+    G = np.vstack([eye, -eye]) / 6.0
+    Q = np.zeros((6, 3, 3))
+    Q[0, 0, 0], Q[3, 0, 0] = -0.5, 0.5
+    model = QuadraticModel(np.full(6, 1.0 / 6.0), G, Q, PROB_SUM_TOL)
+    counts = np.array([100.0, 0, 0, 0, 0, 0])
+    start = estimation._project_ball(model.design @ (counts / 100.0),
+                                     0.9 * estimation.MLE_BALL_RADIUS)
+    assert model.probabilities(start)[0] <= 0.0 < model.probabilities(start / 2)[0]
+    evaluated = []
+    likelihood = estimation._likelihood
+
+    def recording(theta, *args):
+        out = likelihood(theta, *args)
+        evaluated.append((theta.copy(), out[0]))
+        return out
+
+    monkeypatch.setattr(estimation, "_likelihood", recording)
+    stats = {}
+    theta = mle_estimator(counts, model, stats=stats)
+    assert np.allclose(theta, [1.0 / 6.0, 0.0, 0.0], atol=1e-7)
+    # the Newton loop starts from the halved start
+    (first, f_first), (second, f_second) = evaluated[:2]
+    assert np.array_equal(first[0], start) and f_first[0] == np.inf
+    assert np.array_equal(second[0], start / 2) and np.isfinite(f_second[0])
+    assert stats["on_boundary"] == 0
+
+
 def _philox(*key):
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(list(key))))
 

@@ -59,6 +59,18 @@ def test_bloch_vector_validation():
     )
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_bloch_vector_rejects_a_non_finite_component(bad):
+    with pytest.raises(ValueError, match="finite"):
+        BlochVector(0.0, bad, 0.0)
+
+
+@pytest.mark.parametrize("seq", [[0.1, 0.2], [0.1, 0.2, 0.3, 0.4]])
+def test_bloch_vector_from_sequence_needs_three_components(seq):
+    with pytest.raises(ValueError, match=f"expected 3 components, got {len(seq)}"):
+        BlochVector.from_sequence(seq)
+
+
 def test_density_matrix_basics():
     theta = BlochVector(0.2, -0.1, 0.4)
     rho = density_matrix(theta)

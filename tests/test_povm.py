@@ -79,6 +79,18 @@ def test_weight_spec_zero_allowed_but_gated():
         WeightSpec(0.0, 0.0, 0.0)
 
 
+def test_weight_spec_input_checks():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            WeightSpec(1.0, bad, 1.0)
+    with pytest.raises(ValueError, match="expected 3 weights, got 2"):
+        WeightSpec.from_sequence([1.0, 2.0])
+    assert WeightSpec.from_sequence([1, 4, 9]) == WeightSpec(1.0, 4.0, 9.0)
+    for u in ((1, 2), (1, 2, 3, 4), (1, 0, 2), (1, -2, 3)):
+        with pytest.raises(ValueError, match="positive triple"):
+            WeightSpec.from_integers(u)
+
+
 def test_single_copy_completeness_and_psd():
     rng = np.random.default_rng(7)
     for _ in range(100):

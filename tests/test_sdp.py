@@ -155,6 +155,72 @@ def test_stall_returns_the_last_pair_that_passed_cholesky(monkeypatch):
     assert np.abs(F0 + np.tensordot(res.y, Fs, axes=1) - S).max() < 1e-12 * np.abs(S).max()
 
 
+@pytest.fixture
+def scaled_pairs(monkeypatch):
+    """The (S, Z) of every iterate that passed _nt_scaling, in order."""
+    pairs = []
+    scaling = sdp._nt_scaling
+
+    def recording(S, Z):
+        out = scaling(S, Z)
+        pairs.append((S, Z))
+        return out
+
+    monkeypatch.setattr(sdp, "_nt_scaling", recording)
+    return pairs
+
+
+def _returns_the_last_trusted_pair(problem, res, pairs):
+    assert res.iterations is None
+    S, Z = pairs[-1]
+    assert res.Z is Z
+    F0, Fs = problem[1:3]
+    assert np.abs(F0 + np.tensordot(res.y, Fs, axes=1) - S).max() < 1e-12 * np.abs(S).max()
+
+
+def test_collapsed_steps_return_the_last_trusted_pair(monkeypatch, scaled_pairs):
+    # from the third iterate on, both step lengths collapse below 1e-13
+    max_steps = sdp._max_steps
+
+    def collapsing(lam, dlamS, dlamZ):
+        return np.full(2, 1e-15) if len(scaled_pairs) >= 3 else max_steps(lam, dlamS, dlamZ)
+
+    monkeypatch.setattr(sdp, "_max_steps", collapsing)
+    problem = lambda_max_problem(np.diag([1.0, -2.0, 3.5]))
+    res = solve_lmi(*problem)
+    assert len(scaled_pairs) == 3
+    _returns_the_last_trusted_pair(problem, res, scaled_pairs)
+
+
+def test_a_cholesky_failure_after_the_first_iterate_returns_the_last_trusted_pair(
+        monkeypatch, scaled_pairs):
+    # from the second iterate on, steps of 1.2 times the largest feasible
+    # length, short of a full step, leave the cone, and the third iterate's
+    # Cholesky factorization fails
+    max_steps = sdp._max_steps
+
+    def overshooting(lam, dlamS, dlamZ):
+        return (1.2 if len(scaled_pairs) >= 2 else 1.0) * max_steps(lam, dlamS, dlamZ)
+
+    monkeypatch.setattr(sdp, "_max_steps", overshooting)
+    failures = []
+    cholesky = sdp._cholesky
+
+    def recording(a, what):
+        try:
+            return cholesky(a, what)
+        except ConvergenceError as exc:
+            failures.append(str(exc))
+            raise
+
+    monkeypatch.setattr(sdp, "_cholesky", recording)
+    problem = lambda_max_problem(np.diag([1.0, -2.0, 3.5]))
+    res = solve_lmi(*problem)
+    assert failures == ["dual iterate lost positive definiteness"]
+    assert len(scaled_pairs) == 2
+    _returns_the_last_trusted_pair(problem, res, scaled_pairs)
+
+
 def test_failure_before_any_trusted_iterate_raises(monkeypatch):
     def no_scaling(S, Z):
         raise ConvergenceError("scaled iterate lost positive definiteness")

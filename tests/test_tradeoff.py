@@ -1,4 +1,6 @@
+import importlib.util
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -100,6 +102,31 @@ def test_integer_weight_triples_dedup():
         assert np.abs(w.array - sq / sq.sum()).max() < 1e-12
 
 
+def _rounding_key_grid(n):
+    """The grid 1..n deduplicated by a 12-decimal rounding key of the
+    weights: the first triple of each key in product order."""
+    seen = {}
+    for u in itertools.product(range(1, n + 1), repeat=3):
+        w = WeightSpec.from_integers(u)
+        seen.setdefault(tuple(np.round(w.array, 12)), (u, w))
+    return tuple(seen.values())
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_primitive_triples_are_the_rounding_key_grid(n):
+    triples = integer_weight_triples(n)
+    assert triples == _rounding_key_grid(n)
+    assert integer_weight_triples(n) is triples
+
+
+def test_grid_3_is_the_benchmark_grid():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    assert [tuple(w.array) for _, w in integer_weight_triples(3)] == list(workloads.grid_weights())
+
+
 def test_surface_scan_origin():
     grid = [w for _, w in integer_weight_triples()]
     for copies, resid in ((1, single_copy_surface_residual), (2, two_copy_surface_residual)):
@@ -133,7 +160,7 @@ def test_surface_scan_empty_grid():
 def test_surface_scan_interior_point():
     # off the origin, one copy takes its planes from the closed form and two
     # copies from the SDP
-    grid = [w for _, w in integer_weight_triples(values=(1, 2))]
+    grid = [w for _, w in integer_weight_triples(2)]
     floor = 1.0 - np.array([0.2, 0.0, 0.0]) ** 2
     for copies in (1, 2):
         scan = surface_scan((0.2, 0.0, 0.0), copies, grid)
@@ -154,7 +181,7 @@ def test_surface_scan_interior_point():
 def test_single_copy_scan_at_an_axis_pure_state(theta, n):
     # the floor 1 - theta_i^2 is 0 on the pure axis, where rounding in the
     # plane intersection can put a vertex coordinate just below it
-    grid = [w for _, w in integer_weight_triples(values=tuple(range(1, n + 1)))]
+    grid = [w for _, w in integer_weight_triples(n)]
     scan = surface_scan(theta, 1, grid)
     assert scan.vertices
     axis = theta.index(1.0)
@@ -171,7 +198,7 @@ def test_single_copy_scan_at_a_pure_axis_state_has_exact_planes():
     # at theta = (0, 0, 1), W - u u^T = diag(wx, wy, 0), so each offset is
     # (sqrt(wx) + sqrt(wy))^2; an offset off by the square root of a
     # rounding error splits each vertex into a cluster of near copies
-    grid = [w for _, w in integer_weight_triples(values=(1, 2, 3, 4))]
+    grid = [w for _, w in integer_weight_triples(4)]
     scan = surface_scan((0.0, 0.0, 1.0), 1, grid)
     for plane in scan.planes:
         wx, wy, _ = plane.weights.array
@@ -191,7 +218,7 @@ def test_surface_scan_builds_one_model_point(monkeypatch, copies):
         return model_point(theta, copies)
 
     monkeypatch.setattr(tradeoff, "model_point", counting)
-    grid = [w for _, w in integer_weight_triples(values=(1, 2))]
+    grid = [w for _, w in integer_weight_triples(2)]
     scan = surface_scan((0.2, 0.0, 0.0), copies, grid)
     assert len(scan.planes) == len(grid) > 1
     assert calls == [copies]
@@ -304,15 +331,15 @@ def test_screened_scan_matches_triple_loop(seed, n, direction, radius):
 def test_scan_offsets_are_the_closed_form_values(theta, copies):
     # the grid's offsets come from one stacked pass, bit for bit the value
     # of nhcrb_analytic for each weight on its own
-    grid = [w for _, w in integer_weight_triples(values=(1, 2, 3, 4))]
+    grid = [w for _, w in integer_weight_triples(4)]
     scan = surface_scan(theta, copies, grid)
     point = model_point(BlochVector(*theta), copies)
     assert [p.offset for p in scan.planes] == [nhcrb_analytic(point, w).value for w in grid]
 
 
 def test_batched_scan_matches_triple_loop_over_many_batches():
-    # the grid-4 weights: 55 planes and 26,235 triples, nine batches
-    grid = [w for _, w in integer_weight_triples(values=(1, 2, 3, 4))]
+    # the grid-4 weights: 55 planes and 26,235 triples, three batches
+    grid = [w for _, w in integer_weight_triples(4)]
     theta = (0.2, 0.1, 0.0)
     scan = surface_scan(theta, 1, grid)
     vertices, fired = _scan_one_triple_at_a_time(theta, scan.planes)
@@ -330,7 +357,7 @@ def test_scan_depends_only_on_weight_ratios(k, n, theta_copies):
     # by 4^m keeps the vertices and the clipped count; an even power keeps
     # the closed forms' square roots exact
     theta, copies = theta_copies
-    grid = [w for _, w in integer_weight_triples(values=tuple(range(1, n + 1)))]
+    grid = [w for _, w in integer_weight_triples(n)]
     scan = surface_scan(theta, copies, grid)
     scaled = surface_scan(theta, copies, [WeightSpec(*np.ldexp(w.array, k)) for w in grid])
     assert scaled.clipped == scan.clipped
@@ -339,10 +366,9 @@ def test_scan_depends_only_on_weight_ratios(k, n, theta_copies):
                        rtol=1e-12, atol=0.0)
 
 
-@pytest.mark.parametrize("n, planes, batches", [(2, 7, 1), (3, 25, 4), (4, 55, 9), (5, 115, 55)])
+@pytest.mark.parametrize("n, planes, batches", [(2, 7, 1), (3, 25, 1), (4, 55, 3), (5, 115, 56)])
 def test_vertex_search_batches(monkeypatch, n, planes, batches):
-    # at most P^2 triples a batch, and from 81 planes on at most
-    # SCAN_BATCH_ENTRIES plane checks (triples x planes)
+    # at most SCAN_BATCH_ENTRIES screen tests (triples x (planes + 3)) a batch
     # (each batch decodes its triple indices with one right-sided searchsorted)
     sizes = []
     searchsorted = np.searchsorted
@@ -353,11 +379,11 @@ def test_vertex_search_batches(monkeypatch, n, planes, batches):
         return searchsorted(a, v, side=side, sorter=sorter)
 
     monkeypatch.setattr(np, "searchsorted", recording)
-    grid = [w for _, w in integer_weight_triples(values=tuple(range(1, n + 1)))]
+    grid = [w for _, w in integer_weight_triples(n)]
     scan = surface_scan((0.0, 0.0, 0.0), 1, grid)
     assert len(scan.planes) == planes and scan.vertices
     assert len(sizes) == batches
-    assert max(sizes) <= min(planes ** 2, SCAN_BATCH_ENTRIES // planes)
+    assert max(sizes) <= SCAN_BATCH_ENTRIES // (planes + 3)
     assert sum(sizes) == planes * (planes - 1) * (planes - 2) // 6
 
 
