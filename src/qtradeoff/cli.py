@@ -98,7 +98,8 @@ def render_csv(header, rows) -> str:
 
 
 def _emit(text, out):
-    """Write the finished artifact in one shot (no partial files)."""
+    """Write the finished artifact to stdout, or to out in one write; opening
+    out truncates it first, so a failed write can leave it empty or partial."""
     if out is None:
         sys.stdout.write(text)
     else:

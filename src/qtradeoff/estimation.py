@@ -134,35 +134,40 @@ def sample_counts(probs, shots, rng):
 
 def _norm(x):
     """Euclidean norm along the last axis (np.linalg.norm without its dispatch)."""
-    return np.sqrt((x * x).sum(axis=-1))
+    return np.sqrt(np.add.reduce(x * x, axis=-1))
 
 
-def _project_ball(theta, radius=MLE_BALL_RADIUS):
-    """Radial projection of each row of theta onto the ball |theta| <= radius."""
-    norm = _norm(theta)[..., None]
-    return theta * np.minimum(1.0, radius / np.maximum(norm, radius))
+def _project_ball(theta, radius=MLE_BALL_RADIUS, norm=None):
+    """Radial projection of each row of theta onto |theta| <= radius; norm, if given, is _norm(theta)."""
+    norm = _norm(theta) if norm is None else norm
+    return theta * np.minimum(1.0, radius / np.maximum(norm[..., None], radius))
 
 
-def _likelihood(theta, freqs, q0, G, S):
+def _likelihood(theta, freqs, observed, q0, G, S):
     """Shot-normalized negative log likelihood of each row, -sum_j f_j log p_j,
-    with its exact gradient and Hessian.
+    its exact gradient, and the terms from which _hessian builds its Hessian.
 
-    Rows where an observed outcome has p_j <= 0 score +inf. The quadratic
-    model is p_j = q0_j + G_j . theta + theta' Q_j theta, where
-    S_j = Q_j + Q_j' so that dp_j/dtheta = G_j + S_j theta. Every sum runs
+    observed is freqs > 0; rows where an observed outcome has p_j <= 0 score
+    +inf. The quadratic model is p_j = q0_j + G_j . theta + theta' Q_j theta,
+    where S_j = Q_j + Q_j' so that dp_j/dtheta = G_j + S_j theta. Every sum runs
     along a fixed axis of one row, so no row's value depends on the others.
     """
-    jac = G + (S * theta[:, None, None, :]).sum(axis=-1)
-    probs = q0 + 0.5 * ((G + jac) * theta[:, None, :]).sum(axis=-1)
-    observed = freqs > 0
-    feasible = np.where(observed, probs, 1.0).min(axis=1) > 0
-    safe = np.where(observed & feasible[:, None], probs, 1.0)
-    value = np.where(feasible, -(freqs * np.log(safe)).sum(axis=1), np.inf)
+    jac = G + np.add.reduce(S * theta[:, None, None, :], axis=-1)
+    probs = q0 + 0.5 * np.add.reduce((G + jac) * theta[:, None, :], axis=-1)
+    safe = np.where(observed, probs, 1.0)
+    feasible = np.minimum.reduce(safe, axis=1) > 0
+    if not feasible.all():
+        safe[~feasible] = 1.0
+    value = np.where(feasible, -np.add.reduce(freqs * np.log(safe), axis=1), np.inf)
     ratio = freqs / safe
-    grad = -(ratio[:, :, None] * jac).sum(axis=1)
+    grad = -np.add.reduce(ratio[:, :, None] * jac, axis=1)
+    return value, grad, (jac, ratio, safe)
+
+
+def _hessian(jac, ratio, safe, S):
+    """Exact Hessian of _likelihood from its terms, for rows about to take a Newton step."""
     outer = jac[:, :, :, None] * jac[:, :, None, :]
-    hess = ((ratio / safe)[:, :, None, None] * outer - ratio[:, :, None, None] * S).sum(axis=1)
-    return value, grad, hess
+    return np.add.reduce((ratio / safe)[:, :, None, None] * outer - ratio[:, :, None, None] * S, axis=1)
 
 
 def _ball_newton_step(theta, grad, hess, radius):
@@ -182,34 +187,39 @@ def _ball_newton_step(theta, grad, hess, radius):
     mu, so Newton's method from mu = 0 climbs monotonically to the root.
     """
     lam, vecs = np.linalg.eigh(hess)
-    lam = np.maximum(lam, MLE_EIG_FLOOR * np.abs(lam).max(axis=1, keepdims=True))
+    lam = np.maximum(lam, MLE_EIG_FLOOR * np.maximum.reduce(np.abs(lam), axis=1, keepdims=True))
     # x in the eigenbasis is c / (lam + mu), with c_i = v_i . (lam_i theta - g)
     rhs = lam[:, :, None] * theta[:, None, :] - grad[:, None, :]
-    c = (vecs.transpose(0, 2, 1) * rhs).sum(axis=-1)
-    mu = np.zeros((len(theta), 1))
-    climbing = np.flatnonzero(_norm(c / lam) > radius)
-    while climbing.size:
-        shifted = lam[climbing] + mu[climbing]
-        x = c[climbing] / shifted
-        norm = _norm(x)
-        step = (1.0 / radius - 1.0 / norm) * norm ** 3 / (x * x / shifted).sum(axis=1)
-        grows = mu[climbing, 0] + step > mu[climbing, 0]
-        climbing = climbing[grows]
-        mu[climbing, 0] += step[grows]
-    x = (vecs * (c / (lam + mu))[:, None, :]).sum(axis=-1)
+    c = np.add.reduce(vecs.transpose(0, 2, 1) * rhs, axis=-1)
+    x = c / lam
+    climbing = (_norm(x) > radius).nonzero()[0]
+    if climbing.size:
+        mu = np.zeros((len(theta), 1))
+        while climbing.size:
+            shifted = lam[climbing] + mu[climbing]
+            x = c[climbing] / shifted
+            norm = _norm(x)
+            step = (1.0 / radius - 1.0 / norm) * norm ** 3 / np.add.reduce(x * x / shifted, axis=1)
+            grows = mu[climbing, 0] + step > mu[climbing, 0]
+            climbing = climbing[grows]
+            mu[climbing, 0] += step[grows]
+        x = c / (lam + mu)
+    x = np.add.reduce(vecs * x[:, None, :], axis=-1)
     d = _project_ball(x, radius) - theta
 
     norm = _norm(theta)
-    mult = -(grad * theta).sum(axis=1) / radius ** 2
     # a row projected onto the sphere sits there up to rounding
-    on = np.flatnonzero((norm >= radius * (1 - 8 * _EPS)) & (mult > 0))
+    on = (norm >= radius * (1 - 8 * _EPS)).nonzero()[0]
+    if on.size:
+        mult = -np.add.reduce(grad[on] * theta[on], axis=1) / radius ** 2
+        on, mult = on[mult > 0], mult[mult > 0]
     if on.size:
         n = theta[on] / norm[on, None]
         normal = n[:, :, None] * n[:, None, :]
         tangent = np.eye(3) - normal
         # adding n n' makes the plane's Hessian invertible; the solution
         # stays in the plane because the projected gradient does
-        lagrangian = tangent @ (hess[on] + mult[on, None, None] * np.eye(3)) @ tangent + normal
+        lagrangian = tangent @ (hess[on] + mult[:, None, None] * np.eye(3)) @ tangent + normal
         curved = np.linalg.eigvalsh(lagrangian)[:, 0] > 0
         d[on[curved]] = -np.linalg.solve(
             lagrangian[curved], tangent[curved] @ grad[on[curved], :, None]
@@ -225,30 +235,31 @@ def _fit_mle(freqs, model):
     ball-constrained Newton steps with Armijo backtracking, and is frozen
     as soon as its unit-step projected-gradient norm |theta - P(theta - g)|
     is at most MLE_KKT_TOL, or when its line search finds no decrease, or
-    after MLE_MAX_ITER iterations. The line search evaluates the
-    Hessian at each trial, so an accepted trial starts the next iteration
-    without another evaluation. Returns the estimates (R, 3), the Newton
-    iterations per row, the final projected-gradient norms and whether
-    the ball binds (the projection P is active) at each estimate.
+    after MLE_MAX_ITER iterations. The Hessian is built from an accepted
+    trial's terms only for rows about to take a Newton step, not at every
+    trial. Returns the estimates (R, 3), the Newton iterations per row, the
+    final projected-gradient norms and whether the ball binds (the
+    projection P is active) at each estimate.
     """
     q0, G, S = model.q0, model.G, model.S
-    start = (freqs[:, None, :] * model.design).sum(axis=-1)
+    start = np.add.reduce(freqs[:, None, :] * model.design, axis=-1)
     t = _project_ball(start, 0.9 * MLE_BALL_RADIUS)
-    f, g, h = _likelihood(t, freqs, q0, G, S)
+    observed = freqs > 0
+    f, g, terms = _likelihood(t, freqs, observed, q0, G, S)
     while not np.isfinite(f).all():
         t[~np.isfinite(f)] *= 0.5
-        f, g, h = _likelihood(t, freqs, q0, G, S)
+        f, g, terms = _likelihood(t, freqs, observed, q0, G, S)
     theta = np.empty_like(t)
     iterations = np.zeros(len(freqs), dtype=int)
     kkt = np.empty(len(freqs))
     binds = np.empty(len(freqs), dtype=bool)
-    # t, f, g, h and freqs hold the rows still running; rows maps them back
+    # t, f, g, terms, freqs and observed hold the rows still running; rows maps them back
     rows = np.arange(len(freqs))
     stalled = np.zeros(len(freqs), dtype=bool)
     for it in range(MLE_MAX_ITER + 1):
         ascent = t - g
         reach = _norm(ascent)
-        norm = _norm(t - _project_ball(ascent))
+        norm = _norm(t - _project_ball(ascent, norm=reach))
         frozen = (norm <= MLE_KKT_TOL) | stalled | (it == MLE_MAX_ITER)
         if frozen.any():
             out = rows[frozen]
@@ -256,34 +267,36 @@ def _fit_mle(freqs, model):
             going = ~frozen
             if not going.any():
                 break
-            rows, t, f, g, h, freqs = rows[going], t[going], f[going], g[going], h[going], freqs[going]
-        d = _ball_newton_step(t, g, h, MLE_BALL_RADIUS)
+            rows, t, f, g, freqs, observed, *terms = (
+                a[going] for a in (rows, t, f, g, freqs, observed, *terms))
+        d = _ball_newton_step(t, g, _hessian(*terms, S), MLE_BALL_RADIUS)
         # the last Newton steps change the objective by less than its
         # rounding error, so a decrease may fall short by that much
         slack = 4 * _EPS * np.abs(f)
         stalled = np.zeros(len(rows), dtype=bool)
-        # the line search runs on the rows of t listed in pending, whose
-        # step lengths are alpha; the first pass takes every row as it is
-        pending = np.arange(len(rows))
-        alpha = np.ones(len(rows))
-        base, step, f0, g0, fr, sl = t, d, f, g, freqs, slack
+        # every row first tries its full step; after a failed trial the line
+        # search runs on the rows of t listed in pending, whose step lengths are alpha
+        pending = None
+        trial, base, step, f0, g0, fr, ob, sl = _project_ball(t + d), t, d, f, g, freqs, observed, slack
         while True:
-            trial = _project_ball(base + alpha[:, None] * step)
             moved = trial - base
-            slope = (g0 * moved).sum(axis=1)
-            value, grad, hess = _likelihood(trial, fr, q0, G, S)
+            slope = np.add.reduce(g0 * moved, axis=1)
+            value, grad, new = _likelihood(trial, fr, ob, q0, G, S)
             # Armijo decrease along the projection arc (whose chord can
             # point uphill once the arc bends), and no overshoot: along the
             # move the trial may rise no faster than the start falls, which
             # keeps a step from jumping to where an observed outcome's
             # probability nearly vanishes and Newton would crawl back
             decrease = f0 + MLE_ARMIJO * np.minimum(slope, 0.0) + sl
-            ok = (value <= decrease) & ((grad * moved).sum(axis=1) <= -slope)
-            if len(pending) == len(rows) and ok.all():
-                t, f, g, h = trial, value, grad, hess
-                break
+            ok = (value <= decrease) & (np.add.reduce(grad * moved, axis=1) <= -slope)
+            if pending is None:
+                if ok.all():
+                    t, f, g, terms = trial, value, grad, new
+                    break
+                pending, alpha = np.arange(len(rows)), np.ones(len(rows))
             done = pending[ok]
-            t[done], f[done], g[done], h[done] = trial[ok], value[ok], grad[ok], hess[ok]
+            for kept, tried in zip((t, f, g, *terms), (trial, value, grad, *new)):
+                kept[done] = tried[ok]
             pending, alpha = pending[~ok], 0.5 * alpha[~ok]
             # a row whose line search found no step has stalled; it freezes
             # where it stands at the next pass
@@ -291,9 +304,8 @@ def _fit_mle(freqs, model):
             pending, alpha = pending[alpha >= _EPS], alpha[alpha >= _EPS]
             if not pending.size:
                 break
-            base, step, f0, g0, fr, sl = (
-                t[pending], d[pending], f[pending], g[pending], freqs[pending], slack[pending]
-            )
+            base, step, f0, g0, fr, ob, sl = (a[pending] for a in (t, d, f, g, freqs, observed, slack))
+            trial = _project_ball(base + alpha[:, None] * step)
         iterations[rows] += 1
     return theta, iterations, kkt, binds
 
@@ -305,9 +317,10 @@ def mle_estimator(counts, model, stats=None):
     the measurement whose QuadraticModel is model; the estimates have
     shape (3,) or (R, 3). All rows are solved in one vectorized
     projected-Newton loop on the shot-normalized log likelihood over the
-    ball |theta| <= MLE_BALL_RADIUS, and each row stops on its own once
-    its unit-step projected-gradient norm is at most MLE_KKT_TOL, so no
-    estimate depends on the other rows of its batch. The model caches
+    ball |theta| <= MLE_BALL_RADIUS, which builds the Hessian only where a
+    Newton step uses it. Each row stops on its own once its unit-step
+    projected-gradient norm is at most MLE_KKT_TOL, so no estimate
+    depends on the other rows of its batch. The model caches
     its symmetrized quadratic terms S and the start's linear design, so
     run_experiment's per-repetition calls, which share one model, build
     each once. If stats is a dict, the solve folds into it its largest
@@ -321,7 +334,7 @@ def mle_estimator(counts, model, stats=None):
     if counts.ndim not in (1, 2):
         raise ValueError("counts must have shape (n,) or (R, n)")
     batch = np.atleast_2d(counts)
-    total = batch.sum(axis=1, keepdims=True)
+    total = np.add.reduce(batch, axis=1, keepdims=True)
     if total.min() <= 0:
         raise ValueError("counts must contain at least one shot")
     if batch.min() < 0:
@@ -389,8 +402,9 @@ def run_experiment(plan, weights, estimator="linear"):
         estimates = (counts / shots[:, None]) @ model.design.T
     else:
         # one call per repetition, so mle_estimator stays the per-repetition
-        # layer that the benchmark's traced run counts; a row's estimate is
-        # the same bits whether it is solved alone or in a batch
+        # layer that the benchmark's traced run counts, until it counts rows
+        # (ROADMAP item 1); a row's estimate and its stats are the same
+        # whether it is solved alone or in a batch
         mle_stats = {}
         estimates = np.array([
             mle_estimator(c, model, stats=mle_stats) for c in counts

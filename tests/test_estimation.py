@@ -450,6 +450,66 @@ def test_mle_failure_carries_state(monkeypatch):
     assert np.isfinite(err.value.grad_norm)
 
 
+def test_a_row_whose_line_search_finds_no_step_freezes_where_it_stands(monkeypatch):
+    # every trial after the start scores +inf, so no trial passes: alpha
+    # halves from 1 to eps (53 trials), the row stalls and freezes at its
+    # projected linear start, short of the tolerance. (An Armijo factor of
+    # 1e6 does not reach this path: once alpha * d is below half an ulp of
+    # theta the trial is theta itself, whose zero slope passes the test.)
+    povm = two_copy_optimal(EQUAL)
+    counts = np.round(outcome_probabilities(BlochVector(0.3, 0.3, 0.3), povm) * 500)
+    model = quadratic_probability_model(povm)
+    freqs = counts / counts.sum()
+    start = estimation._project_ball((freqs * model.design).sum(axis=-1),
+                                     0.9 * estimation.MLE_BALL_RADIUS)
+    evaluated = []
+    likelihood = estimation._likelihood
+
+    def rejecting(theta, *args):
+        value, grad, terms = likelihood(theta, *args)
+        evaluated.append(theta.copy())
+        return (value if len(evaluated) == 1 else np.full_like(value, np.inf)), grad, terms
+
+    monkeypatch.setattr(estimation, "_likelihood", rejecting)
+    with pytest.raises(MleError) as err:
+        mle_estimator(counts, model)
+    assert np.array_equal(err.value.theta, start)
+    assert err.value.grad_norm > estimation.MLE_KKT_TOL
+    assert len(evaluated) == 1 + 53
+    assert np.array_equal(evaluated[0][0], start)
+
+
+@pytest.mark.parametrize(
+    "components, weights, shots, binds",
+    [((0.1, -0.2, 0.3), (1, 1, 1), 196, False), ((0.57, 0.57, 0.57), (1, 4, 9), 131, True)],
+    ids=["interior", "near_sphere"],
+)
+def test_per_repetition_mle_calls_match_one_batched_call(monkeypatch, components, weights, shots, binds):
+    # run_experiment solves each repetition in its own call and folds the
+    # calls' stats (largest iteration count and KKT norm, summed boundary
+    # rows); one batched call on the same counts gives the same bits and stats
+    w = WeightSpec(*weights)
+    theta = BlochVector(*components)
+    povm = two_copy_optimal(w)
+    per_row = []
+
+    def recording(*args, **kwargs):
+        per_row.append(mle_estimator(*args, **kwargs))
+        return per_row[-1]
+
+    monkeypatch.setattr(estimation, "mle_estimator", recording)
+    rep = run_experiment(ShotPlan(theta, povm, shots, 200, 42), w, estimator="mle")
+    counts = sample_counts(povm.model.checked_probabilities(theta.array), np.full(200, shots),
+                           _philox(42, REPEAT_STREAM))
+    stats = {}
+    batched = mle_estimator(counts, povm.model, stats=stats)
+    assert len(per_row) == 200
+    assert np.array_equal(np.array(per_row), batched)
+    assert rep.metadata["mle"] == stats
+    # the near-sphere state puts rows on the ball (93 of 200 here)
+    assert (stats["on_boundary"] > 0) == binds
+
+
 def test_run_experiment_rejects_unknown_estimator():
     plan = ShotPlan(ORIGIN, two_copy_optimal(EQUAL), 100, 10, 5)
     with pytest.raises(ValueError):
