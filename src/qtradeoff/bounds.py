@@ -27,8 +27,7 @@ import numpy as np
 
 from . import sdp
 from .constants import SDP_BLOCH_LIMIT
-from .model import (  # noqa: F401  (NORMALIZATIONS re-exported)
-    NORMALIZATIONS,
+from .model import (
     BlochVector,
     ModelPoint,
     _check_normalization,

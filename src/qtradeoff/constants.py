@@ -60,7 +60,6 @@ SCAN_BATCH_ENTRIES = 1 << 19     # screen tests (triples x (planes + 3)) per ver
 # triple), and the rest is margin for rounding in the test products and
 # thresholds.
 SCREEN_WIDTH = 256.0
-BOUNDARY_RESIDUAL_TOL = 1e-6
 
 # Monte Carlo experiment defaults.
 DEFAULT_SEED = 42

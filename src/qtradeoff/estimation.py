@@ -288,7 +288,10 @@ def _fit_mle(freqs, model):
             # keeps a step from jumping to where an observed outcome's
             # probability nearly vanishes and Newton would crawl back
             decrease = f0 + MLE_ARMIJO * np.minimum(slope, 0.0) + sl
-            ok = (value <= decrease) & (np.add.reduce(grad * moved, axis=1) <= -slope)
+            # a trial that does not move (alpha d below half an ulp of
+            # theta) fails, so a row whose search finds no step stalls
+            ok = ((value <= decrease) & (np.add.reduce(grad * moved, axis=1) <= -slope)
+                  & moved.any(axis=1))
             if pending is None:
                 if ok.all():
                     t, f, g, terms = trial, value, grad, new
@@ -327,14 +330,17 @@ def mle_estimator(counts, model, stats=None):
     Newton iteration count and largest final projected-gradient norm (by
     max) and the number of rows where the ball binds (by sum), so one
     dict passed to several calls describes them all.
-    Raises MleError carrying the first unconverged row's iterate and
-    projected-gradient norm when a row stops short of MLE_KKT_TOL.
+    Raises ValueError for counts that are not finite or whose row total
+    overflows, and MleError carrying the first unconverged row's iterate
+    and projected-gradient norm when a row stops short of MLE_KKT_TOL.
     """
     counts = np.asarray(counts, dtype=float)
     if counts.ndim not in (1, 2):
         raise ValueError("counts must have shape (n,) or (R, n)")
     batch = np.atleast_2d(counts)
     total = np.add.reduce(batch, axis=1, keepdims=True)
+    if not np.isfinite(total).all():
+        raise ValueError("counts must be finite, with finite row totals")
     if total.min() <= 0:
         raise ValueError("counts must contain at least one shot")
     if batch.min() < 0:

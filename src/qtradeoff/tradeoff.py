@@ -1,10 +1,11 @@
 """Trade-off surfaces for the per-parameter mean squared errors.
 
 Analytic membership predicates for the single-copy and two-copy attainable
-regions, the pairwise two-parameter relation, boundary points reached by the
-weight-adapted optimal measurements, inversion from a boundary point back to
-weights, and a halfspace-intersection scan that reconstructs the surface
-numerically from weighted bounds at arbitrary interior parameter values.
+regions, the integer weight grid, and a halfspace-intersection scan that
+reconstructs the surface numerically from weighted bounds at arbitrary
+interior parameter values. The surfaces' tangent points are the per-qubit
+diag(F^-1) of the weight-adapted optimal measurements (povm.classical_fisher
+of single_copy_optimal and two_copy_optimal).
 
 All quantities here are per-qubit normalized. At the origin every
 attainable point has V_i >= 1 (the per-parameter bound); away from the
@@ -23,7 +24,6 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from .constants import (
-    BOUNDARY_RESIDUAL_TOL,
     PARALLEL_NORMAL_TOL,
     SCAN_BATCH_ENTRIES,
     SCREEN_WIDTH,
@@ -31,7 +31,7 @@ from .constants import (
     VERTEX_BOX_LIMIT,
     VERTEX_MERGE_TOL,
 )
-from .model import AXIS_LABELS, BlochVector, model_point
+from .model import BlochVector, model_point
 from .povm import WeightSpec
 
 _EPS = float(np.finfo(float).eps)
@@ -95,17 +95,6 @@ class SurfaceScan:
         }
 
 
-def _axis_index(i) -> int:
-    if isinstance(i, str):
-        if i in AXIS_LABELS:
-            return AXIS_LABELS.index(i)
-        raise ValueError(f"unknown axis '{i}'")
-    i = int(i)
-    if i not in (0, 1, 2):
-        raise ValueError(f"axis index must be 0, 1 or 2, got {i}")
-    return i
-
-
 def single_copy_surface_residual(p: MsePoint) -> float:
     """VxVyVz - VxVy - VxVz - VyVz; >= 0 is attainable with single-copy
     measurements, 0 on the boundary."""
@@ -125,56 +114,6 @@ def two_copy_surface_residual(p: MsePoint) -> float:
         + 0.75 * (vx + vy + vz)
         - 0.5
     )
-
-
-def pairwise_residual(p: MsePoint, i, j) -> float:
-    """(V_i - 1)(V_j - 1) - 1 for two distinct axes; >= 0 for single-copy
-    measurements at the origin."""
-    ia, ja = _axis_index(i), _axis_index(j)
-    if ia == ja:
-        raise ValueError("pairwise residual needs two distinct axes")
-    v = p.array
-    return float((v[ia] - 1.0) * (v[ja] - 1.0) - 1.0)
-
-
-def boundary_point_from_weights(weights, copies: int = 1) -> MsePoint:
-    """Per-qubit MSE point reached by the weight-adapted optimal measurement.
-
-    copies=1: V_i = (sum_j sqrt(w_j)) / sqrt(w_i).
-    copies=2: V_i = (2 sqrt(w_i) + sum_{j != i} sqrt(w_j)) / (2 sqrt(w_i)).
-    Both lie exactly on the matching surface and saturate the corresponding
-    weighted bound (tangency).
-    """
-    w = bounds_mod.as_weights(weights).require_positive()
-    rw = np.sqrt(w.array)
-    total = rw.sum()
-    if copies == 1:
-        v = total / rw
-    elif copies == 2:
-        v = (rw + total) / (2.0 * rw)
-    else:
-        raise ValueError(f"copies must be 1 or 2, got {copies}")
-    return MsePoint(*v)
-
-
-def weights_from_boundary_point(p: MsePoint) -> WeightSpec:
-    """Invert a single-copy boundary point to its generating weights.
-
-    With s = VyVz / (VxVy + VxVz + VyVz) and t the cyclic analogue, the
-    weights are (s^2, t^2, (1-s-t)^2), normalized so the square roots sum to
-    one. Rejects points whose single-copy residual exceeds the boundary
-    tolerance, since the inversion is only meaningful on the surface.
-    """
-    resid = single_copy_surface_residual(p)
-    scale = max(1.0, abs(p.vx * p.vy * p.vz))
-    if abs(resid) > BOUNDARY_RESIDUAL_TOL * scale:
-        raise ValueError(
-            f"point is off the single-copy boundary (residual {resid:.3e})"
-        )
-    denom = p.vx * p.vy + p.vx * p.vz + p.vy * p.vz
-    s = p.vy * p.vz / denom
-    t = p.vx * p.vz / denom
-    return WeightSpec(s * s, t * t, (1.0 - s - t) ** 2)
 
 
 @functools.cache

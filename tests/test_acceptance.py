@@ -42,9 +42,7 @@ from qtradeoff.povm import (
 )
 from qtradeoff.tradeoff import (
     MsePoint,
-    boundary_point_from_weights,
     integer_weight_triples,
-    pairwise_residual,
     single_copy_surface_residual,
     two_copy_surface_residual,
 )
@@ -153,13 +151,18 @@ def test_criterion_06_surface_landmarks():
     holevo_unit = holevo(model_point(BlochVector(0, 0, 0)), WeightSpec(1, 1, 1)).value
     assert abs(corner.array.sum() - holevo_unit) <= 1e-12
 
+    # the two-parameter relation (V_i - 1)(V_j - 1) >= 1 at the single-copy
+    # tangent points, the per-qubit diag(F^-1) of the weight-adapted
+    # measurements
     rng = np.random.default_rng(SEED)
     samples = [w for _, w in integer_weight_triples()]
     samples += [random_weights(rng) for _ in range(50)]
+    origin = BlochVector(0, 0, 0)
     for w in samples:
-        p = boundary_point_from_weights(w, copies=1)
+        fisher = classical_fisher(origin, single_copy_optimal(w))
+        v = convert_normalization(np.diag(fisher.inverse()), 1, "per_measurement", "per_qubit")
         for i, j in ((0, 1), (0, 2), (1, 2)):
-            assert pairwise_residual(p, i, j) >= -1e-9
+            assert (v[i] - 1.0) * (v[j] - 1.0) >= 1.0 - 1e-9
 
 
 def test_criterion_07_origin_trade_off_violation():

@@ -94,6 +94,15 @@ def test_mle_counts_are_checked():
     negative[0] = -1.0
     with pytest.raises(ValueError, match="nonnegative"):
         mle_estimator(negative, model)
+    # a NaN or infinite count would make every start's likelihood non-finite
+    # and the start halving endless; a row total that overflows to inf would
+    # normalize every frequency to 0
+    rows = [np.where(np.arange(n) == 1, bad, 1.0) for bad in (np.nan, np.inf, -np.inf)]
+    rows.append(np.where(np.arange(n) < 2, 1e308, 0.0))
+    for row in rows:
+        for batch in (row, np.array([np.ones(n), row])):
+            with pytest.raises(ValueError, match="finite"), np.errstate(over="ignore"):
+                mle_estimator(batch, model)
     # an outcome whose element is zero, q0 = 0, cannot be observed
     blind = QuadraticModel(np.append(model.q0, 0.0), np.vstack([model.G, np.zeros(3)]),
                            np.concatenate([model.Q, np.zeros((1, 3, 3))]), model.sum_tol)
@@ -450,18 +459,23 @@ def test_mle_failure_carries_state(monkeypatch):
     assert np.isfinite(err.value.grad_norm)
 
 
-def test_a_row_whose_line_search_finds_no_step_freezes_where_it_stands(monkeypatch):
-    # every trial after the start scores +inf, so no trial passes: alpha
-    # halves from 1 to eps (53 trials), the row stalls and freezes at its
-    # projected linear start, short of the tolerance. (An Armijo factor of
-    # 1e6 does not reach this path: once alpha * d is below half an ulp of
-    # theta the trial is theta itself, whose zero slope passes the test.)
+def _row_and_its_start():
+    """Counts of two_copy_optimal(1, 1, 1) at theta = (0.3, 0.3, 0.3) x 500
+    shots, their model and the solve's start, the projected linear estimate."""
     povm = two_copy_optimal(EQUAL)
     counts = np.round(outcome_probabilities(BlochVector(0.3, 0.3, 0.3), povm) * 500)
     model = quadratic_probability_model(povm)
     freqs = counts / counts.sum()
     start = estimation._project_ball((freqs * model.design).sum(axis=-1),
                                      0.9 * estimation.MLE_BALL_RADIUS)
+    return counts, model, start
+
+
+def test_a_row_whose_line_search_finds_no_step_freezes_where_it_stands(monkeypatch):
+    # every trial after the start scores +inf, so no trial passes: alpha
+    # halves from 1 to eps (53 trials), the row stalls and freezes at its
+    # projected linear start, short of the tolerance
+    counts, model, start = _row_and_its_start()
     evaluated = []
     likelihood = estimation._likelihood
 
@@ -477,6 +491,28 @@ def test_a_row_whose_line_search_finds_no_step_freezes_where_it_stands(monkeypat
     assert err.value.grad_norm > estimation.MLE_KKT_TOL
     assert len(evaluated) == 1 + 53
     assert np.array_equal(evaluated[0][0], start)
+
+
+def test_a_line_search_trial_that_does_not_move_fails(monkeypatch):
+    # no step meets an Armijo factor of 1e6; once alpha * d is below half an
+    # ulp of theta the trial is theta itself, whose zero slope would pass the
+    # test and repeat the iteration until MLE_MAX_ITER (4601 evaluations),
+    # so a trial that does not move fails and the row stalls after 53 trials
+    counts, model, start = _row_and_its_start()
+    evaluated = []
+    likelihood = estimation._likelihood
+
+    def counting(theta, *args):
+        evaluated.append(len(theta))
+        return likelihood(theta, *args)
+
+    monkeypatch.setattr(estimation, "_likelihood", counting)
+    monkeypatch.setattr(estimation, "MLE_ARMIJO", 1e6)
+    with pytest.raises(MleError) as err:
+        mle_estimator(counts, model)
+    assert np.array_equal(err.value.theta, start)
+    assert err.value.grad_norm > estimation.MLE_KKT_TOL
+    assert len(evaluated) == 1 + 53
 
 
 @pytest.mark.parametrize(

@@ -16,19 +16,26 @@ from qtradeoff.constants import (
     VERTEX_BOX_LIMIT,
     VERTEX_MERGE_TOL,
 )
-from qtradeoff.model import BlochVector, model_point
-from qtradeoff.povm import WeightSpec
+from qtradeoff.model import BlochVector, convert_normalization, model_point
+from qtradeoff.povm import WeightSpec, classical_fisher, single_copy_optimal, two_copy_optimal
 from qtradeoff.tradeoff import (
     MsePoint,
     SupportingPlane,
-    boundary_point_from_weights,
     integer_weight_triples,
-    pairwise_residual,
     single_copy_surface_residual,
     surface_scan,
     two_copy_surface_residual,
-    weights_from_boundary_point,
 )
+
+
+def tangent_point(weights, copies):
+    """The per-qubit diag(F^-1) at the origin of the weight-adapted optimal
+    measurement, single_copy_optimal or two_copy_optimal: the point where it
+    touches the trade-off surface."""
+    povm = (single_copy_optimal, two_copy_optimal)[copies - 1](weights)
+    fisher = classical_fisher(BlochVector(0, 0, 0), povm)
+    return MsePoint(*convert_normalization(np.diag(fisher.inverse()), copies,
+                                           "per_measurement", "per_qubit"))
 
 
 def test_residual_landmarks():
@@ -39,52 +46,19 @@ def test_residual_landmarks():
     assert abs(two_copy_surface_residual(MsePoint(1, 1, 1)) + 0.25) < 1e-12
 
 
-def test_pairwise_residual():
-    # V_i = V_j = 2 saturates the two-axis trade-off
-    assert abs(pairwise_residual(MsePoint(2, 2, 100), 0, 1)) < 1e-12
-    assert pairwise_residual(MsePoint(1.5, 1.5, 100), "x", "y") < 0
-    assert pairwise_residual(MsePoint(3, 3, 100), 0, 1) > 0
-    with pytest.raises(ValueError):
-        pairwise_residual(MsePoint(2, 2, 2), 0, 3)
-    with pytest.raises(ValueError):
-        pairwise_residual(MsePoint(2, 2, 2), "x", "w")
-
-
 def test_boundary_points_sit_on_surfaces():
+    # the weight-adapted optimal measurements attain the surfaces
     rng = np.random.default_rng(1)
     for _ in range(50):
         w = WeightSpec(*rng.uniform(0.05, 1.0, size=3))
-        p1 = boundary_point_from_weights(w, copies=1)
-        assert abs(single_copy_surface_residual(p1)) < 1e-9
-        p2 = boundary_point_from_weights(w, copies=2)
-        assert abs(two_copy_surface_residual(p2)) < 1e-9
-
-
-def test_boundary_weights_round_trip():
-    p = boundary_point_from_weights(WeightSpec(4, 1, 1), copies=1)
-    assert np.abs(p.array - np.array([2.0, 4.0, 4.0])).max() < 1e-12
-    w = weights_from_boundary_point(p)
-    ratio = w.array / w.array[1]
-    assert np.abs(ratio - np.array([4.0, 1.0, 1.0])).max() < 1e-9
-
-    rng = np.random.default_rng(2)
-    for _ in range(20):
-        raw = rng.uniform(0.05, 1.0, size=3)
-        w0 = WeightSpec(*(raw / raw.sum()))
-        p = boundary_point_from_weights(w0, copies=1)
-        back = weights_from_boundary_point(p).array
-        assert np.abs(back / back.sum() - w0.array / w0.array.sum()).max() < 1e-6
-
-
-def test_weights_rejected_off_boundary():
-    with pytest.raises(ValueError):
-        weights_from_boundary_point(MsePoint(1, 1, 1))
+        assert abs(single_copy_surface_residual(tangent_point(w, 1))) < 1e-9
+        assert abs(two_copy_surface_residual(tangent_point(w, 2))) < 1e-9
 
 
 def test_origin_tangent_points():
     grid = [w for _, w in integer_weight_triples()]
     for copies, resid in ((1, single_copy_surface_residual), (2, two_copy_surface_residual)):
-        pts = [boundary_point_from_weights(w, copies) for w in grid]
+        pts = [tangent_point(w, copies) for w in grid]
         assert len(pts) == len(grid)
         for p in pts:
             assert abs(resid(p)) < 1e-9
@@ -135,7 +109,9 @@ def test_surface_scan_origin():
         assert len(scan.vertices) == 36
         assert scan.clipped == 0
         for plane, w in zip(scan.planes, grid):
-            tangent = boundary_point_from_weights(w, copies)
+            # each plane touches the surface where its optimal measurement's
+            # error floor lies
+            tangent = tangent_point(w, copies)
             assert abs(plane.weights.array @ tangent.array - plane.offset) < 1e-9
         for v in scan.vertices:
             # feasible for every sampled plane
@@ -147,7 +123,7 @@ def test_surface_scan_origin():
 
 def test_surface_scan_degenerate_weights():
     # crushing two weights pushes the tangent point toward V_x = 1
-    p = boundary_point_from_weights(WeightSpec(1.0, 1e-8, 1e-8), copies=1)
+    p = tangent_point(WeightSpec(1.0, 1e-8, 1e-8), copies=1)
     assert p.vx < 1.001
     assert p.vy > 1e3
 
