@@ -291,7 +291,6 @@ def _origin_rows(grid, shots, repeats, seed):
     rows = []
     zs = []
     origin = BlochVector(0.0, 0.0, 0.0)
-    sic = sic_two_copy()
     for row, (u, w) in enumerate(grid):
         row_seed = _row_seed(seed, 0, row)
         plan = ShotPlan(origin, two_copy_optimal(w), shots, repeats, row_seed)
@@ -301,7 +300,7 @@ def _origin_rows(grid, shots, repeats, seed):
                 f"trade-off demo row {row} has zero standard error over "
                 f"{repeats} repetition(s), so its z-score is undefined; raise --repeats"
             )
-        sic_plan = ShotPlan(origin, sic, shots, repeats, row_seed)
+        sic_plan = ShotPlan(origin, sic_two_copy(), shots, repeats, row_seed)
         sic_rep = run_experiment(sic_plan, w, estimator="linear")
         z = rep.metadata["z_vs_single_copy"]
         zs.append(z)

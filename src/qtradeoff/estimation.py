@@ -338,7 +338,10 @@ def mle_estimator(counts, model, stats=None):
     if counts.ndim not in (1, 2):
         raise ValueError("counts must have shape (n,) or (R, n)")
     batch = np.atleast_2d(counts)
-    total = np.add.reduce(batch, axis=1, keepdims=True)
+    # a total that overflows, or that adds +inf to -inf, fails the check
+    # below with the ValueError, not with a RuntimeWarning first
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = np.add.reduce(batch, axis=1, keepdims=True)
     if not np.isfinite(total).all():
         raise ValueError("counts must be finite, with finite row totals")
     if total.min() <= 0:

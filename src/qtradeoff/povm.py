@@ -25,6 +25,17 @@ from .constants import (
 from .model import AXIS_LABELS, PAULIS, BlochVector, convert_normalization, qfi
 
 
+# Distinct weights each of the weight-adapted constructors keeps built: at
+# about 6.3 KB a two-copy measurement with its model, this covers the 115
+# weights of a grid-5 scan.
+WEIGHT_CACHE_SIZE = 128
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 class SingularFisherError(RuntimeError):
     """An outcome has vanishing probability but non-vanishing derivative."""
 
@@ -90,13 +101,19 @@ class Povm:
 
     completeness_tol is the documented max-entry deviation of sum(elements)
     from the identity; the exact constructions use COMPLETENESS_TOL while the
-    four-decimal reference measurements carry a 2e-3 budget.
+    four-decimal reference measurements carry a 2e-3 budget. The elements
+    are read-only copies of the arrays passed in, so one Povm can be shared:
+    np.array(e) gives an editable copy of an element.
     """
 
     elements: tuple[np.ndarray, ...]
     name: str
     labels: tuple[str, ...]
     completeness_tol: float = COMPLETENESS_TOL
+
+    def __post_init__(self):
+        object.__setattr__(self, "elements",
+                           tuple(_read_only(np.array(e)) for e in self.elements))
 
     @property
     def dim(self) -> int:
@@ -121,7 +138,8 @@ class Povm:
     def model(self) -> QuadraticModel:
         """The measurement's QuadraticModel, built on first use and kept, so
         the probabilities, the Fisher information and an experiment on one
-        Povm share one build."""
+        Povm share one build. It cannot go stale: the elements it is built
+        from are read-only, and so are its own arrays."""
         return quadratic_probability_model(self)
 
 
@@ -143,12 +161,15 @@ SINGLET = (np.kron([1, 0], [0, 1]) - np.kron([0, 1], [1, 0])).astype(complex) / 
 _TWO_COPY_PARTNERS = ((2, 1), (2, 0), (0, 1))
 
 
+@functools.lru_cache(maxsize=WEIGHT_CACHE_SIZE)
 def single_copy_optimal(weights: WeightSpec) -> Povm:
     """Six weighted rank-1 projectors along the Pauli axes.
 
     Element pairs a_i^2 |0_i><0_i|, a_i^2 |1_i><1_i| with
     a_i^2 = sqrt(w_i) / (sqrt(wx) + sqrt(wy) + sqrt(wz)). At the origin it
     attains the single-copy bound (sum_i sqrt(w_i))^2 for its weights.
+    Equal weights return the same shared, read-only Povm while it stays
+    among the last WEIGHT_CACHE_SIZE weights built.
     """
     rw = np.sqrt(weights.require_positive().array)
     total = rw.sum()
@@ -172,6 +193,7 @@ def two_copy_alpha(weights: WeightSpec) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=WEIGHT_CACHE_SIZE)
 def two_copy_optimal(weights: WeightSpec) -> Povm:
     """Entangling two-copy measurement: six rank-1 elements plus the singlet.
 
@@ -179,7 +201,7 @@ def two_copy_optimal(weights: WeightSpec) -> Povm:
     (alpha_{+,i} |0_i 0_i> + alpha_{-,i} |1_i 1_i>)/2 and the alpha-swapped
     partner; the seventh element projects on the singlet, whose outcome
     probability is (1 - theta . theta)/4 and carries no parameter information
-    at the origin.
+    at the origin. Cached like single_copy_optimal.
     """
     alpha = two_copy_alpha(weights)
     els, labels = [], []
@@ -198,8 +220,12 @@ def two_copy_optimal(weights: WeightSpec) -> Povm:
     return Povm(tuple(els), name="two_copy_optimal", labels=tuple(labels))
 
 
+@functools.cache
 def sic_two_copy() -> Povm:
-    """Product SIC benchmark: (3/4) |psi_j psi_j><psi_j psi_j| plus the singlet."""
+    """Product SIC benchmark: (3/4) |psi_j psi_j><psi_j psi_j| plus the singlet.
+
+    Built once per process; every call returns the same read-only Povm.
+    """
     s2 = np.sqrt(2.0)
     kets = [
         np.array([1, 0], dtype=complex),
@@ -237,10 +263,12 @@ _REFERENCE_TWO_VECTORS = (
 )
 
 
+@functools.cache
 def reference_povm(copies: int) -> Povm:
     """The hard-coded reference measurement for one or two copies.
 
     Four outcomes for one copy and six for two, from the four-decimal vectors.
+    Built once per process and copy count, and shared read-only.
     """
     if copies not in (1, 2):
         raise ValueError(f"copies must be 1 or 2, got {copies}")
@@ -277,7 +305,8 @@ class QuadraticModel:
     measurements leaks into the sum. S = Q + Q' (so that
     dp_j/dtheta = G_j + S_j theta) and the origin linear design are
     computed on first use: a POVM that is not informationally complete
-    has probabilities but no design.
+    has probabilities but no design. Both are read-only, like the
+    coefficients of a model from quadratic_probability_model.
     """
 
     q0: np.ndarray
@@ -308,7 +337,7 @@ class QuadraticModel:
 
     @functools.cached_property
     def S(self) -> np.ndarray:
-        return self.Q + np.transpose(self.Q, (0, 2, 1))
+        return _read_only(self.Q + np.transpose(self.Q, (0, 2, 1)))
 
     @functools.cached_property
     def design(self) -> np.ndarray:
@@ -330,7 +359,7 @@ class QuadraticModel:
             raise ValueError(
                 "POVM is not informationally complete at the origin"
             ) from None
-        return inv @ scaled.T
+        return _read_only(inv @ scaled.T)
 
 
 def quadratic_probability_model(povm: Povm) -> QuadraticModel:
@@ -342,8 +371,8 @@ def quadratic_probability_model(povm: Povm) -> QuadraticModel:
     the Pauli operators sum_c sigma_i^(c) and, for two copies, the
     sigma_i (x) sigma_k. All of them come from one batched product of the
     element stack with the operator stack, which is built once per copy
-    count. Q is zero for one copy. Raises ValueError for a POVM on
-    neither one nor two qubits.
+    count. Q is zero for one copy. q0, G and Q are read-only. Raises
+    ValueError for a POVM on neither one nor two qubits.
     """
     copies = povm.copies
     elements = np.array(povm.elements)
@@ -354,8 +383,8 @@ def quadratic_probability_model(povm: Povm) -> QuadraticModel:
         Q = np.zeros((len(coeffs), 3, 3))
     else:
         Q = coeffs[:, 4:].reshape(-1, 3, 3).copy()
-    return QuadraticModel(coeffs[:, 0].copy(), coeffs[:, 1:4].copy(), Q,
-                          max(PROB_SUM_TOL, povm.dim * povm.completeness_tol))
+    return QuadraticModel(_read_only(coeffs[:, 0].copy()), _read_only(coeffs[:, 1:4].copy()),
+                          _read_only(Q), max(PROB_SUM_TOL, povm.dim * povm.completeness_tol))
 
 
 def outcome_probabilities(theta: BlochVector, povm: Povm) -> np.ndarray:

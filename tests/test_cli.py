@@ -105,7 +105,12 @@ def test_povm_artifact(tmp_path, schema):
 
 @pytest.mark.parametrize("povm, copies", [("opt1", 1), ("opt2", 2), ("sic", 2), ("ref", 2)])
 def test_povm_builds_the_quadratic_model_once(tmp_path, monkeypatch, povm, copies):
-    # the probabilities and the Fisher information share the Povm's model
+    # the probabilities and the Fisher information share the Povm's model;
+    # from cold caches, whatever ran before in this process, one call
+    # builds it once and a second call reuses the cached measurement
+    for constructor in (povm_mod.single_copy_optimal, povm_mod.two_copy_optimal,
+                        povm_mod.sic_two_copy, povm_mod.reference_povm):
+        constructor.cache_clear()
     calls = []
     build = povm_mod.quadratic_probability_model
 
@@ -114,9 +119,11 @@ def test_povm_builds_the_quadratic_model_once(tmp_path, monkeypatch, povm, copie
         return build(p)
 
     monkeypatch.setattr(povm_mod, "quadratic_probability_model", counting)
-    doc = run_json(tmp_path, ["povm", "--povm", povm, "--copies", str(copies),
-                              "--theta", "0.1,-0.2,0.3"])
+    argv = ["povm", "--povm", povm, "--copies", str(copies), "--theta", "0.1,-0.2,0.3"]
+    doc = run_json(tmp_path, argv)
     assert "fisher" in doc
+    assert calls == [doc["name"]]
+    assert run_json(tmp_path, argv, name="again.json") == doc
     assert calls == [doc["name"]]
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -96,12 +98,15 @@ def test_mle_counts_are_checked():
         mle_estimator(negative, model)
     # a NaN or infinite count would make every start's likelihood non-finite
     # and the start halving endless; a row total that overflows to inf would
-    # normalize every frequency to 0
+    # normalize every frequency to 0; each raises the ValueError even where
+    # a RuntimeWarning is an error
     rows = [np.where(np.arange(n) == 1, bad, 1.0) for bad in (np.nan, np.inf, -np.inf)]
     rows.append(np.where(np.arange(n) < 2, 1e308, 0.0))
+    rows.append(np.concatenate([[np.inf, -np.inf], np.ones(n - 2)]))
     for row in rows:
         for batch in (row, np.array([np.ones(n), row])):
-            with pytest.raises(ValueError, match="finite"), np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="finite"), warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
                 mle_estimator(batch, model)
     # an outcome whose element is zero, q0 = 0, cannot be observed
     blind = QuadraticModel(np.append(model.q0, 0.0), np.vstack([model.G, np.zeros(3)]),

@@ -8,6 +8,7 @@ from qtradeoff.cli import _complex_matrix_json
 from qtradeoff.constants import PSD_TOL
 from qtradeoff.model import PAULIS, BlochVector, model_point, qfi
 from qtradeoff.povm import (
+    WEIGHT_CACHE_SIZE,
     Povm,
     SingularFisherError,
     WeightSpec,
@@ -319,3 +320,81 @@ def test_povm_json_round_trip():
     for a, b in zip(back.elements, povm.elements):
         assert np.abs(a - b).max() < 1e-15
 
+
+
+def _model_arrays(povm):
+    model = povm.model
+    return {name: getattr(model, name) for name in ("q0", "G", "Q", "S", "design")}
+
+
+def test_equal_weights_share_one_measurement_and_model():
+    for build in (single_copy_optimal, two_copy_optimal):
+        povm = build(WeightSpec(1, 4, 9))
+        again = build(WeightSpec(1.0, 4.0, 9.0))
+        assert again is povm
+        assert again.model is povm.model
+        assert build(WeightSpec(1, 4, 8)) is not povm
+    assert sic_two_copy() is sic_two_copy()
+    assert sic_two_copy().model is sic_two_copy().model
+    for copies in (1, 2):
+        assert reference_povm(copies) is reference_povm(copies)
+    assert reference_povm(1) is not reference_povm(2)
+
+
+def test_cached_measurements_equal_an_uncached_build_bitwise():
+    rng = np.random.default_rng(26)
+    weights = [WeightSpec(1, 4, 9), WeightSpec(1, 1, 1)] + [random_weights(rng) for _ in range(5)]
+    for build in (single_copy_optimal, two_copy_optimal):
+        for w in weights:
+            cached, fresh = build(w), build.__wrapped__(w)
+            assert cached is not fresh
+            for a, b in zip(cached.elements, fresh.elements):
+                assert a.tobytes() == b.tobytes()
+            got, want = _model_arrays(cached), _model_arrays(fresh)
+            for name in want:
+                assert got[name].dtype == want[name].dtype
+                assert got[name].tobytes() == want[name].tobytes(), name
+    for cached, fresh in ((sic_two_copy(), sic_two_copy.__wrapped__()),
+                          (reference_povm(2), reference_povm.__wrapped__(2))):
+        got, want = _model_arrays(cached), _model_arrays(fresh)
+        for name in want:
+            assert got[name].tobytes() == want[name].tobytes(), name
+
+
+def test_shared_measurements_are_read_only():
+    for povm in (single_copy_optimal(WeightSpec(1, 4, 9)), two_copy_optimal(WeightSpec(1, 4, 9)),
+                 sic_two_copy(), reference_povm(1)):
+        with pytest.raises(ValueError, match="read-only"):
+            povm.elements[0][0, 0] = 1.0
+        for name, arr in _model_arrays(povm).items():
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+        # np.array gives an editable copy; the measurement and its model keep theirs
+        before = povm.elements[0].copy()
+        edited = np.array(povm.elements[0])
+        edited[0, 0] = 1.0
+        assert np.array_equal(povm.elements[0], before)
+    # a Povm keeps its own copies of the arrays passed in
+    source = np.diag([1.0, 0.0]).astype(complex)
+    povm = Povm((source, np.eye(2, dtype=complex) - source), name="z", labels=("+z", "-z"))
+    source[0, 0] = 0.0
+    assert povm.elements[0][0, 0] == 1.0
+    assert source.flags.writeable
+
+
+def test_zero_weights_raise_on_every_call():
+    zero = WeightSpec(0, 1, 1)
+    for build in (single_copy_optimal, two_copy_optimal):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="degenerate weights"):
+                build(zero)
+
+
+def test_weight_caches_stay_bounded():
+    for build in (single_copy_optimal, two_copy_optimal):
+        build.cache_clear()
+        for k in range(1, WEIGHT_CACHE_SIZE + 21):
+            povm = build(WeightSpec(1, k, k + 1))
+            assert build.cache_info().currsize <= WEIGHT_CACHE_SIZE
+            assert build(WeightSpec(1, k, k + 1)) is povm
+        assert build.cache_info().currsize == WEIGHT_CACHE_SIZE
