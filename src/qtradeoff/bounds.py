@@ -53,7 +53,11 @@ class BoundValue:
     """A scalar error bound together with its conventions and provenance.
 
     An SDP bound has a gap, with the optimum in [value - gap, value], and
-    the solver's iterations, None where the solver stopped short.
+    the solver's iterations, None where the solver stopped short. The
+    collective bounds carry their tangent point, the gradient of the value
+    in the weights (w_1, w_2, w_3): the errors (V_1, V_2, V_3) at which the
+    plane w . V = value touches the attainable region (the envelope
+    theorem). It is defined for positive weights.
     """
 
     value: float
@@ -62,6 +66,7 @@ class BoundValue:
     copies: int
     gap: float | None = None
     iterations: int | None = None
+    tangent: tuple | None = None
 
     def __post_init__(self):
         _check_normalization(self.normalization)
@@ -76,8 +81,9 @@ class BoundValue:
                 return None
             return convert_normalization(x, self.copies, self.normalization, normalization)
 
+        tangent = None if self.tangent is None else tuple(map(convert, self.tangent))
         return replace(self, value=convert(self.value), normalization=normalization,
-                       gap=convert(self.gap))
+                       gap=convert(self.gap), tangent=tangent)
 
 
 def qcrb(point: ModelPoint, weights) -> BoundValue:
@@ -134,18 +140,21 @@ def nhcrb_analytic(point: ModelPoint, weights) -> BoundValue | None:
     of J^-1/2 W J^-1/2, since J^-1 = I - theta theta^T. Two copies at
     theta = 0: sum_i w_i + sum_{i<j} sqrt(w_i w_j) per qubit (Gill and
     Massar, PRA 61, 042312, 2000). Two copies off the origin have no closed
-    form: use nhcrb_sdp. The value is _closed_forms' for the one weight row.
+    form: use nhcrb_sdp. The value and its tangent point are _closed_forms'
+    for the one weight row.
     """
-    values = _closed_forms(point, as_weights(weights).array[None, :])
-    if values is None:
+    forms = _closed_forms(point, as_weights(weights).array[None, :])
+    if forms is None:
         return None
+    values, tangents = forms
     return BoundValue(value=values[0], normalization="per_qubit", method="analytic",
-                      copies=point.copies)
+                      copies=point.copies, tangent=tuple(tangents[0].tolist()))
 
 
-def _closed_forms(point: ModelPoint, w: np.ndarray) -> list | None:
-    """nhcrb_analytic's values per qubit, as floats, for each row of the
-    weight stack w (n x 3) at one point; None where no closed form exists.
+def _closed_forms(point: ModelPoint, w: np.ndarray) -> tuple | None:
+    """(values, tangents): nhcrb_analytic's values per qubit, as floats, and
+    their gradients in the weights (n x 3), for each row of the weight stack
+    w (n x 3) at one point; None where no closed form exists.
 
     Both are e1 + m q (m = 2 for one copy, 1 for two) at the weights of
     _weight_scale, with e1 = sum_i w_i (1 - theta_i^2), the QCRB, and
@@ -158,17 +167,27 @@ def _closed_forms(point: ModelPoint, w: np.ndarray) -> list | None:
     value (interlacing) and sqrt(e2 + 2 sqrt(3 e1 e3)) (Cauchy-Schwarz),
     until a step no longer lowers q. The root is double only at q = 0,
     where e2 = e3 = 0 and the second start is exact.
+
+    The gradient is 1 - theta_i^2 + m dq/dw_i, with dq/dw_i =
+    (sum_j r_j - r_i) / 2 r_i, r = sqrt(w), at the origin, and elsewhere by
+    implicit differentiation of f(q, w) = 0, with g = sqrt(e3):
+    dq/dw_i = (p de2/dw_i + p^2 g / w_i + g (1 - theta_i^2)) / 2 (q p - g).
+    It is degree-0 homogeneous, so it needs no scaling back. A zero weight's
+    derivative is unbounded, and its row need not be finite.
     """
     t = point.theta.array
     if point.copies == 2 and t.any():
         return None
+    m = 3 - point.copies
     k, w = _weight_scale(w)
     r = np.sqrt(w)
     q = r[:, 0] * r[:, 1] + r[:, 0] * r[:, 2] + r[:, 1] * r[:, 2]
-    e1 = (w * ((1.0 - t) * (1.0 + t))).sum(axis=1)
+    floor = (1.0 - t) * (1.0 + t)
+    e1 = (w * floor).sum(axis=1)
     if t.any():
         mixed = max(0.0, float(1 - sum(Fraction(x) ** 2 for x in t)))
-        e2 = (w[:, [0, 0, 1]] * w[:, [1, 2, 2]] * (t[::-1] ** 2 + mixed)).sum(axis=1)
+        pair = t[::-1] ** 2 + mixed
+        e2 = (w[:, [0, 0, 1]] * w[:, [1, 2, 2]] * pair).sum(axis=1)
         g = np.sqrt(w[:, 0] * w[:, 1] * w[:, 2] * mixed)
         q = np.minimum(q, np.sqrt(e2 + 2.0 * np.sqrt(3.0 * e1) * g))
         while True:
@@ -179,7 +198,16 @@ def _closed_forms(point: ModelPoint, w: np.ndarray) -> list | None:
             if not (lower < q).any():
                 break
             q = np.minimum(q, lower)
-    return np.ldexp(e1 + (3 - point.copies) * q, k).tolist()
+        # p is that of the final q; de2/dw_i sums w_j times the coefficient
+        # pair of w_i w_j in e2 over j != i
+        de2 = w[:, [1, 0, 0]] * pair[[0, 0, 1]] + w[:, [2, 2, 1]] * pair[[1, 2, 2]]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dq = ((p * p * g)[:, None] / w + p[:, None] * de2 + g[:, None] * floor) / (
+                2.0 * (q * p - g))[:, None]
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dq = (r.sum(axis=1)[:, None] - r) / (2.0 * r)
+    return np.ldexp(e1 + m * q, k).tolist(), floor + m * dq
 
 
 def _hermitian_basis(sizes) -> np.ndarray:
@@ -357,12 +385,15 @@ def nh_solution(problem: NhSdpProblem, y: np.ndarray, centered: bool = False):
 
 def _certified_bracket(problem: NhSdpProblem, w: np.ndarray, y: np.ndarray,
                        Z: np.ndarray):
-    """(lower, upper) on the optimum per measurement from any iterate (y, Z).
+    """(lower, upper, tangent) on the optimum per measurement from any
+    iterate (y, Z).
 
     upper = c.y + delta d sum_i w_i, with delta = max(0, -lambda_min) of
     L' - X' X'^dag, the Schur complement of the identity block of
     S(y) = F0 + sum_j y_j F_j recomputed from y: raising every L'_ii by
     delta I_d makes S(y) PSD, so upper is the objective at a feasible point.
+    tangent holds that point's Tr L'_ii + delta d, the gradient of upper in
+    the weights, which tends to the optimum's as the iterate converges.
     Z is projected onto the dual affine set, Z' = Z + sum_j u_j F_j with
     (A A^T) u = c - A vec(Z), so that c.y = Tr[S(y) Z'] - Tr[F0 Z'] for every
     y. A A^T needs no product: its L'-L' part is diagonal, with 1, 2 or 4
@@ -382,6 +413,7 @@ def _certified_bracket(problem: NhSdpProblem, w: np.ndarray, y: np.ndarray,
     X = S[:3 * d, 3 * d:]
     delta = max(0.0, -float(np.linalg.eigvalsh(S[:3 * d, :3 * d] - X @ X.conj().T)[0]))
     upper = float(problem.c @ y) + delta * d * float(w.sum())
+    tangent = np.einsum("iaia->i", S[:3 * d, :3 * d].reshape(3, d, 3, d)).real + delta * d
     A = problem.Fs.reshape(m, n * n).view(float)
     rd = problem.c - A @ Z.view(float).ravel()
     nl = problem.nl
@@ -392,7 +424,7 @@ def _certified_bracket(problem: NhSdpProblem, w: np.ndarray, y: np.ndarray,
     unweight = 1.0 / np.sqrt(np.append(np.repeat(w, d), np.ones(d)))
     lam_min = float(np.linalg.eigvalsh(projected * np.outer(unweight, unweight))[0])
     lower = -float(np.vdot(problem.F0, projected).real) + min(0.0, lam_min) * (upper + d)
-    return lower, upper
+    return lower, upper, tangent
 
 
 def nhcrb_sdp(point: ModelPoint, weights) -> BoundValue:
@@ -405,7 +437,8 @@ def nhcrb_sdp(point: ModelPoint, weights) -> BoundValue:
     to within [1/2, 2) are solved as given. The value and the gap come from
     the certified bracket (_certified_bracket) at the iterate solve_lmi returns,
     converged or not: the optimum lies in [value - gap, value]. `iterations`
-    is None where the solver stopped short.
+    is None where the solver stopped short. The tangent point is the
+    bracket's, read off the same iterate; it needs no scaling back.
     """
     w = as_weights(weights).require_positive()
     if point.theta.norm > SDP_BLOCH_LIMIT:
@@ -415,8 +448,8 @@ def nhcrb_sdp(point: ModelPoint, weights) -> BoundValue:
     k, scaled = _weight_scale(w.array)
     problem = nh_problem(point, WeightSpec(*scaled))
     result = sdp.solve_lmi(problem.c, problem.F0, problem.Fs, problem.y0, problem.Z0)
-    lower, value = _certified_bracket(problem, scaled, result.y, result.Z)
+    lower, value, tangent = _certified_bracket(problem, scaled, result.y, result.Z)
     value, gap = (float(np.ldexp(x, k)) for x in (value, value - lower))
     return BoundValue(value=value, normalization="per_measurement", method="sdp",
-                      copies=point.copies, gap=gap,
-                      iterations=result.iterations).to("per_qubit")
+                      copies=point.copies, gap=gap, iterations=result.iterations,
+                      tangent=tuple(tangent.tolist())).to("per_qubit")

@@ -44,6 +44,7 @@ from qtradeoff.tradeoff import (
     MsePoint,
     integer_weight_triples,
     single_copy_surface_residual,
+    surface_scan,
     two_copy_surface_residual,
 )
 
@@ -161,6 +162,11 @@ def test_criterion_06_surface_landmarks():
     for w in samples:
         fisher = classical_fisher(origin, single_copy_optimal(w))
         v = convert_normalization(np.diag(fisher.inverse()), 1, "per_measurement", "per_qubit")
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            assert (v[i] - 1.0) * (v[j] - 1.0) >= 1.0 - 1e-9
+    # and at the surface scan's tangent points, the gradients of the bound
+    for p in surface_scan(origin, 1, samples).vertices:
+        v = p.array
         for i, j in ((0, 1), (0, 2), (1, 2)):
             assert (v[i] - 1.0) * (v[j] - 1.0) >= 1.0 - 1e-9
 

@@ -297,11 +297,12 @@ def test_stacked_closed_forms_equal_the_scalar_formula_bitwise():
         point = model_point(theta, copies=copies)
         w = 10.0 ** rng.uniform(-3.0, 3.0, size=(50, 3))
         w[::5, n % 3] = 0.0
-        got = bounds._closed_forms(point, w)
+        forms = bounds._closed_forms(point, w)
         if copies == 2 and theta.norm > 0.0:
-            assert got is None
+            assert forms is None
             assert all(nhcrb_analytic(point, WeightSpec(*row)) is None for row in w)
             continue
+        got, _ = forms
         assert got == [nhcrb_analytic(point, WeightSpec(*row)).value for row in w]
         for value, row in zip(got, w):
             assert _relative_error(value, _mp_closed_form(theta.array, row, copies)) <= 2e-15
@@ -343,14 +344,17 @@ def test_closed_forms_holevo_and_qcrb_match_60_digit_mpmath():
 @pytest.mark.parametrize("weights", [(1.0, 4.0, 9.0), (3.46e-6, 1e-16, 1.0), (0.3, 0.3, 0.4),
                                      (1e8, 1.0, 1e-8)])
 def test_closed_forms_and_holevo_scale_bitwise_by_powers_of_four(theta, copies, weights):
-    # c(theta, 4^j W) = 4^j c(theta, W) to the bit for j in [-250, 250]:
-    # every bound is evaluated at the weights scaled to sum to within [1/2, 2)
+    # c(theta, 4^j W) = 4^j c(theta, W) to the bit for j in [-250, 250], and
+    # the tangent point does not move: every bound is evaluated at the
+    # weights scaled to sum to within [1/2, 2)
     point = model_point(BlochVector(*theta), copies)
     w = np.array(weights)
     j = np.arange(-250, 251)
     rows = np.ldexp(w, 2 * j[:, None])
-    base = bounds._closed_forms(point, w[None, :])[0]
-    assert bounds._closed_forms(point, rows) == np.ldexp(base, 2 * j).tolist()
+    (base,), (tangent,) = bounds._closed_forms(point, w[None, :])
+    values, tangents = bounds._closed_forms(point, rows)
+    assert values == np.ldexp(base, 2 * j).tolist()
+    assert np.array_equal(tangents, np.broadcast_to(tangent, tangents.shape))
     base = holevo(point, WeightSpec(*w)).value
     scaled = [holevo(point, WeightSpec(*row)).value for row in rows]
     assert scaled == np.ldexp(base, 2 * j).tolist()
@@ -774,6 +778,10 @@ def test_bound_value_validation_and_to():
     sdp_bound = BoundValue(value=6.0, normalization="per_qubit", method="sdp", copies=2,
                            gap=2e-7, iterations=11).to("per_measurement")
     assert (sdp_bound.value, sdp_bound.gap, sdp_bound.iterations) == (3.0, 1e-7, 11)
+    # so is the tangent point, an error triple
+    tangent = BoundValue(value=6.0, normalization="per_qubit", method="analytic", copies=2,
+                         tangent=(2.0, 4.0, 8.0)).to("per_measurement").tangent
+    assert tangent == (1.0, 2.0, 4.0)
     with pytest.raises(ValueError):
         BoundValue(value=-1.0, normalization="per_qubit", method="qcrb", copies=1)
     with pytest.raises(ValueError):

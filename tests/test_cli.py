@@ -37,7 +37,8 @@ def test_exit_codes_for_bad_input(capsys):
 
 
 def test_surface_takes_no_weights(capsys):
-    # a scan over one plane has no vertices; its offset is what bounds prints
+    # a scan over one plane is that plane and its tangent point, which bounds
+    # gives too
     with pytest.raises(SystemExit) as exc:
         cli.main(["surface", "--weights", "1,1,1"])
     assert exc.value.code == 2
@@ -158,10 +159,10 @@ def test_surface_artifact_grid_dedup(tmp_path, schema):
     assert len(doc["planes"]) == 25
     assert len(doc["grid"]) == 25
     assert doc["grid"][0] == [1, 1, 1]
-    assert len(doc["vertex_residuals"]) == len(doc["vertices"])
-    assert doc["clipped"] == 0
-    # origin vertices sit on the forbidden side of the curved surface
-    assert max(doc["vertex_residuals"]) < 1e-9
+    assert len(doc["vertex_residuals"]) == len(doc["vertices"]) == 25
+    assert "clipped" not in doc
+    # row k is plane k's tangent point, on the curved surface
+    assert max(map(abs, doc["vertex_residuals"])) < 1e-9
 
 
 def _gill_massar(theta, weights):

@@ -1,5 +1,6 @@
 import importlib.util
 import itertools
+import math
 from pathlib import Path
 
 import numpy as np
@@ -9,13 +10,6 @@ from hypothesis import strategies as st
 
 from qtradeoff import tradeoff
 from qtradeoff.bounds import nhcrb_analytic, nhcrb_sdp
-from qtradeoff.constants import (
-    PARALLEL_NORMAL_TOL,
-    SCAN_BATCH_ENTRIES,
-    SURFACE_FEAS_TOL,
-    VERTEX_BOX_LIMIT,
-    VERTEX_MERGE_TOL,
-)
 from qtradeoff.model import BlochVector, convert_normalization, model_point
 from qtradeoff.povm import WeightSpec, classical_fisher, single_copy_optimal, two_copy_optimal
 from qtradeoff.tradeoff import (
@@ -101,36 +95,54 @@ def test_grid_3_is_the_benchmark_grid():
     assert [tuple(w.array) for _, w in integer_weight_triples(3)] == list(workloads.grid_weights())
 
 
+def _assert_tangent_oracles(scan, gaps):
+    """Each tangent point V*(w) lies on its own plane, w . V*(w) = C(w), and
+    on the attainable side of every other, w' . V*(w) >= C(w'), whose
+    optimum lies in [offset - gap, offset]."""
+    normals = np.array([p.weights.array for p in scan.planes])
+    offsets = np.array([p.offset for p in scan.planes])
+    points = np.array([v.array for v in scan.vertices])
+    assert points.shape == normals.shape
+    # row k of `through` is plane k evaluated at every tangent point
+    through = normals @ points.T
+    assert np.all(np.abs(np.diag(through) - offsets) <= 1e-14 * offsets)
+    assert np.all(through >= ((offsets - np.asarray(gaps)) * (1.0 - 1e-14))[:, None])
+
+
 def test_surface_scan_origin():
     grid = [w for _, w in integer_weight_triples()]
     for copies, resid in ((1, single_copy_surface_residual), (2, two_copy_surface_residual)):
         scan = surface_scan((0.0, 0.0, 0.0), copies, grid)
-        assert len(scan.planes) == 25
-        assert len(scan.vertices) == 36
-        assert scan.clipped == 0
-        for plane, w in zip(scan.planes, grid):
+        assert len(scan.planes) == len(scan.vertices) == 25
+        _assert_tangent_oracles(scan, np.zeros(25))
+        for v, w in zip(scan.vertices, grid):
             # each plane touches the surface where its optimal measurement's
             # error floor lies
-            tangent = tangent_point(w, copies)
-            assert abs(plane.weights.array @ tangent.array - plane.offset) < 1e-9
-        for v in scan.vertices:
-            # feasible for every sampled plane
-            for plane in scan.planes:
-                assert plane.weights.array @ v.array - plane.offset >= -1e-7
-            # but on the forbidden side of the true curved surface
-            assert resid(v) < 1e-9
+            assert np.allclose(v.array, tangent_point(w, copies).array, rtol=4e-15, atol=0.0)
+            assert abs(resid(v)) <= 1e-13 * v.vx * v.vy * v.vz
 
 
 def test_surface_scan_degenerate_weights():
     # crushing two weights pushes the tangent point toward V_x = 1
-    p = tangent_point(WeightSpec(1.0, 1e-8, 1e-8), copies=1)
+    w = WeightSpec(1.0, 1e-8, 1e-8)
+    p = tangent_point(w, copies=1)
     assert p.vx < 1.001
     assert p.vy > 1e3
+    v, = surface_scan((0.0, 0.0, 0.0), 1, [w]).vertices
+    assert np.allclose(v.array, p.array, rtol=1e-12, atol=0.0)
 
 
 def test_surface_scan_empty_grid():
     with pytest.raises(ValueError):
         surface_scan((0.0, 0.0, 0.0), 1, ())
+
+
+@pytest.mark.parametrize("copies", [1, 2])
+def test_surface_scan_rejects_a_zero_weight(copies):
+    # a zero weight's plane touches the region only at infinity
+    grid = [WeightSpec(1, 1, 1), WeightSpec(1, 0, 1)]
+    with pytest.raises(ValueError, match="degenerate weights"):
+        surface_scan((0.2, 0.0, 0.0), copies, grid)
 
 
 def test_surface_scan_interior_point():
@@ -140,49 +152,46 @@ def test_surface_scan_interior_point():
     floor = 1.0 - np.array([0.2, 0.0, 0.0]) ** 2
     for copies in (1, 2):
         scan = surface_scan((0.2, 0.0, 0.0), copies, grid)
-        assert len(scan.planes) == len(grid)
+        assert len(scan.planes) == len(scan.vertices) == len(grid)
         for v in scan.vertices:
-            assert np.all(v.array >= floor - 1e-7)
+            assert np.all(v.array >= floor)
         doc = scan.to_json_dict()
         assert doc["copies"] == copies
-        assert len(doc["planes"]) == len(grid)
+        assert len(doc["planes"]) == len(doc["vertices"]) == len(grid)
     point = model_point(BlochVector(0.2, 0.0, 0.0), copies=2)
-    for plane, w in zip(scan.planes, grid):
-        want = nhcrb_sdp(point, w).value
-        assert abs(plane.offset - want) <= 1e-12 * want
+    for plane, v, w in zip(scan.planes, scan.vertices, grid):
+        want = nhcrb_sdp(point, w)
+        assert abs(plane.offset - want.value) <= 1e-12 * want.value
+        assert np.allclose(v.array, want.tangent, rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("theta", [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)])
 @pytest.mark.parametrize("n", [2, 3])
 def test_single_copy_scan_at_an_axis_pure_state(theta, n):
-    # the floor 1 - theta_i^2 is 0 on the pure axis, where rounding in the
-    # plane intersection can put a vertex coordinate just below it
+    # the floor 1 - theta_i^2 is 0 on the pure axis, and every plane's
+    # bound is independent of that axis' weight, so each tangent point's
+    # coordinate there is exactly 0
     grid = [w for _, w in integer_weight_triples(n)]
     scan = surface_scan(theta, 1, grid)
-    assert scan.vertices
     axis = theta.index(1.0)
+    _assert_tangent_oracles(scan, np.zeros(len(grid)))
     for v in scan.vertices:
-        assert np.all(v.array >= 0.0)
-        assert np.all(v.array >= 1.0 - np.asarray(theta) ** 2 - SURFACE_FEAS_TOL)
-        for plane in scan.planes:
-            assert plane.weights.array @ v.array - plane.offset >= -1e-7
-    # the scan reaches the floor 0 of the pure axis
-    assert min(v.array[axis] for v in scan.vertices) < 1e-12
+        assert v.array[axis] == 0.0
+        assert np.all(np.delete(v.array, axis) >= 1.0)
 
 
 def test_single_copy_scan_at_a_pure_axis_state_has_exact_planes():
     # at theta = (0, 0, 1), W - u u^T = diag(wx, wy, 0), so each offset is
-    # (sqrt(wx) + sqrt(wy))^2; an offset off by the square root of a
-    # rounding error splits each vertex into a cluster of near copies
+    # (sqrt(wx) + sqrt(wy))^2 and its gradient is
+    # (1 + sqrt(wy / wx), 1 + sqrt(wx / wy), 0)
     grid = [w for _, w in integer_weight_triples(4)]
     scan = surface_scan((0.0, 0.0, 1.0), 1, grid)
-    for plane in scan.planes:
+    for plane, v in zip(scan.planes, scan.vertices):
         wx, wy, _ = plane.weights.array
         want = (np.sqrt(wx) + np.sqrt(wy)) ** 2
         assert abs(plane.offset - want) <= 1e-15 * want
-    v = np.array([v.array for v in scan.vertices])
-    apart = np.linalg.norm(v[:, None] - v[None, :], axis=-1)[np.triu_indices(len(v), 1)]
-    assert apart.min() > 1e-3
+        tangent = np.array([1.0 + np.sqrt(wy / wx), 1.0 + np.sqrt(wx / wy), 0.0])
+        assert np.allclose(v.array, tangent, rtol=1e-15, atol=0.0)
 
 
 @pytest.mark.parametrize("copies", [1, 2])
@@ -200,72 +209,28 @@ def test_surface_scan_builds_one_model_point(monkeypatch, copies):
     assert calls == [copies]
 
 
-def _scan_one_triple_at_a_time(theta, planes):
-    """The scan's vertex search as a loop over plane triples, counting the
-    triples each branch discards. The tolerances are relative to the normals'
-    sizes: a sine for parallel pairs, a normalized volume for singular
-    triples, and the plane tests in units of each normal's 1-norm."""
-    floor = 1.0 - np.asarray(theta) ** 2
-    normals = np.array([p.weights.array for p in planes])
-    offsets = np.array([p.offset for p in planes])
-    lengths = np.linalg.norm(normals, axis=1)
-    fired = dict(parallel=0, singular=0, floor=0, plane=0, box=0)
-    candidates = []
-    for i, j, k in itertools.combinations(range(len(planes)), 3):
-        n = normals[[i, j, k]]
-        if any(np.linalg.norm(np.cross(normals[a], normals[b])) < PARALLEL_NORMAL_TOL * lengths[a] * lengths[b]
-               for a, b in ((i, j), (i, k), (j, k))):
-            fired["parallel"] += 1
-            continue
-        if abs(np.linalg.det(n)) < PARALLEL_NORMAL_TOL * lengths[i] * lengths[j] * lengths[k]:
-            fired["singular"] += 1
-            continue
-        v = np.linalg.solve(n, offsets[[i, j, k]])
-        if np.any(v < floor - SURFACE_FEAS_TOL):
-            fired["floor"] += 1
-            continue
-        if np.any(normals @ v < offsets - SURFACE_FEAS_TOL * np.abs(normals).sum(axis=1)):
-            fired["plane"] += 1
-            continue
-        if np.any(v > VERTEX_BOX_LIMIT):
-            fired["box"] += 1
-            continue
-        candidates.append(v)
-    return _merge_one_at_a_time(np.maximum(candidates, 0.0)), fired
-
-
-def _merge_one_at_a_time(points):
-    """The greedy merge as a loop: in sorted order, keep a point unless it
-    lies within the merge tolerance of one already kept."""
-    merged = []
-    for v in sorted(points, key=tuple):
-        if not any(np.linalg.norm(v - u) < VERTEX_MERGE_TOL for u in merged):
-            merged.append(v)
-    return np.array(merged).reshape(-1, 3)
-
-
-# a repeated triple (parallel normals), three coplanar normals (zero
-# determinant), a near-degenerate triple, and three nearly flat in V_z whose
-# common vertex lies beyond the box
-EVERY_BRANCH_GRID = [WeightSpec(1, 1, 1), WeightSpec(1, 1, 1), WeightSpec(2, 3, 4),
-                     WeightSpec(1, 2, 3), WeightSpec(1, 1e-8, 1e-8), WeightSpec(1, 1, 1e-4),
-                     WeightSpec(1, 4, 1e-4), WeightSpec(4, 1, 1e-4)]
+# a repeated weight, three coplanar normals, a near-degenerate triple, and
+# three nearly flat in V_z
+STRESS_GRID = [WeightSpec(1, 1, 1), WeightSpec(1, 1, 1), WeightSpec(2, 3, 4),
+               WeightSpec(1, 2, 3), WeightSpec(1, 1e-8, 1e-8), WeightSpec(1, 1, 1e-4),
+               WeightSpec(1, 4, 1e-4), WeightSpec(4, 1, 1e-4)]
 GRID_3 = [w for _, w in integer_weight_triples()]
 
 
 @pytest.mark.parametrize("theta, grid", [
-    pytest.param((0.0, 0.0, 0.0), EVERY_BRANCH_GRID, id="theta0"),
-    pytest.param((0.2, 0.1, 0.0), EVERY_BRANCH_GRID, id="theta1"),
+    pytest.param((0.0, 0.0, 0.0), STRESS_GRID, id="theta0"),
+    pytest.param((0.2, 0.1, 0.0), STRESS_GRID, id="theta1"),
     pytest.param((0.0, 0.0, 0.0), GRID_3, id="grid3-origin"),
 ])
 @pytest.mark.parametrize("copies", [1, 2])
-def test_batched_scan_matches_triple_loop(theta, grid, copies):
+def test_tangent_points_touch_their_planes(theta, grid, copies):
+    # two copies off the origin take the SDP's tangent points: each is the
+    # error of a feasible point, so it satisfies every other plane down to
+    # that plane's certified optimum, value - gap
     scan = surface_scan(theta, copies, grid)
-    vertices, fired = _scan_one_triple_at_a_time(theta, scan.planes)
-    if grid is EVERY_BRANCH_GRID:
-        assert all(fired.values()), fired
-    assert scan.clipped == fired["box"]
-    assert np.array_equal(np.array([v.array for v in scan.vertices]), vertices)
+    point = model_point(BlochVector(*theta), copies)
+    gaps = [nhcrb_sdp(point, w).gap if copies == 2 and any(theta) else 0.0 for w in grid]
+    _assert_tangent_oracles(scan, gaps)
 
 
 def _near_degenerate_grid(seed, n):
@@ -287,19 +252,54 @@ def _near_degenerate_grid(seed, n):
     return [WeightSpec(*row) for row in rows]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=80, deadline=None)
-@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(3, 12),
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 12),
        direction=st.tuples(*[st.floats(-1.0, 1.0)] * 3), radius=st.floats(0.0, 1.0))
-def test_screened_scan_matches_triple_loop(seed, n, direction, radius):
-    # the screen rejects only triples whose solved point fails a test: the
-    # scan keeps the vertices, in order and to the bit, and the clipped count
-    # of solving every triple, whatever the scale and conditioning of the rows
+def test_tangent_points_satisfy_every_plane(seed, n, direction, radius):
+    # the closed forms' gradients over the whole ball, pure states included,
+    # whatever the scale and conditioning of the weight rows
     norm = np.linalg.norm(direction)
     theta = tuple(radius * np.asarray(direction) / norm) if norm > 1e-3 else (0.0, 0.0, 0.0)
     scan = surface_scan(theta, 1, _near_degenerate_grid(seed, n))
-    vertices, fired = _scan_one_triple_at_a_time(theta, scan.planes)
-    assert scan.clipped == fired["box"]
-    assert np.array_equal(np.array([v.array for v in scan.vertices]).reshape(-1, 3), vertices)
+    _assert_tangent_oracles(scan, np.zeros(n))
+
+
+def _matrix_form_tangent(theta, w):
+    """The one-copy tangent point diag(F*^-1) = Tr A diag(J^-1/2 A^-1 J^-1/2),
+    A = (J^-1/2 W J^-1/2)^1/2 and J^-1 = I - theta theta^T, by eigh, and the
+    condition number of J^-1/2 W J^-1/2."""
+    vals, vecs = np.linalg.eigh(np.eye(3) - np.outer(theta, theta))
+    root = (vecs * np.sqrt(vals)) @ vecs.T
+    a_vals, a_vecs = np.linalg.eigh(root @ np.diag(w) @ root)
+    a_roots = np.sqrt(a_vals)
+    a_inverse = (a_vecs / a_roots) @ a_vecs.T
+    return a_roots.sum() * np.diag(root @ a_inverse @ root), a_vals[-1] / a_vals[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(direction=st.tuples(*[st.floats(-1.0, 1.0)] * 3), radius=st.floats(0.0, 0.999),
+       log_w=st.tuples(*[st.floats(-4.0, 4.0)] * 3))
+def test_one_copy_tangent_is_the_matrix_form(direction, radius, log_w):
+    norm = np.linalg.norm(direction)
+    theta = radius * np.asarray(direction) / norm if norm > 1e-3 else np.zeros(3)
+    w = 10.0 ** np.array(log_w)
+    got = nhcrb_analytic(model_point(BlochVector(*theta)), WeightSpec(*w)).tangent
+    want, cond = _matrix_form_tangent(theta, w)
+    assert np.allclose(got, want, rtol=16.0 * np.finfo(float).eps * cond, atol=0.0)
+
+
+@pytest.mark.parametrize("theta, copies", [((0.0, 0.0, 0.0), 1), ((0.3, -0.2, 0.4), 1),
+                                           ((0.0, 0.0, 0.0), 2)])
+@pytest.mark.parametrize("weights", [(1.0, 4.0, 9.0), (1.0, 1.0, 1.0), (2.0, 1e-3, 1.0)])
+def test_sdp_tangent_is_the_closed_form_gradient(theta, copies, weights):
+    # a near-optimal feasible point's errors are within about
+    # sqrt(gap / value) of the optimum's, relative to their size
+    point = model_point(BlochVector(*theta), copies)
+    sdp = nhcrb_sdp(point, weights)
+    exact = nhcrb_analytic(point, weights).tangent
+    tol = 4.0 * math.sqrt(sdp.gap / sdp.value) * max(exact)
+    assert np.abs(np.array(sdp.tangent) - exact).max() <= tol
 
 
 @pytest.mark.parametrize("theta, copies", [((0.0, 0.0, 0.0), 1), ((0.0, 0.0, 0.0), 2),
@@ -311,17 +311,8 @@ def test_scan_offsets_are_the_closed_form_values(theta, copies):
     scan = surface_scan(theta, copies, grid)
     point = model_point(BlochVector(*theta), copies)
     assert [p.offset for p in scan.planes] == [nhcrb_analytic(point, w).value for w in grid]
-
-
-def test_batched_scan_matches_triple_loop_over_many_batches():
-    # the grid-4 weights: 55 planes and 26,235 triples, three batches
-    grid = [w for _, w in integer_weight_triples(4)]
-    theta = (0.2, 0.1, 0.0)
-    scan = surface_scan(theta, 1, grid)
-    vertices, fired = _scan_one_triple_at_a_time(theta, scan.planes)
-    assert len(scan.planes) == 55
-    assert scan.clipped == fired["box"]
-    assert np.array_equal(np.array([v.array for v in scan.vertices]), vertices)
+    assert [tuple(v.array) for v in scan.vertices] == [nhcrb_analytic(point, w).tangent
+                                                        for w in grid]
 
 
 @settings(max_examples=30, deadline=None)
@@ -329,68 +320,15 @@ def test_batched_scan_matches_triple_loop_over_many_batches():
        theta_copies=st.sampled_from([((0.0, 0.0, 0.0), 1), ((0.0, 0.0, 0.0), 2),
                                      ((0.2, 0.1, 0.0), 1), ((-0.3, 0.2, 0.4), 1)]))
 def test_scan_depends_only_on_weight_ratios(k, n, theta_copies):
-    # every tolerance is relative to the normals' sizes, so scaling the grid
-    # by 4^m keeps the vertices and the clipped count; an even power keeps
-    # the closed forms' square roots exact
+    # scaling the grid by 4^m scales the offsets and keeps the tangent
+    # points, bit for bit: an even power keeps the closed forms' square
+    # roots exact, and the gradient is degree-0 homogeneous
     theta, copies = theta_copies
     grid = [w for _, w in integer_weight_triples(n)]
     scan = surface_scan(theta, copies, grid)
     scaled = surface_scan(theta, copies, [WeightSpec(*np.ldexp(w.array, k)) for w in grid])
-    assert scaled.clipped == scan.clipped
-    assert len(scaled.vertices) == len(scan.vertices) > 0
-    assert np.allclose([v.array for v in scaled.vertices], [v.array for v in scan.vertices],
-                       rtol=1e-12, atol=0.0)
-
-
-@pytest.mark.parametrize("n, planes, batches", [(2, 7, 1), (3, 25, 1), (4, 55, 3), (5, 115, 56)])
-def test_vertex_search_batches(monkeypatch, n, planes, batches):
-    # at most SCAN_BATCH_ENTRIES screen tests (triples x (planes + 3)) a batch
-    # (each batch decodes its triple indices with one right-sided searchsorted)
-    sizes = []
-    searchsorted = np.searchsorted
-
-    def recording(a, v, side="left", sorter=None):
-        if side == "right":
-            sizes.append(len(v))
-        return searchsorted(a, v, side=side, sorter=sorter)
-
-    monkeypatch.setattr(np, "searchsorted", recording)
-    grid = [w for _, w in integer_weight_triples(n)]
-    scan = surface_scan((0.0, 0.0, 0.0), 1, grid)
-    assert len(scan.planes) == planes and scan.vertices
-    assert len(sizes) == batches
-    assert max(sizes) <= SCAN_BATCH_ENTRIES // (planes + 3)
-    assert sum(sizes) == planes * (planes - 1) * (planes - 2) // 6
-
-
-def test_merge_matches_the_greedy_loop():
-    tol = VERTEX_MERGE_TOL
-    a = np.array([1.0, 2.0, 3.0])
-    step = np.array([0.6 * tol, 0.0, 0.0])
-    cases = {
-        # a ~ b ~ c but a is not close to c: b goes, so c stays
-        "chain": np.array([a, a + step, a + 2 * step]),
-        "chain shuffled": np.array([a + 2 * step, a, a + step]),
-        # close in x, far apart in y or z: all stay
-        "x only": np.array([a, a + [0.1 * tol, 1.0, 0.0], a + [0.2 * tol, 0.0, 1.0],
-                            a + [0.3 * tol, 1.0, 0.0]]),
-        # equal x, y within the tolerance
-        "y chain": np.array([a, a + [0.0, 0.6 * tol, 0.0], a + [0.0, 1.2 * tol, 0.0]]),
-        # an exact duplicate and a point just beyond the tolerance in x
-        "edges": np.array([a, a, a + [1.0001 * tol, 0.0, 0.0], a + [2.1 * tol, 0.0, 0.0]]),
-        "one": a[None, :],
-        "none": np.empty((0, 3)),
-    }
-    rng = np.random.default_rng(16)
-    for k in range(20):
-        centres = rng.uniform(0.0, 5.0, size=(rng.integers(1, 8), 3))
-        picks = centres[rng.integers(0, len(centres), size=60)]
-        spread = tol * rng.uniform(0.1, 3.0)
-        cases[f"cloud {k}"] = picks + rng.normal(scale=spread, size=picks.shape)
-    for name, points in cases.items():
-        got = tradeoff._merge_vertices(points)
-        assert np.array_equal(got, _merge_one_at_a_time(points)), name
-    assert len(tradeoff._merge_vertices(cases["chain"])) == 2
+    assert scaled.vertices == scan.vertices
+    assert [p.offset for p in scaled.planes] == [np.ldexp(p.offset, k) for p in scan.planes]
 
 
 def test_mse_point_validation():
