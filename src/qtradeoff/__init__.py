@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .bounds import (
     BoundValue,
-    convert_normalization,
     holevo,
     nhcrb_analytic,
     nhcrb_sdp,
@@ -25,7 +24,6 @@ __all__ = [
     "Povm",
     "WeightSpec",
     "classical_fisher",
-    "convert_normalization",
     "density_matrix",
     "holevo",
     "model_point",

@@ -10,9 +10,9 @@ self-contained primal-dual SDP; closed forms exist for one copy at every
 point and for two copies at the origin. The QCRB and the Holevo bound are
 closed forms at every point.
 
-Every bound function returns its value per qubit; BoundValue.to converts it
-to "per_measurement", which differs by the number of copies a single
-measurement consumes (see convert_normalization).
+Every bound, gap and tangent point is per qubit, the unit in which one-
+and two-copy strategies compare: an error per measurement times the number
+of copies one measurement consumes.
 Centering: the SDP is formulated with Tr[rho X_i] = 0 so that its optimum is
 the bound on the weighted mean squared error itself rather than on second
 moments; reported observables are recentred as X_i + theta_i I.
@@ -20,19 +20,14 @@ moments; reported observables are recentred as X_i + theta_i I.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import sdp
 from .constants import SDP_BLOCH_LIMIT
-from .model import (
-    BlochVector,
-    ModelPoint,
-    _check_normalization,
-    convert_normalization,
-)
+from .model import BlochVector, ModelPoint
 from .povm import WeightSpec
 
 
@@ -50,7 +45,7 @@ def as_weights(weights) -> WeightSpec:
 
 @dataclass(frozen=True)
 class BoundValue:
-    """A scalar error bound together with its conventions and provenance.
+    """A scalar error bound per qubit together with its provenance.
 
     An SDP bound has a gap, with the optimum in [value - gap, value], and
     the solver's iterations, None where the solver stopped short. The
@@ -61,7 +56,6 @@ class BoundValue:
     """
 
     value: float
-    normalization: str
     method: str
     copies: int
     gap: float | None = None
@@ -69,21 +63,10 @@ class BoundValue:
     tangent: tuple | None = None
 
     def __post_init__(self):
-        _check_normalization(self.normalization)
         if self.value < 0.0:
             raise ValueError(f"bound value {self.value} is negative")
         if self.copies < 1:
             raise ValueError(f"copies must be >= 1, got {self.copies}")
-
-    def to(self, normalization: str) -> "BoundValue":
-        def convert(x):
-            if x is None:
-                return None
-            return convert_normalization(x, self.copies, self.normalization, normalization)
-
-        tangent = None if self.tangent is None else tuple(map(convert, self.tangent))
-        return replace(self, value=convert(self.value), normalization=normalization,
-                       gap=convert(self.gap), tangent=tangent)
 
 
 def qcrb(point: ModelPoint, weights) -> BoundValue:
@@ -97,7 +80,7 @@ def qcrb(point: ModelPoint, weights) -> BoundValue:
     t = point.theta.array
     w = as_weights(weights).array
     return BoundValue(value=float((w * ((1.0 - t) * (1.0 + t))).sum()),
-                      normalization="per_qubit", method="qcrb", copies=point.copies)
+                      method="qcrb", copies=point.copies)
 
 
 def _weight_scale(w: np.ndarray):
@@ -128,8 +111,7 @@ def holevo(point: ModelPoint, weights) -> BoundValue:
     k, w = _weight_scale(as_weights(weights).array)
     v = np.sqrt(w[[1, 2, 0]] * w[[2, 0, 1]]) * t
     value = float(np.ldexp(qcrb(point, WeightSpec(*w)).value + 2.0 * np.linalg.norm(v), k))
-    return BoundValue(value=value, normalization="per_qubit", method="holevo",
-                      copies=point.copies)
+    return BoundValue(value=value, method="holevo", copies=point.copies)
 
 
 def nhcrb_analytic(point: ModelPoint, weights) -> BoundValue | None:
@@ -147,8 +129,8 @@ def nhcrb_analytic(point: ModelPoint, weights) -> BoundValue | None:
     if forms is None:
         return None
     values, tangents = forms
-    return BoundValue(value=values[0], normalization="per_qubit", method="analytic",
-                      copies=point.copies, tangent=tuple(tangents[0].tolist()))
+    return BoundValue(value=values[0], method="analytic", copies=point.copies,
+                      tangent=tuple(tangents[0].tolist()))
 
 
 def _closed_forms(point: ModelPoint, w: np.ndarray) -> tuple | None:
@@ -438,7 +420,9 @@ def nhcrb_sdp(point: ModelPoint, weights) -> BoundValue:
     the certified bracket (_certified_bracket) at the iterate solve_lmi returns,
     converged or not: the optimum lies in [value - gap, value]. `iterations`
     is None where the solver stopped short. The tangent point is the
-    bracket's, read off the same iterate; it needs no scaling back.
+    bracket's, read off the same iterate; it needs no scaling back. The
+    bracket is per measurement, so value, gap and tangent are multiplied by
+    the copy count, exactly, once.
     """
     w = as_weights(weights).require_positive()
     if point.theta.norm > SDP_BLOCH_LIMIT:
@@ -449,7 +433,8 @@ def nhcrb_sdp(point: ModelPoint, weights) -> BoundValue:
     problem = nh_problem(point, WeightSpec(*scaled))
     result = sdp.solve_lmi(problem.c, problem.F0, problem.Fs, problem.y0, problem.Z0)
     lower, value, tangent = _certified_bracket(problem, scaled, result.y, result.Z)
-    value, gap = (float(np.ldexp(x, k)) for x in (value, value - lower))
-    return BoundValue(value=value, normalization="per_measurement", method="sdp",
-                      copies=point.copies, gap=gap, iterations=result.iterations,
-                      tangent=tuple(tangent.tolist())).to("per_qubit")
+    copies = point.copies
+    value, gap = (float(np.ldexp(x, k)) * copies for x in (value, value - lower))
+    return BoundValue(value=value, method="sdp", copies=copies, gap=gap,
+                      iterations=result.iterations,
+                      tangent=tuple((tangent * copies).tolist()))

@@ -140,19 +140,24 @@ def _complex_matrix_json(mat):
     return [[[z.real, z.imag] for z in row] for row in np.asarray(mat)]
 
 
+def _divisor(normalization, copies):
+    """Per measurement is per qubit over the qubits one measurement consumes."""
+    return copies if normalization == "per_measurement" else 1
+
+
 def _bound_record(name, bound: BoundValue, normalization):
-    rec = bound.to(normalization)
+    divisor = _divisor(normalization, bound.copies)
     out = {
         "name": name,
-        "value": rec.value,
-        "normalization": rec.normalization,
-        "method": rec.method,
-        "copies": rec.copies,
+        "value": bound.value / divisor,
+        "normalization": normalization,
+        "method": bound.method,
+        "copies": bound.copies,
     }
-    if rec.gap is not None:
-        out["gap"] = rec.gap
-    if rec.iterations is not None:
-        out["iterations"] = rec.iterations
+    if bound.gap is not None:
+        out["gap"] = bound.gap / divisor
+    if bound.iterations is not None:
+        out["iterations"] = bound.iterations
     return out
 
 
@@ -221,12 +226,9 @@ def cmd_povm(args) -> int:
     if fisher is not None:
         payload["fisher"] = [list(row) for row in fisher.matrix]
         payload["weights"] = list(weights.array)
-        payload["weighted_trace_inverse_per_measurement"] = (
-            fisher.weighted_trace_inverse(weights, "per_measurement")
-        )
-        payload["weighted_trace_inverse_per_qubit"] = (
-            fisher.weighted_trace_inverse(weights, "per_qubit")
-        )
+        floor = fisher.weighted_trace_inverse(weights)
+        for norm in ("per_measurement", "per_qubit"):
+            payload[f"weighted_trace_inverse_{norm}"] = floor / _divisor(norm, fisher.copies)
     rows = [[i, label, p] for i, (label, p) in enumerate(zip(povm.labels, probs))]
     return _write(args, payload, ["outcome", "label", "probability"], rows)
 

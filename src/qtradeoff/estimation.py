@@ -18,7 +18,7 @@ from .constants import (
     MLE_KKT_TOL,
     MLE_MAX_ITER,
 )
-from .model import BlochVector, convert_normalization, model_point
+from .model import BlochVector, model_point
 from .povm import Povm
 from .tradeoff import MsePoint
 
@@ -330,13 +330,15 @@ def mle_estimator(counts, model, stats=None):
     Newton iteration count and largest final projected-gradient norm (by
     max) and the number of rows where the ball binds (by sum), so one
     dict passed to several calls describes them all.
-    Raises ValueError for counts that are not finite or whose row total
-    overflows, and MleError carrying the first unconverged row's iterate
-    and projected-gradient norm when a row stops short of MLE_KKT_TOL.
+    Raises ValueError for counts whose last axis is not the model's
+    outcomes, that are not finite or whose row total overflows, and
+    MleError carrying the first unconverged row's iterate and
+    projected-gradient norm when a row stops short of MLE_KKT_TOL.
     """
     counts = np.asarray(counts, dtype=float)
-    if counts.ndim not in (1, 2):
-        raise ValueError("counts must have shape (n,) or (R, n)")
+    n = len(model.q0)
+    if counts.ndim not in (1, 2) or counts.shape[-1] != n:
+        raise ValueError(f"counts must have shape (n,) or (R, n), n = {n}, not {counts.shape}")
     batch = np.atleast_2d(counts)
     # a total that overflows, or that adds +inf to -inf, fails the check
     # below with the ValueError, not with a RuntimeWarning first
@@ -420,11 +422,8 @@ def run_experiment(plan, weights, estimator="linear"):
         ])
     squared = (estimates - theta_true) ** 2
 
-    # shots * MSE is the per-measurement error; qubits consumed per repeat
-    # turn it into the per-qubit one
-    scale = convert_normalization(
-        plan.shots_per_repeat, plan.copies, "per_measurement", "per_qubit"
-    )
+    # qubits consumed per repetition times MSE is the per-qubit error
+    scale = plan.shots_per_repeat * plan.copies
     per_axis = scale * squared.mean(axis=0)
     mse = MsePoint(per_axis[0], per_axis[1], per_axis[2])
     weighted_trace = float(w.array @ per_axis)

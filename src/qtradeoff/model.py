@@ -23,29 +23,6 @@ IDENTITY_2 = np.eye(2, dtype=complex)
 
 AXIS_LABELS = ("x", "y", "z")
 
-NORMALIZATIONS = ("per_measurement", "per_qubit")
-
-
-def _check_normalization(normalization: str) -> None:
-    if normalization not in NORMALIZATIONS:
-        raise ValueError(
-            f"unknown normalization '{normalization}', expected one of {NORMALIZATIONS}"
-        )
-
-
-def convert_normalization(value, copies: int, src: str, dst: str):
-    """Convert an error quantity between per-measurement and per-qubit conventions.
-
-    A collective measurement on `copies` qubits consumes `copies` qubits per
-    shot, so per_qubit = copies * per_measurement. `value` may be a scalar
-    bound or an MSE matrix.
-    """
-    _check_normalization(src)
-    _check_normalization(dst)
-    if src == dst:
-        return value
-    return value * copies if dst == "per_qubit" else value / copies
-
 
 @dataclass(frozen=True)
 class BlochVector:

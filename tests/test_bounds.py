@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from qtradeoff import bounds, sdp
 from qtradeoff.bounds import (
     BoundValue,
-    convert_normalization,
     holevo,
     nh_problem,
     nh_solution,
@@ -46,7 +45,6 @@ def test_qcrb_closed_form():
         w = rng.uniform(0.1, 1.0, size=3)
         point = model_point(BlochVector(*t))
         got = qcrb(point, WeightSpec(*w))
-        assert got.normalization == "per_qubit"
         assert abs(got.value - (w.sum() - t @ (w * t))) < 1e-12
 
 
@@ -56,15 +54,12 @@ def test_qcrb_copy_invariance_per_qubit():
     one = qcrb(model_point(theta, copies=1), w)
     two = qcrb(model_point(theta, copies=2), w)
     assert abs(one.value - two.value) < 1e-12
-    # each two-copy measurement consumes two qubits
-    assert abs(two.to("per_measurement").value - 0.5 * one.value) < 1e-12
 
 
 def test_holevo_origin_is_weight_trace():
     for copies in (1, 2):
         got = holevo(model_point(ORIGIN, copies=copies), WeightSpec(1, 1, 1))
         assert got.value == 3.0
-        assert got.normalization == "per_qubit"
         assert got.method == "holevo"
         assert got.copies == copies
 
@@ -75,7 +70,6 @@ def test_holevo_hand_value():
     assert abs(holevo(model_point(theta), w).value - 16.94) < 1e-12
     two = holevo(model_point(theta, copies=2), w)
     assert abs(two.value - 16.94) < 1e-12
-    assert abs(two.to("per_measurement").value - 8.47) < 1e-12
 
 
 # Interior points up to |theta| = 0.999999 and weights over six decades
@@ -161,8 +155,7 @@ def test_holevo_below_two_copy_collective_bound():
 def test_analytic_origin_values():
     w = WeightSpec(1, 1, 1)
     one, two = model_point(ORIGIN, copies=1), model_point(ORIGIN, copies=2)
-    assert abs(nhcrb_analytic(one, w).to("per_measurement").value - 9.0) < 1e-12
-    assert abs(nhcrb_analytic(two, w).to("per_measurement").value - 3.0) < 1e-12
+    assert abs(nhcrb_analytic(one, w).value - 9.0) < 1e-12
     assert abs(nhcrb_analytic(two, w).value - 6.0) < 1e-12
     with pytest.raises(ValueError):
         nhcrb_analytic(model_point(ORIGIN, copies=3), w)
@@ -173,21 +166,22 @@ def test_analytic_origin_general_weights():
     for _ in range(10):
         w = rng.uniform(0.05, 1.0, size=3)
         rw = np.sqrt(w)
-        c1 = nhcrb_analytic(model_point(ORIGIN, copies=1), WeightSpec(*w)).to("per_measurement")
+        c1 = nhcrb_analytic(model_point(ORIGIN, copies=1), WeightSpec(*w))
         assert abs(c1.value - rw.sum() ** 2) < 1e-12
-        c2 = nhcrb_analytic(model_point(ORIGIN, copies=2), WeightSpec(*w)).to("per_measurement")
+        c2 = nhcrb_analytic(model_point(ORIGIN, copies=2), WeightSpec(*w))
         cross = rw[0] * rw[1] + rw[0] * rw[2] + rw[1] * rw[2]
-        assert abs(c2.value - 0.5 * (w.sum() + cross)) < 1e-12
+        assert abs(c2.value - (w.sum() + cross)) < 2e-12
 
 
 def test_sdp_matches_frozen_oracles():
+    # the frozen values are per measurement: copies times each is per qubit
     for theta, weights, c1, c2 in FROZEN_SDP:
         w = WeightSpec(*weights)
-        got1 = nhcrb_sdp(model_point(BlochVector(*theta), copies=1), w).to("per_measurement")
-        got2 = nhcrb_sdp(model_point(BlochVector(*theta), copies=2), w).to("per_measurement")
+        got1 = nhcrb_sdp(model_point(BlochVector(*theta), copies=1), w)
+        got2 = nhcrb_sdp(model_point(BlochVector(*theta), copies=2), w)
         assert abs(got1.value - c1) / c1 < 2e-6
-        assert abs(got2.value - c2) / c2 < 2e-6
-        assert got1.gap < 1e-6 and got2.gap < 1e-6
+        assert abs(got2.value - 2 * c2) / (2 * c2) < 2e-6
+        assert got1.gap < 1e-6 and got2.gap < 2e-6
         assert got1.method == "sdp"
         assert got1.iterations > 0
 
@@ -198,8 +192,8 @@ def test_sdp_matches_analytic_at_origin():
         w = WeightSpec(*rng.uniform(0.05, 1.0, size=3))
         for copies in (1, 2):
             point = model_point(ORIGIN, copies=copies)
-            want = nhcrb_analytic(point, w).to("per_measurement").value
-            got = nhcrb_sdp(point, w).to("per_measurement")
+            want = nhcrb_analytic(point, w).value
+            got = nhcrb_sdp(point, w)
             assert abs(got.value - want) / want < 1e-5
 
 
@@ -413,8 +407,8 @@ def test_sdp_scale_covariance():
     theta = BlochVector(0.3, 0.3, 0.3)
     w = np.array([1.0, 4.0, 9.0])
     point = model_point(theta)
-    a = nhcrb_sdp(point, WeightSpec(*w)).to("per_measurement").value
-    b = nhcrb_sdp(point, WeightSpec(*(w / 14.0))).to("per_measurement").value
+    a = nhcrb_sdp(point, WeightSpec(*w)).value
+    b = nhcrb_sdp(point, WeightSpec(*(w / 14.0))).value
     assert abs(a - 14.0 * b) / a < 1e-6
 
 
@@ -667,9 +661,9 @@ def test_bracket_contains_the_frozen_values():
     for theta, weights, c1, c2 in FROZEN_SDP:
         for copies, want in ((1, c1), (2, c2)):
             point = model_point(BlochVector(*theta), copies=copies)
-            got = nhcrb_sdp(point, WeightSpec(*weights)).to("per_measurement")
-            # the frozen values are rounded to 10 decimals
-            _assert_bracket_contains(got, want, 5e-11 + 1e-12 * want)
+            got = nhcrb_sdp(point, WeightSpec(*weights))
+            # the frozen values are per measurement, rounded to 10 decimals
+            _assert_bracket_contains(got, copies * want, copies * (5e-11 + 1e-12 * want))
 
 
 # One weight 10^-k below the others, in each position: the bracket's lower
@@ -732,7 +726,7 @@ def _origin_certificate(povm, w):
 def test_certificate_single_copy():
     w = WeightSpec(1.0, 4.0, 9.0)
     value, L, min_eig, resid = _origin_certificate(single_copy_optimal(w), w)
-    want = nhcrb_analytic(model_point(ORIGIN, copies=1), w).to("per_measurement").value
+    want = nhcrb_analytic(model_point(ORIGIN, copies=1), w).value
     assert abs(value - want) < 1e-12
     assert min_eig >= -1e-12
     assert resid < 1e-12
@@ -746,8 +740,9 @@ def test_certificate_two_copy():
         raw = rng.uniform(0.05, 1.0, size=3)
         w = WeightSpec(*raw)
         value, L, min_eig, resid = _origin_certificate(two_copy_optimal(w), w)
-        want = nhcrb_analytic(model_point(ORIGIN, copies=2), w).to("per_measurement").value
-        assert abs(value - want) < 1e-10
+        # the certificate's value is per measurement
+        want = nhcrb_analytic(model_point(ORIGIN, copies=2), w).value
+        assert abs(2 * value - want) < 2e-10
         assert min_eig >= -1e-12
         assert resid < 1e-12
         rw = np.sqrt(raw)
@@ -759,35 +754,14 @@ def test_certificate_two_copy():
             assert abs(np.trace(block).real - want_tr) < 1e-10
 
 
-def test_convert_normalization_round_trip():
-    assert convert_normalization(3.0, 2, "per_measurement", "per_qubit") == 6.0
-    assert convert_normalization(6.0, 2, "per_qubit", "per_measurement") == 3.0
-    assert convert_normalization(5.0, 1, "per_qubit", "per_qubit") == 5.0
+def test_bound_value_validation():
+    b = BoundValue(value=6.0, method="sdp", copies=2, gap=2e-7, iterations=11,
+                   tangent=(2.0, 4.0, 8.0))
+    assert (b.value, b.gap, b.iterations, b.tangent) == (6.0, 2e-7, 11, (2.0, 4.0, 8.0))
     with pytest.raises(ValueError):
-        convert_normalization(1.0, 2, "per_shot", "per_qubit")
-
-
-def test_bound_value_validation_and_to():
-    b = BoundValue(value=3.0, normalization="per_measurement", method="analytic", copies=2)
-    pq = b.to("per_qubit")
-    assert pq.value == 6.0
-    assert pq.method == "analytic"
-    assert pq.to("per_measurement").value == 3.0
-    assert pq.gap is None and pq.iterations is None
-    # the gap is an error quantity too, converted with the value
-    sdp_bound = BoundValue(value=6.0, normalization="per_qubit", method="sdp", copies=2,
-                           gap=2e-7, iterations=11).to("per_measurement")
-    assert (sdp_bound.value, sdp_bound.gap, sdp_bound.iterations) == (3.0, 1e-7, 11)
-    # so is the tangent point, an error triple
-    tangent = BoundValue(value=6.0, normalization="per_qubit", method="analytic", copies=2,
-                         tangent=(2.0, 4.0, 8.0)).to("per_measurement").tangent
-    assert tangent == (1.0, 2.0, 4.0)
+        BoundValue(value=-1.0, method="qcrb", copies=1)
     with pytest.raises(ValueError):
-        BoundValue(value=-1.0, normalization="per_qubit", method="qcrb", copies=1)
-    with pytest.raises(ValueError):
-        BoundValue(value=1.0, normalization="per_banana", method="qcrb", copies=1)
-    with pytest.raises(ValueError):
-        BoundValue(value=1.0, normalization="per_qubit", method="qcrb", copies=0)
+        BoundValue(value=1.0, method="qcrb", copies=0)
 
 
 def _cvxpy_nhcrb(theta, weights, copies):
@@ -824,6 +798,6 @@ def test_sdp_against_live_convex_solver(copies):
     t *= 0.35 / np.linalg.norm(t)
     w = rng.uniform(0.2, 1.0, size=3)
     oracle = _cvxpy_nhcrb(tuple(t), tuple(w), copies)
-    got = nhcrb_sdp(model_point(BlochVector(*t), copies), WeightSpec(*w))
-    got = got.to("per_measurement").value
-    assert abs(got - oracle) / oracle < 1e-5
+    # the oracle is per measurement
+    got = nhcrb_sdp(model_point(BlochVector(*t), copies), WeightSpec(*w)).value
+    assert abs(got - copies * oracle) / (copies * oracle) < 1e-5

@@ -68,6 +68,25 @@ def test_bounds_origin_values(tmp_path, schema):
     assert abs(by_key[("holevo", "per_qubit")] - 3.0) < 1e-9
     assert abs(by_key[("qcrb", "per_qubit")] - 3.0) < 1e-9
     assert abs(by_key[("nhcrb_sdp", "per_qubit")] - 6.0) < 1e-4
+    # off the origin two copies have only the SDP, whose records carry a gap
+    off = run_json(tmp_path, ["bounds", "--copies", "2", "--theta=0.3,-0.2,0.1",
+                              "--weights", "1,4,9"], name="off.json")
+    jsonschema.validate(off, schema)
+    sdp_records = [r for r in off["records"] if r["name"] == "nhcrb_sdp"]
+    assert len(sdp_records) == 2 and all(r["gap"] > 0 for r in sdp_records)
+    # each per-measurement value and gap is its per-qubit twin's over the
+    # copies, to the 12 significant digits both are written with
+    for records in (doc["records"], off["records"]):
+        twins = {r["name"]: r for r in records if r["normalization"] == "per_qubit"}
+        for rec in records:
+            if rec["normalization"] == "per_measurement":
+                twin = twins.pop(rec["name"])
+                assert rec.keys() == twin.keys()
+                for key in ("value", "gap"):
+                    if key in rec:
+                        want = twin[key] / rec["copies"]
+                        assert abs(rec[key] - want) <= 1e-11 * abs(want), (rec, twin)
+        assert not twins
 
 
 def test_bounds_normalization_filter(tmp_path, schema):

@@ -88,6 +88,12 @@ def test_mle_counts_are_checked():
     n = len(model.q0)
     with pytest.raises(ValueError, match="shape"):
         mle_estimator(np.ones((2, 2, n)), model)
+    # a single count column would broadcast against the outcomes; a wrong
+    # length is the same error, not numpy's broadcasting one
+    for counts in (np.array([5.0]), np.full((4, 1), 5.0), np.ones(n - 1),
+                   np.ones((3, n + 1))):
+        with pytest.raises(ValueError, match="shape"):
+            mle_estimator(counts, model)
     with pytest.raises(ValueError, match="at least one shot"):
         mle_estimator(np.zeros(n), model)
     with pytest.raises(ValueError, match="at least one shot"):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from qtradeoff.bounds import convert_normalization, nhcrb_analytic
+from qtradeoff.bounds import nhcrb_analytic
 from qtradeoff.cli import _complex_matrix_json
 from qtradeoff.constants import PSD_TOL
 from qtradeoff.model import PAULIS, BlochVector, model_point, qfi
@@ -183,26 +183,24 @@ def test_optimal_povms_saturate_origin_bounds():
     rng = np.random.default_rng(11)
     for _ in range(25):
         w = random_weights(rng)
+        # the floor and the bound are both per qubit
         f1 = classical_fisher(ORIGIN, single_copy_optimal(w))
-        wt1 = f1.weighted_trace_inverse(w, "per_measurement")
-        assert abs(wt1 - nhcrb_analytic(ORIGIN_1, w).to("per_measurement").value) < 1e-10
+        wt1 = f1.weighted_trace_inverse(w)
+        assert abs(wt1 - nhcrb_analytic(ORIGIN_1, w).value) < 1e-10
         f2 = classical_fisher(ORIGIN, two_copy_optimal(w))
-        wt2 = f2.weighted_trace_inverse(w, "per_measurement")
-        assert abs(wt2 - nhcrb_analytic(ORIGIN_2, w).to("per_measurement").value) < 1e-10
+        wt2 = f2.weighted_trace_inverse(w)
+        assert abs(wt2 - nhcrb_analytic(ORIGIN_2, w).value) < 2e-10
 
 
 def test_fisher_normalizations():
     w = WeightSpec(*(np.ones(3) / 3))
     f2 = classical_fisher(ORIGIN, two_copy_optimal(w))
-    pm = f2.weighted_trace_inverse(w, "per_measurement")
-    pq = f2.weighted_trace_inverse(w, "per_qubit")
-    assert abs(pq - 2.0 * pm) < 1e-12
-    with pytest.raises(ValueError):
-        f2.weighted_trace_inverse(w, "per_shot")
     inv = f2.inverse()
     assert np.abs(inv @ f2.matrix - np.eye(3)).max() < 1e-12
-    mse = convert_normalization(inv, f2.copies, "per_measurement", "per_qubit")
-    assert np.abs(mse - 2.0 * np.linalg.inv(f2.matrix)).max() < 1e-12
+    # the Fisher information is per measurement, the floor per qubit: each
+    # two-copy measurement consumes two qubits
+    pq = f2.weighted_trace_inverse(w)
+    assert abs(pq - 2.0 * np.trace(w.matrix @ inv)) < 1e-12
 
 
 def test_fisher_never_exceeds_quantum_limit():

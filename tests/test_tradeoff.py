@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from qtradeoff import tradeoff
 from qtradeoff.bounds import nhcrb_analytic, nhcrb_sdp
-from qtradeoff.model import BlochVector, convert_normalization, model_point
+from qtradeoff.model import BlochVector, model_point
 from qtradeoff.povm import WeightSpec, classical_fisher, single_copy_optimal, two_copy_optimal
 from qtradeoff.tradeoff import (
     MsePoint,
@@ -28,8 +28,7 @@ def tangent_point(weights, copies):
     touches the trade-off surface."""
     povm = (single_copy_optimal, two_copy_optimal)[copies - 1](weights)
     fisher = classical_fisher(BlochVector(0, 0, 0), povm)
-    return MsePoint(*convert_normalization(np.diag(fisher.inverse()), copies,
-                                           "per_measurement", "per_qubit"))
+    return MsePoint(*(copies * np.diag(fisher.inverse())))
 
 
 def test_residual_landmarks():
