@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qtradeoff import bounds, sdp
+from qtradeoff import bounds, cli, sdp
 from qtradeoff.bounds import (
     BoundValue,
     holevo,
@@ -754,10 +754,31 @@ def test_certificate_two_copy():
             assert abs(np.trace(block).real - want_tr) < 1e-10
 
 
-def test_bound_value_validation():
+def test_convert_normalization_round_trip():
+    # the library is per qubit; the CLI's records divide by the qubits one
+    # measurement consumes, and the choice of normalization is checked there
+    assert cli._divisor("per_measurement", 2) == 2
+    assert cli._divisor("per_qubit", 2) == 1
+    assert cli._divisor("per_qubit", 1) == 1
+    b = BoundValue(value=6.0, method="analytic", copies=2)
+    per_meas = cli._bound_record("nhcrb", b, "per_measurement")["value"]
+    assert per_meas == 3.0
+    assert per_meas * cli._divisor("per_measurement", 2) == 6.0
+    assert cli._bound_record("nhcrb", b, "per_qubit")["value"] == 6.0
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(["bounds", "--normalization", "per_shot"])
+
+
+def test_bound_value_validation_and_to():
     b = BoundValue(value=6.0, method="sdp", copies=2, gap=2e-7, iterations=11,
                    tangent=(2.0, 4.0, 8.0))
     assert (b.value, b.gap, b.iterations, b.tangent) == (6.0, 2e-7, 11, (2.0, 4.0, 8.0))
+    # to a per-measurement record: the gap is an error quantity too, divided with the value
+    rec = cli._bound_record("nhcrb", b, "per_measurement")
+    assert (rec["value"], rec["gap"], rec["iterations"]) == (3.0, 1e-7, 11)
+    assert (rec["method"], rec["copies"], rec["normalization"]) == ("sdp", 2, "per_measurement")
+    plain = cli._bound_record("qcrb", BoundValue(value=3.0, method="qcrb", copies=1), "per_qubit")
+    assert plain["value"] == 3.0 and "gap" not in plain and "iterations" not in plain
     with pytest.raises(ValueError):
         BoundValue(value=-1.0, method="qcrb", copies=1)
     with pytest.raises(ValueError):
