@@ -170,7 +170,7 @@ def cmd_bounds(args) -> int:
         if args.normalization
         else ("per_measurement", "per_qubit")
     )
-    point = model_point(theta, copies=copies)
+    point = model_point(theta, copies)
     named = [("qcrb", qcrb(point, weights)), ("holevo", holevo(point, weights)),
              ("nhcrb_analytic", nhcrb_analytic(point, weights)),
              ("nhcrb_sdp", nhcrb_sdp(point, weights))]
@@ -349,7 +349,7 @@ def _sweep_rows(grid, repeats, seed):
                 rep.mse.vx, rep.mse.vy, rep.mse.vz,
                 rep.weighted_trace, rep.standard_error,
                 rep.metadata["single_copy_bound_per_qubit"],
-                nhcrb_sdp(model_point(theta, copies=2), w).value,
+                nhcrb_sdp(model_point(theta, 2), w).value,
             ])
     return rows
 

@@ -6,6 +6,8 @@ per-axis mean squared errors normalized per qubit so they are directly
 comparable to the analytic and SDP bounds.
 """
 
+import functools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +58,7 @@ class ShotPlan:
     seed: root seed; the experiment draws every repetition's outcome
         counts from the one stream [seed, 0], straight from the state's
         outcome probabilities.
+    The three counts are integers, numpy's kept as int; a bool or float raises ValueError.
     """
 
     theta_true: BlochVector
@@ -66,12 +69,13 @@ class ShotPlan:
 
     def __post_init__(self):
         self.povm.copies  # raises ValueError for a POVM on neither one nor two qubits
-        if self.shots_per_repeat <= 0:
-            raise ValueError("shots_per_repeat must be positive")
-        if self.repeats <= 0:
-            raise ValueError("repeats must be positive")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
+        for name, least in (("shots_per_repeat", 1), ("repeats", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise ValueError(f"{name} must be {'positive' if least else 'nonnegative'}")
+            object.__setattr__(self, name, int(value))
 
     @property
     def copies(self) -> int:
@@ -119,17 +123,17 @@ class ExperimentReport:
         }
 
 
-def sample_counts(probs, shots, rng):
+def sample_counts(probs, shots, rng, size=None):
     """Draw multinomial outcome counts for one repetition or a batch.
 
     probs are checked probabilities, as QuadraticModel.checked_probabilities
     returns them; the draw renormalizes them, since measurements published
     to few decimals sum to one only within their budget. shots is one
-    repetition's shot count, giving counts of shape (n,), or an (R,) array
-    of them, giving one row of counts per repetition (R, n).
+    repetition's shot count, giving counts (n,), or (R, n) with size=R, the
+    faster draw of the same rows as an (R,) array of shot counts gives.
     """
     p = np.asarray(probs, dtype=float)
-    return rng.multinomial(np.asarray(shots, dtype=np.int64), p / p.sum())
+    return rng.multinomial(shots, p / p.sum(), size=size)
 
 
 def _norm(x):
@@ -379,24 +383,34 @@ def _bootstrap_standard_error(squared_errors, weights, scale):
     return float(scale * per_repeat.std() / np.sqrt(len(per_repeat)))
 
 
+@functools.lru_cache(maxsize=32)
+def _closed_form_bounds(theta, weights):
+    """(single-copy, two-copy or None) closed-form bounds per qubit at theta,
+    kept for the last 32 (theta, weights): the origin grid's 25 weights fit."""
+    c2 = nhcrb_analytic(model_point(theta, 2), weights)
+    return nhcrb_analytic(model_point(theta, 1), weights).value, None if c2 is None else c2.value
+
+
 def run_experiment(plan, weights, estimator="linear"):
     """Run the full Monte Carlo experiment described by a ShotPlan.
 
     The experiment reads the POVM's QuadraticModel, Povm.model. One
     generator seeded with the stream [seed, 0] draws the (R, n) outcome
-    counts of all R repetitions, shots_per_repeat each, as one batched multinomial
-    draw from the model's checked probabilities at theta_true, for every
-    state, mixed or not. The linear estimator maps all repetitions'
-    frequencies through the model's design in one product; the MLE solves
-    each repetition's counts in its own call on the same model, with the
-    solves' convergence statistics in metadata["mle"]. Per-axis squared
-    errors are averaged over repetitions and normalized per qubit. For
-    positive weights the metadata carries the closed-form collective bounds at
-    theta_true, per qubit: the single-copy bound everywhere and the
-    two-copy bound at the origin, where its closed form exists;
-    z_vs_single_copy measures the weighted trace against the single-copy
-    one in bootstrap standard errors, taken in their closed form, and is
-    left out when that standard error is 0, as it is for one repetition.
+    counts of all R repetitions in one multinomial call, with the scalar
+    shot count shots_per_repeat and size R, from the model's checked
+    probabilities at theta_true, for every state, mixed or not. The linear
+    estimator maps all repetitions' frequencies through the model's design
+    in one product; the MLE solves each repetition's counts in its own
+    call on the same model, with the solves' convergence statistics in
+    metadata["mle"]. Per-axis squared errors are averaged over repetitions
+    (np.add.reduce over R, as np.mean sums) and normalized per qubit. For
+    positive weights the metadata carries the closed-form collective
+    bounds at theta_true per qubit, computed once per (theta_true,
+    weights): the single-copy bound everywhere and the two-copy bound at
+    the origin, where its closed form exists; z_vs_single_copy measures
+    the weighted trace against the single-copy one in bootstrap standard
+    errors, taken in their closed form, and is left out when that standard
+    error is 0, as it is for one repetition.
     """
     w = as_weights(weights)
     if estimator not in ("linear", "mle"):
@@ -404,13 +418,11 @@ def run_experiment(plan, weights, estimator="linear"):
     theta_true = plan.theta_true.array
     model = plan.povm.model
 
-    rng = np.random.Generator(
-        np.random.Philox(np.random.SeedSequence([plan.seed, REPEAT_STREAM]))
-    )
-    shots = np.full(plan.repeats, plan.shots_per_repeat)
-    counts = sample_counts(model.checked_probabilities(theta_true), shots, rng)
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([plan.seed, REPEAT_STREAM])))
+    shots, repeats = plan.shots_per_repeat, plan.repeats
+    counts = sample_counts(model.checked_probabilities(theta_true), shots, rng, size=repeats)
     if estimator == "linear":
-        estimates = (counts / shots[:, None]) @ model.design.T
+        estimates = (counts / shots) @ model.design.T
     else:
         # one call per repetition, so mle_estimator stays the per-repetition
         # layer that the benchmark's traced run counts, until it counts rows
@@ -423,8 +435,8 @@ def run_experiment(plan, weights, estimator="linear"):
     squared = (estimates - theta_true) ** 2
 
     # qubits consumed per repetition times MSE is the per-qubit error
-    scale = plan.shots_per_repeat * plan.copies
-    per_axis = scale * squared.mean(axis=0)
+    scale = shots * plan.copies
+    per_axis = scale * (np.add.reduce(squared, axis=0) / repeats)
     mse = MsePoint(per_axis[0], per_axis[1], per_axis[2])
     weighted_trace = float(w.array @ per_axis)
     stderr = _bootstrap_standard_error(squared, w.array, scale)
@@ -435,11 +447,10 @@ def run_experiment(plan, weights, estimator="linear"):
         "weights": list(w.array),
     }
     if np.all(w.array > 0):
-        c1 = nhcrb_analytic(model_point(plan.theta_true, 1), w).value
+        c1, c2 = _closed_form_bounds(plan.theta_true, w)
         metadata["single_copy_bound_per_qubit"] = c1
-        c2 = nhcrb_analytic(model_point(plan.theta_true, 2), w)
         if c2 is not None:
-            metadata["two_copy_bound_per_qubit"] = c2.value
+            metadata["two_copy_bound_per_qubit"] = c2
         if stderr > 0:
             metadata["z_vs_single_copy"] = (c1 - weighted_trace) / stderr
     if estimator == "mle":
@@ -448,6 +459,6 @@ def run_experiment(plan, weights, estimator="linear"):
         mse=mse,
         weighted_trace=weighted_trace,
         standard_error=stderr,
-        estimates_mean=estimates.mean(axis=0),
+        estimates_mean=np.add.reduce(estimates, axis=0) / repeats,
         metadata=metadata,
     )

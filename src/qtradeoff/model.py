@@ -7,6 +7,7 @@ rho tensor rho (copies=2).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -22,6 +23,9 @@ _PAULI_STACK = np.array(PAULIS)
 IDENTITY_2 = np.eye(2, dtype=complex)
 
 AXIS_LABELS = ("x", "y", "z")
+
+# (theta, copies) kept built: the reproduce sweep's six states at both copy counts
+MODEL_POINT_CACHE_SIZE = 16
 
 
 @dataclass(frozen=True)
@@ -106,18 +110,23 @@ def qfi(theta: BlochVector) -> np.ndarray:
     return np.eye(3) + np.outer(t, t) / (1.0 - r2)
 
 
+@functools.lru_cache(maxsize=MODEL_POINT_CACHE_SIZE)
 def model_point(theta: BlochVector, copies: int = 1) -> ModelPoint:
-    """Model state and parameter derivatives for one or two copies."""
+    """Model state and parameter derivatives for one or two copies; equal
+    (theta, copies) among the last MODEL_POINT_CACHE_SIZE share one ModelPoint
+    with read-only arrays, which do not depend on the sign of a zero in theta."""
     if copies not in (1, 2):
         raise ValueError(f"copies must be 1 or 2, got {copies}")
     rho = density_matrix(theta)
     if copies == 1:
-        drho = tuple(0.5 * p for p in PAULIS)
-        return ModelPoint(theta=theta, copies=1, rho=rho, drho=drho)
-    # a (x) b as the broadcast product a[i, j] b[k, l] laid out at
-    # (2i + k, 2j + l): np.kron's products, without its per-call set-up
-    rho2 = (rho[:, None, :, None] * rho[None, :, None, :]).reshape(4, 4)
-    left = (_PAULI_STACK[:, :, None, :, None] * rho[None, None, :, None, :]).reshape(3, 4, 4)
-    right = (rho[None, :, None, :, None] * _PAULI_STACK[:, None, :, None, :]).reshape(3, 4, 4)
-    drho = tuple(0.5 * (left + right))
-    return ModelPoint(theta=theta, copies=2, rho=rho2, drho=drho)
+        drho = 0.5 * _PAULI_STACK
+    else:
+        # a (x) b as the broadcast product a[i, j] b[k, l] laid out at
+        # (2i + k, 2j + l): np.kron's products, without its per-call set-up
+        left = (_PAULI_STACK[:, :, None, :, None] * rho[None, None, :, None, :]).reshape(3, 4, 4)
+        right = (rho[None, :, None, :, None] * _PAULI_STACK[:, None, :, None, :]).reshape(3, 4, 4)
+        drho = 0.5 * (left + right)
+        rho = (rho[:, None, :, None] * rho[None, :, None, :]).reshape(4, 4)
+    for a in (rho, drho):
+        a.setflags(write=False)
+    return ModelPoint(theta=theta, copies=copies, rho=rho, drho=tuple(drho))

@@ -1,10 +1,11 @@
+import json
 import warnings
 
 import numpy as np
 import pytest
 
 from qtradeoff import estimation
-from qtradeoff.bounds import nhcrb_sdp
+from qtradeoff.bounds import nhcrb_analytic, nhcrb_sdp
 from qtradeoff.constants import PROB_SUM_TOL
 from qtradeoff.estimation import (
     DEMO_SHOTS,
@@ -47,6 +48,25 @@ def test_shot_plan_validation():
     assert doc["povm"] == "two_copy_optimal"
     assert doc["n_outcomes"] == 7
     assert doc["copies"] == plan.copies == 2
+
+
+@pytest.mark.parametrize("shots, repeats, seed", [
+    (309.5, 10, 0), (309.0, 10, 0), (True, 10, 0),
+    (100, 5.0, 0), (100, True, 0), (100, 10, 1.0), (100, 10, False),
+], ids=["half-shot", "float-shots", "bool-shots", "float-repeats", "bool-repeats",
+        "float-seed", "bool-seed"])
+def test_shot_plan_counts_are_integers(shots, repeats, seed):
+    # a fractional shot count used to draw 309 shots and scale by 309.5,
+    # and a float repeats or seed failed inside numpy with a TypeError
+    with pytest.raises(ValueError, match="must be an integer"):
+        ShotPlan(ORIGIN, two_copy_optimal(EQUAL), shots, repeats, seed)
+
+
+def test_shot_plan_takes_numpy_integers():
+    plan = ShotPlan(ORIGIN, two_copy_optimal(EQUAL), np.int64(100), np.int32(10), np.uint8(3))
+    assert (plan.shots_per_repeat, plan.repeats, plan.seed) == (100, 10, 3)
+    assert all(type(v) is int for v in (plan.shots_per_repeat, plan.repeats, plan.seed))
+    json.dumps(run_experiment(plan, EQUAL).to_json_dict()["metadata"]["plan"])
 
 
 def test_a_povm_on_three_qubits_is_rejected():
@@ -168,6 +188,27 @@ def test_batched_rows_sum_to_their_shot_counts():
         assert counts.min() >= 0
         assert np.array_equal(counts.sum(axis=1), shots)
     assert sample_counts(probs, 309, rng).shape == (povm.n_outcomes,)
+
+
+@pytest.mark.parametrize("name", ["opt1", "opt2", "sic", "ref1", "ref2"])
+def test_scalar_shots_draw_the_rows_of_a_shots_array(name):
+    # run_experiment draws with a scalar count and size=R; the rows equal
+    # those of the per-row shots array from the same [seed, 0] stream,
+    # also where a pure state gives outcomes zero probability
+    w = WeightSpec(1, 4, 9)
+    povm = {"opt1": single_copy_optimal(w), "opt2": two_copy_optimal(w), "sic": sic_two_copy(),
+            "ref1": reference_povm(1), "ref2": reference_povm(2)}[name]
+    zero = False
+    for theta, shots, repeats in (((0, 0, 0), 309, 1000), ((0.1, -0.2, 0.3), 50, 37),
+                                  ((0, 0, 1), 20, 200), ((0.6, 0, -0.8), 1, 5)):
+        probs = povm.model.checked_probabilities(np.array(theta, dtype=float))
+        scalar = sample_counts(probs, shots, _philox(5, REPEAT_STREAM), size=repeats)
+        rows = sample_counts(probs, np.full(repeats, shots), _philox(5, REPEAT_STREAM))
+        assert scalar.shape == (repeats, povm.n_outcomes)
+        assert np.array_equal(scalar, rows)
+        zero |= bool((probs == 0).any())
+    # the pure states give these measurements' outcomes zero probability
+    assert zero or name.startswith("ref")
 
 
 def test_same_seed_gives_the_same_counts():
@@ -555,6 +596,19 @@ def test_per_repetition_mle_calls_match_one_batched_call(monkeypatch, components
     assert rep.metadata["mle"] == stats
     # the near-sphere state puts rows on the ball (93 of 200 here)
     assert (stats["on_boundary"] > 0) == binds
+
+
+def test_cached_metadata_bounds_equal_fresh_closed_forms():
+    for theta in (ORIGIN, BlochVector(-0.0, 0.0, 0.0), BlochVector(0.1, -0.2, 0.3)):
+        for w in (EQUAL, WeightSpec(1, 4, 9)):
+            c1, c2 = estimation._closed_form_bounds(theta, w)
+            assert c1 == nhcrb_analytic(model_point.__wrapped__(theta, 1), w).value
+            fresh = nhcrb_analytic(model_point.__wrapped__(theta, 2), w)
+            assert c2 == (fresh and fresh.value)
+            assert (c2 is None) == bool(theta.array.any())
+            meta = run_experiment(ShotPlan(theta, two_copy_optimal(w), 100, 10, 1), w).metadata
+            assert meta["single_copy_bound_per_qubit"] == c1
+            assert meta.get("two_copy_bound_per_qubit") == c2
 
 
 def test_run_experiment_rejects_unknown_estimator():

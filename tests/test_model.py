@@ -200,3 +200,31 @@ def test_density_matrix_positive(vals):
 
 def test_check_sld_contract_smoke():
     assert sld_defining_residual(BlochVector(0.1, 0.1, 0.1)) <= 1e-10
+
+
+def _point_bits(point):
+    return point.copies, point.rho.dtype, point.rho.tobytes(), [d.tobytes() for d in point.drho]
+
+
+@pytest.mark.parametrize("copies", [1, 2])
+def test_cached_model_points_equal_an_uncached_build_bitwise(copies):
+    # +0 and -0 are equal Bloch vectors, so one may get the other's cached
+    # point; its arrays must be the ones the caller's own vector gives
+    model_point.cache_clear()
+    model_point(BlochVector(0.0, 0.0, 0.0), copies)
+    for components in ((0.0, 0.0, 0.0), (-0.0, 0.0, 0.0), (0.1, -0.2, 0.3)):
+        theta = BlochVector(*components)
+        cached, fresh = model_point(theta, copies), model_point.__wrapped__(theta, copies)
+        assert cached is model_point(theta, copies) and cached is not fresh
+        assert cached.theta == theta
+        assert _point_bits(cached) == _point_bits(fresh)
+
+
+def test_shared_model_points_are_read_only():
+    point = model_point(BlochVector(0.1, -0.2, 0.3), 2)
+    with pytest.raises(ValueError, match="read-only"):
+        point.rho[0, 0] = 1.0
+    for d in point.drho:
+        with pytest.raises(ValueError, match="read-only"):
+            d[0, 0] = 1.0
+    assert np.array(point.rho).flags.writeable
