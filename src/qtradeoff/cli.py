@@ -98,13 +98,25 @@ def render_csv(header, rows) -> str:
 
 
 def _emit(text, out):
-    """Write the finished artifact to stdout, or to out in one write; opening
-    out truncates it first, so a failed write can leave it empty or partial."""
+    """Write the finished artifact to stdout or to out. A regular or new file is
+    written beside its symlink-resolved target and moved into place, so a failed
+    write leaves the old file as it was; /dev/null or a FIFO is written in place."""
     if out is None:
         sys.stdout.write(text)
-    else:
+    elif os.path.exists(out) and not os.path.isfile(out):
         with open(out, "w") as fh:
             fh.write(text)
+    else:
+        target = os.path.realpath(out) if os.path.islink(out) else out
+        tmp = f"{target}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "w") as fh:
+                fh.write(text)
+            os.replace(tmp, target)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+            raise
 
 
 def _write(args, payload, header, rows) -> int:

@@ -7,7 +7,6 @@ rho tensor rho (copies=2).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -23,9 +22,6 @@ _PAULI_STACK = np.array(PAULIS)
 IDENTITY_2 = np.eye(2, dtype=complex)
 
 AXIS_LABELS = ("x", "y", "z")
-
-# (theta, copies) kept built: the reproduce sweep's six states at both copy counts
-MODEL_POINT_CACHE_SIZE = 16
 
 
 @dataclass(frozen=True)
@@ -110,11 +106,8 @@ def qfi(theta: BlochVector) -> np.ndarray:
     return np.eye(3) + np.outer(t, t) / (1.0 - r2)
 
 
-@functools.lru_cache(maxsize=MODEL_POINT_CACHE_SIZE)
 def model_point(theta: BlochVector, copies: int = 1) -> ModelPoint:
-    """Model state and parameter derivatives for one or two copies; equal
-    (theta, copies) among the last MODEL_POINT_CACHE_SIZE share one ModelPoint
-    with read-only arrays, which do not depend on the sign of a zero in theta."""
+    """State and parameter derivatives for one or two copies, built per call."""
     if copies not in (1, 2):
         raise ValueError(f"copies must be 1 or 2, got {copies}")
     rho = density_matrix(theta)
@@ -127,6 +120,4 @@ def model_point(theta: BlochVector, copies: int = 1) -> ModelPoint:
         right = (rho[None, :, None, :, None] * _PAULI_STACK[:, None, :, None, :]).reshape(3, 4, 4)
         drho = 0.5 * (left + right)
         rho = (rho[:, None, :, None] * rho[None, :, None, :]).reshape(4, 4)
-    for a in (rho, drho):
-        a.setflags(write=False)
     return ModelPoint(theta=theta, copies=copies, rho=rho, drho=tuple(drho))

@@ -103,7 +103,8 @@ class Povm:
     from the identity; the exact constructions use COMPLETENESS_TOL while the
     four-decimal reference measurements carry a 2e-3 budget. The elements
     are read-only copies of the arrays passed in, so one Povm can be shared:
-    np.array(e) gives an editable copy of an element.
+    np.array(e) gives an editable copy of an element. It raises ValueError
+    unless it has one or more square elements of one shape, one label each.
     """
 
     elements: tuple[np.ndarray, ...]
@@ -112,8 +113,13 @@ class Povm:
     completeness_tol: float = COMPLETENESS_TOL
 
     def __post_init__(self):
-        object.__setattr__(self, "elements",
-                           tuple(_read_only(np.array(e)) for e in self.elements))
+        elements = tuple(_read_only(np.array(e)) for e in self.elements)
+        shapes = {e.shape for e in elements}
+        if len(shapes) != 1 or not any(len(s) == 2 and s[0] == s[1] for s in shapes):
+            raise ValueError(f"POVM '{self.name}' needs square elements of one shape, got {shapes}")
+        if len(self.labels) != len(elements):
+            raise ValueError(f"POVM '{self.name}' has {len(self.labels)} labels, {len(elements)} elements")
+        object.__setattr__(self, "elements", elements)
 
     @property
     def dim(self) -> int:

@@ -1,6 +1,8 @@
+import errno
 import filecmp
 import importlib.resources
 import json
+import os
 
 import numpy as np
 import pytest
@@ -325,6 +327,38 @@ def test_unwritable_out_is_a_validation_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "No such file or directory" in err
     assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("fault", ["replace", "encode"])
+def test_a_failed_out_write_leaves_the_previous_artifact(tmp_path, monkeypatch, fault):
+    out = tmp_path / "bounds.json"
+    assert cli.main(["bounds", "--out", str(out)]) == 0
+    before = out.read_bytes()
+    if fault == "replace":
+        def refuse(src, dst):
+            raise OSError(errno.EACCES, "replace refused", dst)
+
+        monkeypatch.setattr(cli.os, "replace", refuse)
+    else:
+        # a lone surrogate has no encoding, so the write itself fails
+        monkeypatch.setattr(cli, "render_json", lambda payload: "\ud800")
+    assert cli.main(["bounds", "--theta", "0.1,0,0", "--out", str(out)]) == 2
+    assert out.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [out]
+
+
+def test_out_through_a_symlink_writes_its_target(tmp_path):
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    target.write_text("old\n")
+    link.symlink_to(target)
+    assert cli.main(["bounds", "--out", str(link)]) == 0
+    assert link.is_symlink() and json.loads(target.read_text())["kind"] == "bounds"
+    assert sorted(tmp_path.iterdir()) == [link, target]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
+def test_out_to_dev_null_is_written_in_place():
+    assert cli.main(["bounds", "--out", "/dev/null"]) == 0
 
 
 def test_reproduce_into_an_existing_file_is_a_validation_error(tmp_path, capsys, monkeypatch):

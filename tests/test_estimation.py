@@ -602,8 +602,8 @@ def test_cached_metadata_bounds_equal_fresh_closed_forms():
     for theta in (ORIGIN, BlochVector(-0.0, 0.0, 0.0), BlochVector(0.1, -0.2, 0.3)):
         for w in (EQUAL, WeightSpec(1, 4, 9)):
             c1, c2 = estimation._closed_form_bounds(theta, w)
-            assert c1 == nhcrb_analytic(model_point.__wrapped__(theta, 1), w).value
-            fresh = nhcrb_analytic(model_point.__wrapped__(theta, 2), w)
+            assert c1 == nhcrb_analytic(model_point(theta, 1), w).value
+            fresh = nhcrb_analytic(model_point(theta, 2), w)
             assert c2 == (fresh and fresh.value)
             assert (c2 is None) == bool(theta.array.any())
             meta = run_experiment(ShotPlan(theta, two_copy_optimal(w), 100, 10, 1), w).metadata

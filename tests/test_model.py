@@ -202,29 +202,17 @@ def test_check_sld_contract_smoke():
     assert sld_defining_residual(BlochVector(0.1, 0.1, 0.1)) <= 1e-10
 
 
-def _point_bits(point):
-    return point.copies, point.rho.dtype, point.rho.tobytes(), [d.tobytes() for d in point.drho]
-
-
 @pytest.mark.parametrize("copies", [1, 2])
-def test_cached_model_points_equal_an_uncached_build_bitwise(copies):
-    # +0 and -0 are equal Bloch vectors, so one may get the other's cached
-    # point; its arrays must be the ones the caller's own vector gives
-    model_point.cache_clear()
-    model_point(BlochVector(0.0, 0.0, 0.0), copies)
-    for components in ((0.0, 0.0, 0.0), (-0.0, 0.0, 0.0), (0.1, -0.2, 0.3)):
-        theta = BlochVector(*components)
-        cached, fresh = model_point(theta, copies), model_point.__wrapped__(theta, copies)
-        assert cached is model_point(theta, copies) and cached is not fresh
-        assert cached.theta == theta
-        assert _point_bits(cached) == _point_bits(fresh)
-
-
-def test_shared_model_points_are_read_only():
-    point = model_point(BlochVector(0.1, -0.2, 0.3), 2)
-    with pytest.raises(ValueError, match="read-only"):
-        point.rho[0, 0] = 1.0
+def test_model_points_are_built_per_call(copies):
+    # each call returns its own writable arrays: editing one point leaves a
+    # fresh point at the same theta as a first build made it
+    theta = BlochVector(0.1, -0.2, 0.3)
+    point = model_point(theta, copies)
+    rho, drho = point.rho.copy(), [d.copy() for d in point.drho]
+    point.rho[0, 0] = 7.0
     for d in point.drho:
-        with pytest.raises(ValueError, match="read-only"):
-            d[0, 0] = 1.0
-    assert np.array(point.rho).flags.writeable
+        d[0, 0] = 7.0
+    fresh = model_point(theta, copies)
+    assert fresh is not point
+    assert np.array_equal(fresh.rho, rho)
+    assert all(np.array_equal(a, b) for a, b in zip(fresh.drho, drho))

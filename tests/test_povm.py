@@ -290,9 +290,8 @@ def test_povm_validation_rejects_incomplete():
     half = (np.eye(2, dtype=complex) * 0.25,)
     with pytest.raises(ValueError):
         validate(Povm(half, name="broken", labels=("only",)))
-    bad_labels = Povm((np.eye(2, dtype=complex),), name="broken", labels=("a", "b"))
     with pytest.raises(ValueError):
-        validate(bad_labels)
+        validate(Povm((np.eye(2, dtype=complex),), name="broken", labels=("a", "b")))
     # complete, and PSD as eigvalsh reads it (one triangle), but not Hermitian
     skew = tuple(np.array([[0.5, s], [0.0, 0.5]], dtype=complex) for s in (0.5, -0.5))
     with pytest.raises(ValueError, match="non-Hermitian"):
@@ -304,6 +303,16 @@ def test_povm_validation_rejects_incomplete():
     validate(sic_two_copy())
     validate(reference_povm(1))
     validate(reference_povm(2))
+
+
+@pytest.mark.parametrize("elements", [
+    (),
+    (np.eye(2, dtype=complex), np.eye(4, dtype=complex)),
+    (np.ones((2, 3), dtype=complex),),
+], ids=["no_elements", "mixed_shapes", "not_square"])
+def test_povm_rejects_malformed_elements(elements):
+    with pytest.raises(ValueError, match="square elements of one shape"):
+        Povm(elements, name="malformed", labels=("a", "b")[:len(elements)])
 
 
 def test_povm_json_round_trip():
