@@ -252,12 +252,12 @@ def cmd_surface(args) -> int:
     payload = {"kind": "surface", **scan.to_json_dict(),
                "grid": [list(u) for u, _ in grid]}
     header = ["vx", "vy", "vz"]
-    rows = [[v.vx, v.vy, v.vz] for v in scan.vertices]
+    rows = scan.vertices.tolist()
     if theta.norm == 0.0:
         residual = (
             single_copy_surface_residual if args.copies == 1 else two_copy_surface_residual
         )
-        payload["vertex_residuals"] = [residual(v) for v in scan.vertices]
+        payload["vertex_residuals"] = residual(scan.vertices).tolist()
         header.append("residual")
         for row, r in zip(rows, payload["vertex_residuals"]):
             row.append(r)
@@ -280,7 +280,7 @@ def cmd_simulate(args) -> int:
     payload = {"kind": "simulate", **report.to_json_dict()}
     header = ["vx", "vy", "vz", "weighted_trace", "standard_error",
               "mean_x", "mean_y", "mean_z"]
-    row = [*report.mse.array, report.weighted_trace, report.standard_error,
+    row = [*report.mse, report.weighted_trace, report.standard_error,
            *report.estimates_mean]
     return _write(args, payload, header, [row])
 
@@ -319,8 +319,7 @@ def _origin_rows(grid, shots, repeats, seed):
         z = rep.metadata["z_vs_single_copy"]
         zs.append(z)
         rows.append([
-            *u, w.wx, w.wy, w.wz, rep.mse.vx, rep.mse.vy, rep.mse.vz,
-            rep.weighted_trace, rep.standard_error,
+            *u, w.wx, w.wy, w.wz, *rep.mse, rep.weighted_trace, rep.standard_error,
             sic_rep.weighted_trace, sic_rep.standard_error,
             rep.metadata["single_copy_bound_per_qubit"],
             rep.metadata["two_copy_bound_per_qubit"], z,
@@ -358,8 +357,7 @@ def _sweep_rows(grid, repeats, seed):
             rep = run_experiment(plan, w, estimator="mle")
             rows.append([
                 t, shots, *u, w.wx, w.wy, w.wz,
-                rep.mse.vx, rep.mse.vy, rep.mse.vz,
-                rep.weighted_trace, rep.standard_error,
+                *rep.mse, rep.weighted_trace, rep.standard_error,
                 rep.metadata["single_copy_bound_per_qubit"],
                 nhcrb_sdp(model_point(theta, 2), w).value,
             ])

@@ -22,7 +22,6 @@ from .constants import (
 )
 from .model import BlochVector, model_point
 from .povm import Povm
-from .tradeoff import MsePoint
 
 REPEAT_STREAM = 0
 
@@ -97,16 +96,16 @@ class ShotPlan:
 class ExperimentReport:
     """Aggregated result of a Monte Carlo experiment.
 
-    mse holds the per-axis mean squared errors normalized per qubit
-    (copies * shots * mean squared error), weighted_trace their
-    weight-combined scalar, and standard_error the bootstrap standard
-    error of the weighted trace over repetitions, in its closed
-    infinite-resample form. estimates_mean, shape (3,), is the mean
+    mse, a read-only array of shape (3,), holds the per-axis mean squared
+    errors normalized per qubit (copies * shots * mean squared error),
+    weighted_trace their weight-combined scalar, and standard_error the
+    bootstrap standard error of the weighted trace over repetitions, in its
+    closed infinite-resample form. estimates_mean, shape (3,), is the mean
     estimate, which need not lie in the Bloch ball: an unbiased linear
     estimate from few shots can fall outside it.
     """
 
-    mse: MsePoint
+    mse: np.ndarray
     weighted_trace: float
     standard_error: float
     estimates_mean: np.ndarray
@@ -114,7 +113,7 @@ class ExperimentReport:
 
     def to_json_dict(self):
         return {
-            "mse": [self.mse.vx, self.mse.vy, self.mse.vz],
+            "mse": self.mse.tolist(),
             "normalization": "per_qubit",
             "weighted_trace": self.weighted_trace,
             "standard_error": self.standard_error,
@@ -437,7 +436,7 @@ def run_experiment(plan, weights, estimator="linear"):
     # qubits consumed per repetition times MSE is the per-qubit error
     scale = shots * plan.copies
     per_axis = scale * (np.add.reduce(squared, axis=0) / repeats)
-    mse = MsePoint(per_axis[0], per_axis[1], per_axis[2])
+    per_axis.setflags(write=False)
     weighted_trace = float(w.array @ per_axis)
     stderr = _bootstrap_standard_error(squared, w.array, scale)
 
@@ -456,7 +455,7 @@ def run_experiment(plan, weights, estimator="linear"):
     if estimator == "mle":
         metadata["mle"] = mle_stats
     return ExperimentReport(
-        mse=mse,
+        mse=per_axis,
         weighted_trace=weighted_trace,
         standard_error=stderr,
         estimates_mean=np.add.reduce(estimates, axis=0) / repeats,

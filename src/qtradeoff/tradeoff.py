@@ -1,12 +1,16 @@
 """Trade-off surfaces for the per-parameter mean squared errors.
 
-Analytic membership predicates for the single-copy and two-copy attainable
-regions at the origin, the integer weight grid, and a scan that gives, at any
+An error triple (Vx, Vy, Vz) is a numpy array of shape (3,), and k of them
+a (k, 3) stack. The module holds the analytic membership predicates for the
+single-copy and two-copy attainable regions at the origin, which take a
+triple or a stack, the integer weight grid, and a scan that gives, at any
 interior parameter value, each weight's supporting plane and the point where
-it touches the surface: the gradient of the weighted bound in the weights. At
-the origin those tangent points are the per-qubit diag(F^-1) of the
-weight-adapted optimal measurements (povm.classical_fisher of
-single_copy_optimal and two_copy_optimal).
+it touches the surface: the gradient of the weighted bound in the weights.
+A SurfaceScan holds them as three read-only arrays, one row per weight:
+the weights, the plane offsets and the tangent points. At the origin those
+tangent points are the per-qubit diag(F^-1) of the weight-adapted optimal
+measurements (povm.classical_fisher of single_copy_optimal and
+two_copy_optimal).
 
 All quantities here are per-qubit normalized. At the origin every
 attainable point has V_i >= 1 (the per-parameter bound); away from the
@@ -28,78 +32,45 @@ from .povm import WeightSpec
 
 
 @dataclass(frozen=True)
-class MsePoint:
-    """Per-qubit normalized mean squared errors (Vx, Vy, Vz).
-
-    A coordinate may be 0: a finite experiment can estimate an axis exactly.
-    """
-
-    vx: float
-    vy: float
-    vz: float
-
-    def __post_init__(self):
-        # one comparison per coordinate: NaN and inf fail it, as does a
-        # negative value
-        if not (0.0 <= self.vx < math.inf and 0.0 <= self.vy < math.inf
-                and 0.0 <= self.vz < math.inf):
-            raise ValueError(f"MSE coordinates must be finite and >= 0, got {tuple(self.array)}")
-
-    @property
-    def array(self) -> np.ndarray:
-        return np.array([self.vx, self.vy, self.vz], dtype=float)
-
-
-@dataclass(frozen=True)
-class SupportingPlane:
-    """Halfspace w . V >= offset excluded by a weighted bound."""
-
-    weights: WeightSpec
-    offset: float
-
-    def __post_init__(self):
-        if not 0.0 < self.offset < math.inf:
-            raise ValueError(f"plane offset must be positive, got {self.offset}")
-
-
-@dataclass(frozen=True)
 class SurfaceScan:
     """Supporting planes and their tangent points at one model point.
 
-    vertices[k] is the point where planes[k] touches the attainable region,
-    an attained error triple. The tangent points are the vertices of the
-    inner polytope, their convex hull plus the positive orthant, as the
-    planes bound the outer one.
+    Row k of the read-only arrays is one plane, weights[k] . V >= offsets[k]
+    with weights (k, 3) and offsets (k,), and vertices[k], the error triple
+    (Vx, Vy, Vz) where it touches the attainable region. The tangent points
+    are the vertices of the inner polytope, their convex hull plus the
+    positive orthant, as the planes bound the outer one.
     """
 
     theta: BlochVector
     copies: int
-    planes: tuple
-    vertices: tuple
+    weights: np.ndarray
+    offsets: np.ndarray
+    vertices: np.ndarray
 
     def to_json_dict(self) -> dict:
         return {
             "theta": [self.theta.x, self.theta.y, self.theta.z],
             "copies": self.copies,
-            "planes": [
-                {"weights": list(p.weights.array), "offset": p.offset}
-                for p in self.planes
-            ],
-            "vertices": [[v.vx, v.vy, v.vz] for v in self.vertices],
+            "planes": [{"weights": w, "offset": b}
+                       for w, b in zip(self.weights.tolist(), self.offsets.tolist())],
+            "vertices": self.vertices.tolist(),
         }
 
 
-def single_copy_surface_residual(p: MsePoint) -> float:
-    """VxVyVz - VxVy - VxVz - VyVz; >= 0 is attainable with single-copy
-    measurements, 0 on the boundary."""
-    vx, vy, vz = p.vx, p.vy, p.vz
+def single_copy_surface_residual(v):
+    """VxVyVz - VxVy - VxVz - VyVz of an error triple, or of each triple
+    along the last axis of a (..., 3) stack; >= 0 is attainable with
+    single-copy measurements, 0 on the boundary."""
+    vx, vy, vz = np.moveaxis(np.asarray(v, dtype=float), -1, 0)
     return vx * vy * vz - vx * vy - vx * vz - vy * vz
 
 
-def two_copy_surface_residual(p: MsePoint) -> float:
-    """VxVyVz - VxVy - VxVz - VyVz + 3(Vx+Vy+Vz)/4 - 1/2; >= 0 is attainable
-    with two-copy collective measurements."""
-    vx, vy, vz = p.vx, p.vy, p.vz
+def two_copy_surface_residual(v):
+    """VxVyVz - VxVy - VxVz - VyVz + 3(Vx+Vy+Vz)/4 - 1/2 of an error triple,
+    or of each triple along the last axis of a (..., 3) stack; >= 0 is
+    attainable with two-copy collective measurements."""
+    vx, vy, vz = np.moveaxis(np.asarray(v, dtype=float), -1, 0)
     return (
         vx * vy * vz
         - vx * vy
@@ -137,20 +108,28 @@ def surface_scan(theta, copies: int, weight_grid) -> SurfaceScan:
     is built per scan and shared by every plane. The gradient is degree-0
     homogeneous, so the scan depends only on the weights' ratios.
     Every weight must be positive: a zero weight's plane touches the region
-    only at infinity.
+    only at infinity. An offset that is not finite and positive, or a
+    tangent point that is not finite, raises ValueError.
     """
     theta = bounds_mod.as_bloch(theta)
     grid = [bounds_mod.as_weights(w).require_positive() for w in weight_grid]
     if not grid:
         raise ValueError("weight grid is empty")
     point = model_point(theta, copies)
+    weights = np.array([w.array for w in grid])
     # the closed forms in one stacked pass where they exist, else the SDP
     # one weight at a time
-    forms = bounds_mod._closed_forms(point, np.array([w.array for w in grid]))
+    forms = bounds_mod._closed_forms(point, weights)
     if forms is None:
         solved = [bounds_mod.nhcrb_sdp(point, w) for w in grid]
         forms = [b.value for b in solved], [b.tangent for b in solved]
-    offsets, tangents = forms
-    planes = tuple(SupportingPlane(weights=w, offset=b) for w, b in zip(grid, offsets))
-    vertices = tuple(MsePoint(*v) for v in np.maximum(tangents, 0.0).tolist())
-    return SurfaceScan(theta=theta, copies=copies, planes=planes, vertices=vertices)
+    offsets, tangents = (np.asarray(f, dtype=float) for f in forms)
+    if not np.all((offsets > 0.0) & (offsets < math.inf)):
+        raise ValueError(f"plane offsets must be finite and positive, got {offsets}")
+    if not np.isfinite(tangents).all():
+        raise ValueError(f"tangent points must be finite, got {tangents}")
+    vertices = np.maximum(tangents, 0.0)
+    for arr in (weights, offsets, vertices):
+        arr.setflags(write=False)
+    return SurfaceScan(theta=theta, copies=copies, weights=weights, offsets=offsets,
+                       vertices=vertices)

@@ -40,7 +40,6 @@ from qtradeoff.povm import (
     two_copy_optimal,
 )
 from qtradeoff.tradeoff import (
-    MsePoint,
     integer_weight_triples,
     single_copy_surface_residual,
     surface_scan,
@@ -125,28 +124,28 @@ def test_criterion_05_tangency_sweep():
         w = random_weights(rng)
         f1 = classical_fisher(origin.theta, single_copy_optimal(w))
         v1 = f1.copies * np.diag(f1.inverse()).real
-        assert abs(single_copy_surface_residual(MsePoint(*v1))) <= 1e-9
+        assert abs(single_copy_surface_residual(v1)) <= 1e-9
         wt1 = f1.weighted_trace_inverse(w)
         c1 = nhcrb_analytic(origin, w).value
         assert abs(wt1 - c1) <= 1e-10
 
         f2 = classical_fisher(origin2.theta, two_copy_optimal(w))
         v2 = f2.copies * np.diag(f2.inverse()).real
-        assert abs(two_copy_surface_residual(MsePoint(*v2))) <= 1e-9
+        assert abs(two_copy_surface_residual(v2)) <= 1e-9
         wt2 = f2.weighted_trace_inverse(w)
         c2 = nhcrb_analytic(origin2, w).value
         assert abs(wt2 - c2) <= 2e-10
 
 
 def test_criterion_06_surface_landmarks():
-    assert abs(single_copy_surface_residual(MsePoint(3, 3, 3))) <= 1e-12
-    assert abs(two_copy_surface_residual(MsePoint(2, 2, 2))) <= 1e-12
+    assert abs(single_copy_surface_residual((3, 3, 3))) <= 1e-12
+    assert abs(two_copy_surface_residual((2, 2, 2))) <= 1e-12
     # (1,1,1) is on neither surface but sits at the Holevo value
-    corner = MsePoint(1, 1, 1)
+    corner = np.ones(3)
     assert abs(single_copy_surface_residual(corner)) > 0.1
     assert abs(two_copy_surface_residual(corner)) > 0.1
     holevo_unit = holevo(model_point(BlochVector(0, 0, 0)), WeightSpec(1, 1, 1)).value
-    assert abs(corner.array.sum() - holevo_unit) <= 1e-12
+    assert abs(corner.sum() - holevo_unit) <= 1e-12
 
     # the two-parameter relation (V_i - 1)(V_j - 1) >= 1 at the single-copy
     # tangent points, the per-qubit diag(F^-1) of the weight-adapted
@@ -161,8 +160,7 @@ def test_criterion_06_surface_landmarks():
         for i, j in ((0, 1), (0, 2), (1, 2)):
             assert (v[i] - 1.0) * (v[j] - 1.0) >= 1.0 - 1e-9
     # and at the surface scan's tangent points, the gradients of the bound
-    for p in surface_scan(origin, 1, samples).vertices:
-        v = p.array
+    for v in surface_scan(origin, 1, samples).vertices:
         for i, j in ((0, 1), (0, 2), (1, 2)):
             assert (v[i] - 1.0) * (v[j] - 1.0) >= 1.0 - 1e-9
 

@@ -1,5 +1,6 @@
 import errno
 import filecmp
+import hashlib
 import importlib.resources
 import json
 import os
@@ -254,6 +255,29 @@ def test_surface_csv_header(tmp_path):
                      "--format", "csv"]) == 0
     lines = out.read_text().splitlines()
     assert lines[0] == "vx,vy,vz,residual"
+
+
+# SHA-256 of the JSON and CSV artifacts of closed-form surface scans; no
+# SDP runs, so the bytes do not depend on the BLAS build
+SURFACE_DIGESTS = {
+    "--theta=0,0,0 --grid 2 --copies 1": (
+        "f19c1f0ec53be14511aec7bba506e3def859b4f3e25c75b32191616dd42ed13a",
+        "95ad13e4c709601c0567d9e17aafea75992647b5f68891f868c81c6c0901c129"),
+    "--theta=0,0,0 --grid 2 --copies 2": (
+        "f4167d913a5816bb71e56c3a146aced81320db2734293f252845cbe6197eb1ba",
+        "3a998365cb473c68c33557004e881bd2ac21cb6566a283db3e5288a538f9363c"),
+    "--copies 1 --theta=0.3,-0.2,0.4 --grid 2": (
+        "f3989f5988c556c9b0aac38cf0724201b9b19d2bdc3334e95e12e8e257d059e8",
+        "20d16f10d207fd69f5035b9b101c02a0ea1a526333cd3116a7a943ff77049e59"),
+}
+
+
+@pytest.mark.parametrize("args", list(SURFACE_DIGESTS))
+def test_surface_artifacts_have_pinned_bytes(tmp_path, args):
+    for fmt, want in zip(("json", "csv"), SURFACE_DIGESTS[args]):
+        out = tmp_path / f"surface.{fmt}"
+        assert cli.main(["surface", *args.split(), "--format", fmt, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == want, fmt
 
 
 def test_simulate_artifact(tmp_path, schema):

@@ -246,7 +246,10 @@ def test_run_experiment_counts_come_from_one_stream(components):
     assert np.array_equal(rep.estimates_mean, batched.mean(axis=0))
     # per qubit: copies * shots * mean squared error
     want = 2 * 200 * ((batched - theta.array) ** 2).mean(axis=0)
-    assert np.array_equal(rep.mse.array, want)
+    assert np.array_equal(rep.mse, want)
+    assert rep.to_json_dict()["mse"] == want.tolist()
+    with pytest.raises(ValueError, match="read-only"):
+        rep.mse[0] = 0.0
 
 
 def test_bootstrap_equals_the_resample_loop():
@@ -360,7 +363,7 @@ def test_run_experiment_deterministic():
     b = run_experiment(plan, EQUAL)
     assert a.weighted_trace == b.weighted_trace
     assert a.standard_error == b.standard_error
-    assert np.array_equal(a.mse.array, b.mse.array)
+    assert np.array_equal(a.mse, b.mse)
     assert np.array_equal(a.estimates_mean, b.estimates_mean)
 
 
@@ -370,7 +373,7 @@ def test_origin_linear_estimator_statistics():
     # unbiased at the origin
     assert np.abs(rep.estimates_mean).max() < 5e-3
     # attains the two-copy bound V_i = 2 per qubit
-    assert np.abs(rep.mse.array - 2.0).max() < 0.25
+    assert np.abs(rep.mse - 2.0).max() < 0.25
     assert abs(rep.weighted_trace - 6.0) < 4 * rep.standard_error
     assert rep.metadata["single_copy_bound_per_qubit"] == 9.0
     assert rep.metadata["two_copy_bound_per_qubit"] == 6.0

@@ -1,5 +1,6 @@
 import importlib.util
 import itertools
+import json
 import math
 from pathlib import Path
 
@@ -8,13 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtradeoff import tradeoff
+from qtradeoff import bounds, cli, tradeoff
 from qtradeoff.bounds import nhcrb_analytic, nhcrb_sdp
 from qtradeoff.model import BlochVector, model_point
 from qtradeoff.povm import WeightSpec, classical_fisher, single_copy_optimal, two_copy_optimal
 from qtradeoff.tradeoff import (
-    MsePoint,
-    SupportingPlane,
     integer_weight_triples,
     single_copy_surface_residual,
     surface_scan,
@@ -28,15 +27,28 @@ def tangent_point(weights, copies):
     touches the trade-off surface."""
     povm = (single_copy_optimal, two_copy_optimal)[copies - 1](weights)
     fisher = classical_fisher(BlochVector(0, 0, 0), povm)
-    return MsePoint(*(copies * np.diag(fisher.inverse())))
+    return copies * np.diag(fisher.inverse())
 
 
 def test_residual_landmarks():
-    assert abs(single_copy_surface_residual(MsePoint(3, 3, 3))) < 1e-12
-    assert abs(single_copy_surface_residual(MsePoint(2, 4, 4))) < 1e-12
-    assert abs(two_copy_surface_residual(MsePoint(2, 2, 2))) < 1e-12
-    assert abs(single_copy_surface_residual(MsePoint(1, 1, 1)) + 2.0) < 1e-12
-    assert abs(two_copy_surface_residual(MsePoint(1, 1, 1)) + 0.25) < 1e-12
+    assert abs(single_copy_surface_residual((3, 3, 3))) < 1e-12
+    assert abs(single_copy_surface_residual((2, 4, 4))) < 1e-12
+    assert abs(two_copy_surface_residual((2, 2, 2))) < 1e-12
+    assert abs(single_copy_surface_residual((1, 1, 1)) + 2.0) < 1e-12
+    assert abs(two_copy_surface_residual((1, 1, 1)) + 0.25) < 1e-12
+
+
+@pytest.mark.parametrize("residual", [single_copy_surface_residual, two_copy_surface_residual])
+def test_residuals_of_a_stack_are_the_residuals_of_its_rows(residual):
+    # the same arithmetic on each triple, bit for bit, whatever the stack's shape
+    rng = np.random.default_rng(5)
+    stack = np.vstack([[[3, 3, 3], [2, 4, 4], [2, 2, 2], [1, 1, 1], [0, 0, 0]],
+                       10.0 ** rng.uniform(-3.0, 3.0, size=(20, 3))])
+    got = residual(stack)
+    assert got.shape == (len(stack),)
+    assert all(got[k] == residual(row) for k, row in enumerate(stack))
+    assert all(got[k] == residual(tuple(row)) for k, row in enumerate(stack.tolist()))
+    assert np.array_equal(residual(stack.reshape(5, 5, 3)), got.reshape(5, 5))
 
 
 def test_boundary_points_sit_on_surfaces():
@@ -98,10 +110,8 @@ def _assert_tangent_oracles(scan, gaps):
     """Each tangent point V*(w) lies on its own plane, w . V*(w) = C(w), and
     on the attainable side of every other, w' . V*(w) >= C(w'), whose
     optimum lies in [offset - gap, offset]."""
-    normals = np.array([p.weights.array for p in scan.planes])
-    offsets = np.array([p.offset for p in scan.planes])
-    points = np.array([v.array for v in scan.vertices])
-    assert points.shape == normals.shape
+    normals, offsets, points = scan.weights, scan.offsets, scan.vertices
+    assert points.shape == normals.shape == (len(offsets), 3)
     # row k of `through` is plane k evaluated at every tangent point
     through = normals @ points.T
     assert np.all(np.abs(np.diag(through) - offsets) <= 1e-14 * offsets)
@@ -112,23 +122,23 @@ def test_surface_scan_origin():
     grid = [w for _, w in integer_weight_triples()]
     for copies, resid in ((1, single_copy_surface_residual), (2, two_copy_surface_residual)):
         scan = surface_scan((0.0, 0.0, 0.0), copies, grid)
-        assert len(scan.planes) == len(scan.vertices) == 25
+        assert len(scan.offsets) == len(scan.vertices) == 25
         _assert_tangent_oracles(scan, np.zeros(25))
         for v, w in zip(scan.vertices, grid):
             # each plane touches the surface where its optimal measurement's
             # error floor lies
-            assert np.allclose(v.array, tangent_point(w, copies).array, rtol=4e-15, atol=0.0)
-            assert abs(resid(v)) <= 1e-13 * v.vx * v.vy * v.vz
+            assert np.allclose(v, tangent_point(w, copies), rtol=4e-15, atol=0.0)
+        assert np.all(np.abs(resid(scan.vertices)) <= 1e-13 * scan.vertices.prod(axis=1))
 
 
 def test_surface_scan_degenerate_weights():
     # crushing two weights pushes the tangent point toward V_x = 1
     w = WeightSpec(1.0, 1e-8, 1e-8)
     p = tangent_point(w, copies=1)
-    assert p.vx < 1.001
-    assert p.vy > 1e3
+    assert p[0] < 1.001
+    assert p[1] > 1e3
     v, = surface_scan((0.0, 0.0, 0.0), 1, [w]).vertices
-    assert np.allclose(v.array, p.array, rtol=1e-12, atol=0.0)
+    assert np.allclose(v, p, rtol=1e-12, atol=0.0)
 
 
 def test_surface_scan_empty_grid():
@@ -151,17 +161,16 @@ def test_surface_scan_interior_point():
     floor = 1.0 - np.array([0.2, 0.0, 0.0]) ** 2
     for copies in (1, 2):
         scan = surface_scan((0.2, 0.0, 0.0), copies, grid)
-        assert len(scan.planes) == len(scan.vertices) == len(grid)
-        for v in scan.vertices:
-            assert np.all(v.array >= floor)
+        assert len(scan.offsets) == len(scan.vertices) == len(grid)
+        assert np.all(scan.vertices >= floor)
         doc = scan.to_json_dict()
         assert doc["copies"] == copies
         assert len(doc["planes"]) == len(doc["vertices"]) == len(grid)
     point = model_point(BlochVector(0.2, 0.0, 0.0), copies=2)
-    for plane, v, w in zip(scan.planes, scan.vertices, grid):
+    for offset, v, w in zip(scan.offsets, scan.vertices, grid):
         want = nhcrb_sdp(point, w)
-        assert abs(plane.offset - want.value) <= 1e-12 * want.value
-        assert np.allclose(v.array, want.tangent, rtol=1e-12, atol=0.0)
+        assert abs(offset - want.value) <= 1e-12 * want.value
+        assert np.allclose(v, want.tangent, rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("theta", [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)])
@@ -174,9 +183,8 @@ def test_single_copy_scan_at_an_axis_pure_state(theta, n):
     scan = surface_scan(theta, 1, grid)
     axis = theta.index(1.0)
     _assert_tangent_oracles(scan, np.zeros(len(grid)))
-    for v in scan.vertices:
-        assert v.array[axis] == 0.0
-        assert np.all(np.delete(v.array, axis) >= 1.0)
+    assert np.all(scan.vertices[:, axis] == 0.0)
+    assert np.all(np.delete(scan.vertices, axis, axis=1) >= 1.0)
 
 
 def test_single_copy_scan_at_a_pure_axis_state_has_exact_planes():
@@ -185,12 +193,11 @@ def test_single_copy_scan_at_a_pure_axis_state_has_exact_planes():
     # (1 + sqrt(wy / wx), 1 + sqrt(wx / wy), 0)
     grid = [w for _, w in integer_weight_triples(4)]
     scan = surface_scan((0.0, 0.0, 1.0), 1, grid)
-    for plane, v in zip(scan.planes, scan.vertices):
-        wx, wy, _ = plane.weights.array
+    for (wx, wy, _), offset, v in zip(scan.weights, scan.offsets, scan.vertices):
         want = (np.sqrt(wx) + np.sqrt(wy)) ** 2
-        assert abs(plane.offset - want) <= 1e-15 * want
+        assert abs(offset - want) <= 1e-15 * want
         tangent = np.array([1.0 + np.sqrt(wy / wx), 1.0 + np.sqrt(wx / wy), 0.0])
-        assert np.allclose(v.array, tangent, rtol=1e-15, atol=0.0)
+        assert np.allclose(v, tangent, rtol=1e-15, atol=0.0)
 
 
 @pytest.mark.parametrize("copies", [1, 2])
@@ -204,7 +211,7 @@ def test_surface_scan_builds_one_model_point(monkeypatch, copies):
     monkeypatch.setattr(tradeoff, "model_point", counting)
     grid = [w for _, w in integer_weight_triples(2)]
     scan = surface_scan((0.2, 0.0, 0.0), copies, grid)
-    assert len(scan.planes) == len(grid) > 1
+    assert len(scan.offsets) == len(grid) > 1
     assert calls == [copies]
 
 
@@ -309,9 +316,9 @@ def test_scan_offsets_are_the_closed_form_values(theta, copies):
     grid = [w for _, w in integer_weight_triples(4)]
     scan = surface_scan(theta, copies, grid)
     point = model_point(BlochVector(*theta), copies)
-    assert [p.offset for p in scan.planes] == [nhcrb_analytic(point, w).value for w in grid]
-    assert [tuple(v.array) for v in scan.vertices] == [nhcrb_analytic(point, w).tangent
-                                                        for w in grid]
+    assert scan.offsets.tolist() == [nhcrb_analytic(point, w).value for w in grid]
+    assert [tuple(v) for v in scan.vertices.tolist()] == [nhcrb_analytic(point, w).tangent
+                                                          for w in grid]
 
 
 @settings(max_examples=30, deadline=None)
@@ -326,28 +333,53 @@ def test_scan_depends_only_on_weight_ratios(k, n, theta_copies):
     grid = [w for _, w in integer_weight_triples(n)]
     scan = surface_scan(theta, copies, grid)
     scaled = surface_scan(theta, copies, [WeightSpec(*np.ldexp(w.array, k)) for w in grid])
-    assert scaled.vertices == scan.vertices
-    assert [p.offset for p in scaled.planes] == [np.ldexp(p.offset, k) for p in scan.planes]
+    assert np.array_equal(scaled.vertices, scan.vertices)
+    assert np.array_equal(scaled.offsets, np.ldexp(scan.offsets, k))
 
 
-def test_mse_point_validation():
-    # a finite experiment can estimate an axis exactly
-    assert MsePoint(0.0, 1, 1).vx == 0.0
-    with pytest.raises(ValueError):
-        MsePoint(1, -2, 1)
-    with pytest.raises(ValueError):
-        MsePoint(1, np.inf, 1)
-    with pytest.raises(ValueError):
-        MsePoint(1, 1, np.nan)
-    with pytest.raises(ValueError):
-        MsePoint(np.float64(np.nan), 1, 1)
+def _surface_from_forms(monkeypatch, capsys, offset, tangent):
+    """Scan the one-weight grid at the origin with _closed_forms patched to
+    return (offset, tangent): the library's ValueError, or None, and the
+    CLI's exit code and stderr."""
+    monkeypatch.setattr(bounds, "_closed_forms",
+                        lambda point, w: ([offset], np.array([tangent], dtype=float)))
+    try:
+        surface_scan((0.0, 0.0, 0.0), 1, [WeightSpec(1, 1, 1)])
+        error = None
+    except ValueError as exc:
+        error = exc
+    code = cli.main(["surface", "--copies", "1", "--grid", "1"])
+    return error, code, capsys.readouterr()
 
 
-def test_supporting_plane_validation():
-    with pytest.raises(ValueError):
-        SupportingPlane(weights=WeightSpec(1, 1, 1), offset=0.0)
-    with pytest.raises(ValueError):
-        SupportingPlane(weights=WeightSpec(1, 1, 1), offset=np.nan)
-    with pytest.raises(ValueError):
-        SupportingPlane(weights=WeightSpec(1, 1, 1), offset=np.inf)
-    assert SupportingPlane(weights=WeightSpec(1, 1, 1), offset=3.0).offset == 3.0
+def test_surface_scan_rejects_a_nonfinite_tangent_point(monkeypatch, capsys):
+    for tangent in ((2.0, np.nan, 2.0), (np.inf, 2.0, 2.0), (2.0, 2.0, -np.inf)):
+        error, code, out = _surface_from_forms(monkeypatch, capsys, 6.0, tangent)
+        assert "tangent points must be finite" in str(error)
+        assert code == cli.EXIT_VALIDATION
+        assert out.out == "" and "tangent points must be finite" in out.err
+    # a coordinate may be 0, and rounding below it is raised to 0
+    error, code, out = _surface_from_forms(monkeypatch, capsys, 6.0, (0.0, -1e-17, 3.0))
+    assert error is None and code == cli.EXIT_OK
+    assert json.loads(out.out)["vertices"] == [[0.0, 0.0, 3.0]]
+
+
+def test_surface_scan_rejects_an_offset_that_is_not_finite_and_positive(monkeypatch, capsys):
+    for offset in (np.nan, 0.0, np.inf, -1.0):
+        error, code, out = _surface_from_forms(monkeypatch, capsys, offset, (2.0, 2.0, 2.0))
+        assert "plane offsets must be finite and positive" in str(error)
+        assert code == cli.EXIT_VALIDATION
+        assert out.out == "" and "plane offsets must be finite and positive" in out.err
+    error, code, out = _surface_from_forms(monkeypatch, capsys, 3.0, (2.0, 2.0, 2.0))
+    assert error is None and code == cli.EXIT_OK
+    assert json.loads(out.out)["planes"][0]["offset"] == 3.0
+
+
+@pytest.mark.parametrize("theta, copies", [((0.0, 0.0, 0.0), 1), ((0.2, 0.0, 0.0), 2)])
+def test_surface_scan_arrays_are_read_only(theta, copies):
+    scan = surface_scan(theta, copies, GRID_3[:2])
+    assert scan.weights.shape == scan.vertices.shape == (2, 3)
+    assert scan.offsets.shape == (2,)
+    for arr in (scan.weights, scan.offsets, scan.vertices):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
